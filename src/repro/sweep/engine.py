@@ -1,135 +1,135 @@
-"""The sweep engine: execute SweepPoints serially or across a process pool.
+"""The sweep engine: one pipeline for plain, incremental and warm sweeps.
 
-Execution model
----------------
-1. Every point is first resolved against the result cache (when one is
-   given); hits never touch a worker.
-2. Remaining points are packed into chunks and executed — in-process
-   for ``jobs <= 1``, across a ``ProcessPoolExecutor`` otherwise.  A
-   chunk is one pool task: for short simulation points the per-task
-   dispatch overhead would otherwise dominate.
-3. Inside the worker each point runs under a SIGALRM watchdog
-   (``timeout`` seconds) and inside its own telemetry capture window,
-   so a wedged simulation dies with a ``PointTimeout`` instead of
-   sinking the sweep, and the per-point telemetry report travels back
-   with the result.
-4. Failed points (exception, timeout, or a crashed worker process that
-   took its whole chunk down) are retried once (``retries``), each in
-   its own single-point chunk.  A point that fails again is recorded as
-   an ``error`` outcome; the rest of the sweep is unaffected.
-5. Outcomes are reassembled **in point order**, so the merged report is
-   identical in content to a serial run regardless of which worker
-   finished first.
+How a sweep executes
+--------------------
+Every :func:`run_sweep` call walks the same five steps; ``incremental``
+and ``warm`` only swap the strategy of step 2.
+
+1. **Probe.**  Every point is first resolved against the result cache
+   (when one is given); hits never touch a worker.  Exact entries are
+   probed first — they are authoritative and can never be shadowed —
+   and only incremental sweeps then also accept derived entries.
+2. **Strategy.**  A mode-specific attempt to serve the misses without a
+   fresh simulation each.  Plain sweeps have none.  Incremental sweeps
+   classify each point (:func:`repro.trace.adapter.classify`), capture
+   one full simulation per structural base (trace-cache fronted, across
+   the pool) and replay every satellite analytically in-process.  Warm
+   sweeps group points by structural digest and send each group's
+   chunks to persistent warm workers that construct once and
+   snapshot-restore between points (:mod:`repro.sweep.warm`).  Whatever
+   a strategy cannot finish is *left over* with its recorded reason.
+3. **Dispatch.**  Fresh chunks, capture tasks and warm chunks all go
+   through one function: in-process for ``jobs <= 1`` or a lone task,
+   across a ``ProcessPoolExecutor`` otherwise.  A task is one pool
+   submission — for short simulation points the per-task dispatch
+   overhead would otherwise dominate, hence chunks.  Inside the worker
+   each point runs under a SIGALRM watchdog (``timeout`` seconds) and,
+   with telemetry, inside its own capture window, so a wedged
+   simulation dies with a ``PointTimeout`` instead of sinking the
+   sweep, and the per-point telemetry report travels back with the
+   result.  Per-point failures come back as data; a crashed worker
+   process fails every member of the tasks it took down.
+4. **Fresh execution + retry.**  The leftovers (for a plain sweep:
+   every miss) run as ordinary full simulations.  Failed points
+   (exception, timeout, crashed worker) are re-run ``retries`` times,
+   each in its own single-point chunk.  A point that still fails is
+   recorded as an ``error`` outcome; the rest of the sweep is
+   unaffected.
+5. **Record.**  Raw records become outcomes **in point order** — so the
+   merged report is identical in content to a serial run regardless of
+   which worker finished first — successful results are written to the
+   cache (failed points never are), and the accounting is tallied from
+   the outcomes.
 
 Determinism: the engine never invents randomness.  Seeds live in the
 points (assigned by the space builders), telemetry labels are derived
 from point indices, and ``SweepResult.canonical()`` strips the only
 nondeterministic fields (wall-clock times) — two runs of the same sweep
-are bit-identical under it, whether serial, parallel, or cache-served.
+are bit-identical under it, whether serial, parallel, cache-served,
+replayed or warm.
 """
 
 from __future__ import annotations
 
-import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
-from .point import SweepPoint
+from .point import PointTimeout, SweepPoint, _alarm
 from .serialize import NONDETERMINISTIC_FIELDS, canonical_json
 
 __all__ = ["PointTimeout", "PointOutcome", "SweepResult", "run_sweep"]
 
-
-class PointTimeout(Exception):
-    """A sweep point exceeded its per-point wall-clock budget."""
-
-
-@contextmanager
-def _alarm(seconds: Optional[float]):
-    """Raise :class:`PointTimeout` in the current process after ``seconds``.
-
-    SIGALRM-based, so it fires even inside a busy simulation loop.
-    Where the signal cannot be armed (non-main thread, platforms
-    without SIGALRM) the point instead runs under the kernel's ambient
-    wall-clock budget (:func:`repro.kernel.time_budget`), which the
-    simulator's timestep loop polls — a slightly softer deadline, but
-    never silently unbounded.  A no-op only when no timeout was
-    requested at all.
-    """
-    if seconds is None or seconds <= 0:
-        yield
-        return
-    usable = hasattr(signal, "SIGALRM")
-    if usable:
-        try:
-            old = signal.signal(
-                signal.SIGALRM,
-                lambda signum, frame: (_ for _ in ()).throw(
-                    PointTimeout(f"point exceeded {seconds:.3g}s")))
-        except ValueError:  # not in the main thread
-            usable = False
-    if not usable:
-        from ..kernel.simulator import TimeBudgetExceeded, time_budget
-
-        try:
-            with time_budget(seconds):
-                yield
-        except TimeBudgetExceeded as exc:
-            raise PointTimeout(
-                f"point exceeded {seconds:.3g}s "
-                f"(kernel cycle-budget fallback)") from exc
-        return
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old)
+#: A point the strategy step could not finish: ``(index, point,
+#: fallback_reason, attempts_used)``.
+_Leftover = Tuple[int, SweepPoint, Optional[str], int]
 
 
-def _execute_point(index: int, point: SweepPoint, *,
-                   telemetry: bool) -> dict:
-    """Run one point in the current process; returns its raw payload.
+# ----------------------------------------------------------------------
+# worker side: every entry point takes one task dict (plain data, with
+# ``members`` tuples whose first element is the member's key) and
+# returns ``{"records": [...]}``, one keyed ok/error record per member
+# ----------------------------------------------------------------------
+def _run_chunk(task: dict) -> dict:
+    """Worker entry point: fresh-execute one chunk of (index, point) pairs.
 
-    The point is wrapped as a :class:`~repro.jobs.JobRequest` and
+    Each point is wrapped as a :class:`~repro.jobs.JobRequest` and
     submitted to the job core, which resolves the runner from the
     experiment registry by name — the point itself stays plain data.
     With ``telemetry`` the job runs inside its own capture window and
     the flattened report records ride along (and into the cache),
     labelled by point index so serial and parallel runs produce
     identical records.
-    """
-    from ..jobs import JobRequest, execute
-
-    job = execute(JobRequest.from_point(point, telemetry=telemetry),
-                  telemetry_label=f"{point.experiment}[{index}]")
-    return {"result": job.payload, "telemetry": job.telemetry,
-            "wall_seconds": job.wall_seconds}
-
-
-def _run_chunk(items: Sequence[Tuple[int, SweepPoint]], telemetry: bool,
-               timeout: Optional[float]) -> List[dict]:
-    """Worker entry point: execute one chunk of (index, point) pairs.
 
     Per-point failures are caught and returned as data — only a hard
     crash of the worker process itself (segfault, OOM kill) loses the
     chunk, and the engine retries those points individually.
     """
-    out = []
-    for index, point in items:
+    from ..jobs import JobRequest, execute
+
+    records = []
+    for index, point in task["members"]:
         try:
-            with _alarm(timeout):
-                payload = _execute_point(index, point, telemetry=telemetry)
-            out.append({"index": index, "ok": True, **payload})
+            with _alarm(task["timeout"]):
+                job = execute(
+                    JobRequest.from_point(point,
+                                          telemetry=task["telemetry"]),
+                    telemetry_label=f"{point.experiment}[{index}]")
+            records.append({"key": index, "ok": True,
+                            "result": job.payload,
+                            "telemetry": job.telemetry,
+                            "wall_seconds": job.wall_seconds})
         except Exception as exc:  # noqa: BLE001 - reported per point
-            out.append({"index": index, "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}"})
-    return out
+            records.append({"key": index, "ok": False,
+                            "error": f"{type(exc).__name__}: {exc}"})
+    return {"records": records}
+
+
+def _capture_chunk(task: dict) -> dict:
+    """Worker entry point: capture structural-base traces.
+
+    Members are ``(gid, experiment, base_params, base_seed)`` tuples;
+    the replay adapter is re-resolved from the registry by experiment
+    name so only plain data crosses the process boundary.
+    """
+    from ..trace.adapter import adapter_for
+
+    records = []
+    for gid, experiment, base_params, base_seed in task["members"]:
+        t0 = time.perf_counter()
+        try:
+            adapter = adapter_for(experiment)
+            with _alarm(task["timeout"]):
+                trace = adapter.capture(dict(base_params), base_seed)
+            records.append({"key": gid, "ok": True, "trace": trace,
+                            "wall_seconds": time.perf_counter() - t0})
+        except Exception as exc:  # noqa: BLE001 - reported per capture
+            records.append({"key": gid, "ok": False,
+                            "error": f"{type(exc).__name__}: {exc}"})
+    return {"records": records}
 
 
 @dataclass
@@ -278,57 +278,363 @@ class SweepResult:
         }
 
 
-def _chunked(items: List[Tuple[int, SweepPoint]], jobs: int,
-             chunksize: Optional[int]) -> List[List[Tuple[int, SweepPoint]]]:
-    if chunksize is None:
-        # ~4 chunks per worker balances dispatch overhead against
-        # stragglers holding the tail of the sweep.
-        chunksize = max(1, len(items) // max(1, jobs * 4))
-    return [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
 
+# ----------------------------------------------------------------------
+# the pipeline: probe -> strategy -> dispatch -> fresh + retry -> record
+# ----------------------------------------------------------------------
+def _probe(points: List[SweepPoint], cache: Optional[ResultCache],
+           modes: Tuple[str, ...], telemetry: bool,
+           records: Dict[int, dict]) -> List[Tuple[int, SweepPoint]]:
+    """Step 1: serve points from the cache; returns the misses.
 
-def _execute_batch(items: List[Tuple[int, SweepPoint]], *, jobs: int,
-                   telemetry: bool, timeout: Optional[float],
-                   chunksize: Optional[int]) -> Dict[int, dict]:
-    """Execute (index, point) pairs; returns raw payloads keyed by index.
-
-    Worker-process crashes surface as ``BrokenProcessPool`` on every
-    outstanding future of that pool; the affected points are returned as
-    failed payloads so the caller's retry pass can re-run them — a fresh
-    pool is created per batch, so one crash never poisons the retry.
+    A telemetry-enabled sweep must not be served by telemetry-less
+    entries (the merged report would silently lose those points); the
+    predicate makes them honest misses.  In the mirror case the stored
+    telemetry is stripped so a cache hit is indistinguishable from a
+    fresh ``telemetry=False`` execution.
     """
-    raw: Dict[int, dict] = {}
-    if not items:
-        return raw
-    if jobs <= 1 or len(items) == 1:
-        for rec in _run_chunk(items, telemetry, timeout):
-            raw[rec.pop("index")] = rec
-        return raw
-    chunks = _chunked(items, jobs, chunksize)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        futures = [(pool.submit(_run_chunk, chunk, telemetry, timeout), chunk)
-                   for chunk in chunks]
-        for future, chunk in futures:
+    require = (lambda value: value.get("telemetry") is not None) \
+        if telemetry else None
+    pending: List[Tuple[int, SweepPoint]] = []
+    for i, point in enumerate(points):
+        for mode in modes if cache is not None else ():
+            hit = cache.get(point, mode=mode, require=require)
+            if hit is not None:
+                records[i] = {
+                    "ok": True, "cached": True, "mode": mode,
+                    "result": hit.get("result"),
+                    "telemetry": hit.get("telemetry") if telemetry
+                    else None}
+                break
+        else:
+            pending.append((i, point))
+    return pending
+
+
+def _dispatch(fn: Callable[[dict], dict], tasks: List[dict], jobs: int, *,
+              initializer: Optional[Callable[[], None]] = None,
+              isolate: bool = False) -> Tuple[dict, Dict[str, int]]:
+    """Step 3: run ``fn(task)`` for every task, in-process or pooled.
+
+    Returns ``(records by member key, summed worker counters)``.
+    Worker-process crashes surface as ``BrokenProcessPool`` on every
+    outstanding future of that pool; each member of an affected task
+    gets a failed record (marked ``crashed``) so the caller's retry
+    pass can re-run it — a new pool is created per call, so one crash
+    never poisons the retry.  ``isolate`` withholds the lone-task
+    in-process shortcut: a task whose previous attempt died with its
+    worker must not get the chance to take the driver down instead.
+    """
+    outputs: List[dict] = []
+    if jobs <= 1 or not tasks or (len(tasks) == 1 and not isolate):
+        outputs = [fn(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=initializer) as pool:
+            futures = [pool.submit(fn, task) for task in tasks]
+            for future, task in zip(futures, tasks):
+                try:
+                    outputs.append(future.result())
+                    continue
+                except BrokenProcessPool:
+                    failure = {"error": "BrokenProcessPool: worker crashed",
+                               "crashed": True}
+                except Exception as exc:  # noqa: BLE001 - whole-task failure
+                    failure = {"error": f"{type(exc).__name__}: {exc}"}
+                outputs.append({"records": [
+                    {"key": member[0], "ok": False, **failure}
+                    for member in task["members"]]})
+    records: dict = {}
+    counters: Dict[str, int] = {}
+    for out in outputs:
+        for rec in out["records"]:
+            records[rec.pop("key")] = rec
+        for name, value in out.get("counters", {}).items():
+            counters[name] = counters.get(name, 0) + value
+    return records, counters
+
+
+def _incremental_strategy(experiment: str,
+                          pending: List[Tuple[int, SweepPoint]],
+                          records: Dict[int, dict], *, jobs: int,
+                          cache: Optional[ResultCache],
+                          timeout: Optional[float]
+                          ) -> Tuple[List[_Leftover], dict]:
+    """Step 2, ``incremental=True``: classify, capture bases, replay.
+
+    Points the static classification calls structural are left over at
+    once; analytic experiments are evaluated in-process; every other
+    point joins its structural base's group, the base is captured once
+    (see ``docs/INCREMENTAL_SIM.md``) and the members are replayed — a
+    replay the trace's recorded capability or the replayer's soundness
+    guards refuse leaves the point over with its reason.
+    """
+    from ..registry import get_sweep
+    from ..trace.adapter import classify
+    from ..trace.replay import ReplayError, Replayer
+
+    adapter = get_sweep(experiment).replay
+    leftovers: List[_Leftover] = []
+    analytic: List[Tuple[int, SweepPoint]] = []
+    groups: Dict[str, dict] = {}
+    for i, point in pending:
+        mode, reason, bparams, bseed = classify(
+            adapter, dict(point.params), point.seed)
+        if mode == "structural":
+            leftovers.append((i, point, reason, 0))
+        elif adapter.kind == "analytic":
+            analytic.append((i, point))
+        else:
+            gid = canonical_json({"experiment": experiment,
+                                  "params": bparams, "seed": bseed})
+            if gid not in groups:
+                groups[gid] = {"members": [], "base_point": SweepPoint(
+                    experiment, bparams, seed=bseed)}
+            groups[gid]["members"].append((i, point))
+
+    # One capture per structural base, trace-cache fronted.  Ineligible
+    # traces are cached too: the recorded reasons are stable for a
+    # given base, so a warm sweep skips straight to the fallback.
+    captures: Dict[str, dict] = {}
+    need: List[dict] = []
+    for gid, group in groups.items():
+        base = group["base_point"]
+        hit = cache.get(base, mode="trace") if cache is not None else None
+        if hit is not None:
+            captures[gid] = {"ok": True, "trace": hit["trace"]}
+        else:
+            need.append({"members": [(gid, experiment, dict(base.params),
+                                      base.seed)],
+                         "timeout": timeout})
+    captured, _ = _dispatch(_capture_chunk, need, jobs)
+    captures.update(captured)
+    if cache is not None:
+        for gid, rec in captured.items():
+            if rec["ok"]:
+                cache.put(groups[gid]["base_point"],
+                          {"trace": rec["trace"]}, mode="trace",
+                          cost=rec.get("wall_seconds", 0.0))
+
+    for gid, group in groups.items():
+        rec = captures.get(gid, {"ok": False, "error": "capture missing"})
+        trace = rec.get("trace") or {}
+        reason = None
+        if not rec["ok"]:
+            reason = f"capture failed: {rec.get('error', 'unknown')}"
+        elif not trace.get("eligible", False):
+            reason = ("capture ineligible: "
+                      + "; ".join(trace.get("reasons") or ["unrecorded"]))
+        if reason is not None:
+            leftovers.extend((i, p, reason, 0) for i, p in group["members"])
+            continue
+        # One precompiled evaluator per base: the trace is parsed once
+        # and identical channel-override signatures (e.g. period-only
+        # satellites) are served from its memo.
+        replayer = Replayer(trace)
+        for i, point in group["members"]:
+            p0 = time.perf_counter()
             try:
-                records = future.result()
-            except BrokenProcessPool:
-                records = [{"index": i, "ok": False,
-                            "error": "BrokenProcessPool: worker crashed"}
-                           for i, _ in chunk]
-            except Exception as exc:  # noqa: BLE001 - whole-chunk failure
-                records = [{"index": i, "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}"}
-                           for i, _ in chunk]
-            for rec in records:
-                raw[rec.pop("index")] = rec
-    return raw
+                res = adapter.derive(
+                    trace,
+                    replayer.replay(
+                        adapter.overrides(dict(point.params),
+                                          point.seed)),
+                    dict(point.params), point.seed)
+            except ReplayError as exc:
+                leftovers.append((i, point, f"replay refused: {exc}", 0))
+                continue
+            except Exception as exc:  # noqa: BLE001 - fall back, record
+                leftovers.append(
+                    (i, point,
+                     f"replay failed: {type(exc).__name__}: {exc}", 0))
+                continue
+            records[i] = {"ok": True, "result": res, "attempts": 1,
+                          "wall_seconds": time.perf_counter() - p0,
+                          "mode": "derived", "cache_mode": "derived"}
+
+    # Analytic experiments have no kernel: the runner *is* the derived
+    # evaluator, so its output is cached as exact (it is the exact
+    # result) while the outcome is accounted as derived (no simulation
+    # was dispatched for it).  A failure is terminal for the point.
+    evaluated, _ = _dispatch(
+        _run_chunk,
+        [{"members": analytic, "telemetry": False, "timeout": timeout}],
+        jobs=1)
+    for i, rec in evaluated.items():
+        records[i] = {**rec, "attempts": 1, "mode": "derived"}
+
+    return leftovers, {"captures": sum(rec["ok"]
+                                       for rec in captured.values())}
+
+
+def _warm_strategy(experiment: str, pending: List[Tuple[int, SweepPoint]],
+                   records: Dict[int, dict], *, jobs: int,
+                   timeout: Optional[float]
+                   ) -> Tuple[List[_Leftover], dict]:
+    """Step 2, ``warm=True``: group by structural digest, run batches.
+
+    Grouping uses the experiment's registered
+    :class:`~repro.sweep.warm.BatchAdapter` (no adapter: every point is
+    left over with the reason recorded).  Session-level demotions
+    (build/restore failures) are left over as first attempts; a point
+    that failed *inside* its warm batch has used one attempt, so its
+    fresh re-run is attempt 2.
+    """
+    from .warm import batch_adapter_for, group_key, run_warm_chunk
+    from .warm import warm_worker_init
+
+    adapter = batch_adapter_for(experiment)
+    if adapter is None:
+        return [(i, point, "no batch adapter registered", 0)
+                for i, point in pending], {}
+    groups: Dict[str, dict] = {}
+    for i, point in pending:
+        digest, bparams, bseed = group_key(point, adapter)
+        group = groups.setdefault(
+            digest, {"digest": digest, "experiment": experiment,
+                     "base_params": bparams, "base_seed": bseed,
+                     "backend": point.backend, "timeout": timeout,
+                     "members": []})
+        group["members"].append((i, point))
+
+    # Chunks never mix groups, and each group is spread over at most
+    # ``jobs`` tasks: warm chunks should be *large* — every extra chunk
+    # of a group is a potential extra session build on another worker —
+    # so the fresh path's ~4-chunks-per-worker heuristic would be
+    # counterproductive here.
+    tasks: List[dict] = []
+    for group in groups.values():
+        members = group["members"]
+        size = max(1, -(-len(members) // max(1, jobs)))
+        tasks.extend({**group, "members": members[lo:lo + size]}
+                     for lo in range(0, len(members), size))
+    # One persistent pool serves every group task, so workers keep
+    # their warm sessions across tasks (and sweeps, for the in-process
+    # jobs<=1 path).
+    raw, counters = _dispatch(run_warm_chunk, tasks, jobs,
+                              initializer=warm_worker_init)
+
+    leftovers: List[_Leftover] = []
+    for i, point in pending:
+        rec = raw.get(i, {"ok": False, "error": "warm record missing"})
+        if rec["ok"]:
+            records[i] = {**rec, "attempts": 1}
+        elif rec.get("fallback"):
+            leftovers.append((i, point, rec["fallback"], 0))
+        else:
+            # Kept as the point's previous attempt: the fresh pass
+            # reads its ``crashed`` mark before replacing it.
+            records[i] = rec
+            leftovers.append(
+                (i, point, "warm execution failed: "
+                 + rec.get("error", "unknown failure"), 1))
+    return leftovers, {
+        "warm_groups": len(groups),
+        **{name: counters.get(name, 0) for name in
+           ("warm_points", "restores", "lowering_cache_hits")}}
+
+
+def _run_fresh(leftovers: List[_Leftover], records: Dict[int, dict], *,
+               jobs: int, telemetry: bool, timeout: Optional[float],
+               retries: int) -> None:
+    """Step 4: fully simulate the leftovers, retrying failures.
+
+    The first pass packs points into ~4 chunks per worker, which
+    balances dispatch overhead against stragglers holding the tail of
+    the sweep; every retry pass runs its points in single-point chunks
+    so one bad point cannot fail its neighbours twice.  ``records``
+    ends up holding each leftover's last attempt.
+    """
+    leftovers = sorted(leftovers, key=lambda item: item[0])
+    attempts = {i: used for i, _, _, used in leftovers}
+    reason_of = {i: reason for i, _, reason, _ in leftovers}
+    todo = [(i, point) for i, point, _, _ in leftovers]
+    size = max(1, len(todo) // max(1, jobs * 4))
+    for _ in range(1 + max(0, retries)):
+        if not todo:
+            break
+        tasks = [{"members": todo[lo:lo + size], "telemetry": telemetry,
+                  "timeout": timeout} for lo in range(0, len(todo), size)]
+        crashed = any(records.get(i, {}).get("crashed") for i, _ in todo)
+        raw, _ = _dispatch(_run_chunk, tasks, jobs, isolate=crashed)
+        for i, rec in raw.items():
+            attempts[i] += 1
+            records[i] = {**rec, "attempts": attempts[i],
+                          "fallback_reason": reason_of[i]}
+        todo = [(i, point) for i, point in todo if not records[i]["ok"]]
+        size = 1
+
+
+def _record(points: List[SweepPoint], records: Dict[int, dict], *,
+            jobs: int, t0: float, cache: Optional[ResultCache],
+            fields: dict) -> SweepResult:
+    """Step 5: raw records -> ordered outcomes, cache writes, accounting.
+
+    ``fields`` are the mode's own :class:`SweepResult` fields (flags
+    plus what its strategy counted: captures, warm groups/restores).
+    Everything point-indexed is tallied here, from the outcomes.
+    """
+    outcomes: List[PointOutcome] = []
+    fallback_reasons: Dict[str, int] = {}
+    for i, point in enumerate(points):
+        rec = records[i]
+        status = "cached" if rec.get("cached") else \
+            "ok" if rec["ok"] else "error"
+        outcome = PointOutcome(
+            index=i, point=point, status=status,
+            result=rec.get("result"), telemetry=rec.get("telemetry"),
+            wall_seconds=rec.get("wall_seconds", 0.0),
+            attempts=rec.get("attempts", 0),
+            error=None if rec["ok"] else rec.get("error", "unknown failure"),
+            mode=rec.get("mode", "exact"),
+            execution=rec.get("execution", "fresh"),
+            fallback_reason=rec.get("fallback_reason"))
+        outcomes.append(outcome)
+        if outcome.fallback_reason is not None:
+            fallback_reasons[outcome.fallback_reason] = \
+                fallback_reasons.get(outcome.fallback_reason, 0) + 1
+        if status == "ok" and cache is not None:
+            cache.put(point, {"result": outcome.result,
+                              "telemetry": outcome.telemetry},
+                      mode=rec.get("cache_mode", "exact"),
+                      cost=outcome.wall_seconds)
+
+    def count(status: str, mode: Optional[str] = None) -> int:
+        return sum(1 for o in outcomes if o.status == status
+                   and (mode is None or o.mode == mode))
+
+    cache_hits = count("cached")
+    if cache is not None:
+        # Merged before the snapshot below is taken, so the result's
+        # cache block and the flushed totals agree on this run.
+        cache.stats.warm_points += fields.get("warm_points", 0)
+        cache.stats.warm_restores += fields.get("restores", 0)
+        cache.stats.warm_lowering_hits += \
+            fields.get("lowering_cache_hits", 0)
+    result = SweepResult(
+        experiment=points[0].experiment,
+        outcomes=outcomes,
+        jobs=jobs,
+        wall_seconds=time.perf_counter() - t0,
+        cache_hits=cache_hits,
+        cache_misses=len(outcomes) - cache_hits,
+        executed=count("ok", "exact"),
+        errors=count("error"),
+        retried=sum(max(0, o.attempts - 1) for o in outcomes),
+        cache=cache.describe() if cache is not None else None,
+        derived=count("ok", "derived"),
+        fallback_reasons=fallback_reasons,
+        **fields,
+    )
+    if cache is not None:
+        cache.flush_stats()
+    return result
 
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
               cache: Optional[ResultCache] = None,
               timeout: Optional[float] = None, retries: int = 1,
               telemetry: bool = True,
-              chunksize: Optional[int] = None,
               incremental: bool = False,
               warm: bool = False) -> SweepResult:
     """Execute a parameter sweep; returns ordered outcomes + accounting.
@@ -337,7 +643,8 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     ``cache`` fronts execution with the content-addressed result store,
     ``timeout`` is the per-point wall-clock budget in seconds, and
     ``retries`` is how many times a failed point is re-run before being
-    recorded as an error.
+    recorded as an error.  The module docstring walks through the
+    pipeline every mode shares.
 
     With ``incremental`` the engine partitions the space into structural
     bases and derivable satellites using the experiment's registered
@@ -355,11 +662,14 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
     structural digest and dispatches each group as a batch to
     persistent warm workers, which construct the design once per group
     and evaluate every point via the kernel's snapshot/restore
-    primitive (:mod:`repro.sweep.warm`).  Results are byte-identical
-    under :meth:`SweepResult.canonical`; like ``incremental``, warm
-    sweeps run telemetry-off (a snapshot-eligible design cannot carry
-    a telemetry hub).  ``warm`` and ``incremental`` are mutually
-    exclusive.
+    primitive (:mod:`repro.sweep.warm`).  Session build/restore
+    failures and points that fail inside a batch re-run through the
+    fresh path (the latter consuming one retry).  Results are
+    byte-identical under :meth:`SweepResult.canonical`, and cache keys
+    are those of a plain ``telemetry=False`` sweep, so warm, fresh and
+    cached runs interchange; like ``incremental``, warm sweeps run
+    telemetry-off (a snapshot-eligible design cannot carry a telemetry
+    hub).  ``warm`` and ``incremental`` are mutually exclusive.
     """
     points = list(points)
     if not points:
@@ -368,579 +678,29 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
         raise ValueError("warm and incremental sweeps are mutually "
                          "exclusive — a warm session re-simulates, a "
                          "replay never constructs a kernel")
-    if warm:
-        return _run_warm(points, jobs=jobs, cache=cache, timeout=timeout,
-                         retries=retries, chunksize=chunksize)
+    experiment = points[0].experiment
+    if warm or incremental:
+        if any(p.experiment != experiment for p in points):
+            raise ValueError(f"{'warm' if warm else 'incremental'} sweeps "
+                             f"require a single experiment")
+        telemetry = False
+    t0 = time.perf_counter()
+
+    records: Dict[int, dict] = {}
+    pending = _probe(points, cache,
+                     ("exact", "derived") if incremental else ("exact",),
+                     telemetry, records)
     if incremental:
-        return _run_incremental(points, jobs=jobs, cache=cache,
-                                timeout=timeout, retries=retries,
-                                chunksize=chunksize)
-    experiment = points[0].experiment
-    t0 = time.perf_counter()
-
-    # A telemetry-enabled sweep must not be served by telemetry-less
-    # entries (the merged report would silently lose those points); the
-    # predicate makes them honest misses.  In the mirror case the
-    # stored telemetry is stripped so a cache hit is indistinguishable
-    # from a fresh telemetry=False execution.
-    require = (lambda value: value.get("telemetry") is not None) \
-        if telemetry else None
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    for i, point in enumerate(points):
-        hit = cache.get(point, require=require) if cache is not None \
-            else None
-        if hit is not None:
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="cached",
-                result=hit.get("result"),
-                telemetry=hit.get("telemetry") if telemetry else None,
-                wall_seconds=0.0, attempts=0)
-        else:
-            pending.append((i, point))
-
-    raw = _execute_batch(pending, jobs=jobs, telemetry=telemetry,
-                         timeout=timeout, chunksize=chunksize)
-    attempts = {i: 1 for i, _ in pending}
-    retried = 0
-    for _ in range(max(0, retries)):
-        failed = [(i, p) for i, p in pending if not raw[i]["ok"]]
-        if not failed:
-            break
-        retried += len(failed)
-        retry_raw = _execute_batch(failed, jobs=jobs, telemetry=telemetry,
-                                   timeout=timeout, chunksize=1)
-        for i, rec in retry_raw.items():
-            attempts[i] += 1
-            if rec["ok"] or not raw[i]["ok"]:
-                raw[i] = rec
-
-    executed = errors = 0
-    for i, point in pending:
-        rec = raw[i]
-        if rec["ok"]:
-            executed += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=rec["result"],
-                telemetry=rec.get("telemetry"),
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                attempts=attempts[i])
-            if cache is not None:
-                cache.put(point, {"result": rec["result"],
-                                  "telemetry": rec.get("telemetry")},
-                          cost=rec.get("wall_seconds", 0.0))
-        else:
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error",
-                error=rec.get("error", "unknown failure"),
-                attempts=attempts[i])
-
-    result = SweepResult(
-        experiment=experiment,
-        outcomes=[o for o in outcomes if o is not None],
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - t0,
-        cache_hits=sum(1 for o in outcomes
-                       if o is not None and o.status == "cached"),
-        cache_misses=len(pending),
-        executed=executed,
-        errors=errors,
-        retried=retried,
-        cache=cache.describe() if cache is not None else None,
-    )
-    if cache is not None:
-        cache.flush_stats()
-    return result
-
-
-def _capture_chunk(tasks: Sequence[tuple],
-                   timeout: Optional[float]) -> List[dict]:
-    """Worker entry point: capture structural-base traces.
-
-    ``tasks`` are ``(gid, experiment, base_params, base_seed)`` tuples;
-    the replay adapter is re-resolved from the registry by experiment
-    name so only plain data crosses the process boundary.
-    """
-    from ..trace.adapter import adapter_for
-
-    out = []
-    for gid, experiment, base_params, base_seed in tasks:
-        t0 = time.perf_counter()
-        try:
-            adapter = adapter_for(experiment)
-            with _alarm(timeout):
-                trace = adapter.capture(dict(base_params), base_seed)
-            out.append({"gid": gid, "ok": True, "trace": trace,
-                        "wall_seconds": time.perf_counter() - t0})
-        except Exception as exc:  # noqa: BLE001 - reported per capture
-            out.append({"gid": gid, "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}"})
-    return out
-
-
-def _run_captures(tasks: List[tuple], *, jobs: int,
-                  timeout: Optional[float]) -> Dict[str, dict]:
-    """Run base captures, one pool task each; records keyed by gid."""
-    recs: List[dict] = []
-    if not tasks:
-        return {}
-    if jobs <= 1 or len(tasks) == 1:
-        recs = _capture_chunk(tasks, timeout)
+        leftovers, counted = _incremental_strategy(
+            experiment, pending, records, jobs=jobs, cache=cache,
+            timeout=timeout)
+    elif warm:
+        leftovers, counted = _warm_strategy(
+            experiment, pending, records, jobs=jobs, timeout=timeout)
     else:
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks))) as pool:
-            futures = [(pool.submit(_capture_chunk, [task], timeout), task)
-                       for task in tasks]
-            for future, task in futures:
-                try:
-                    recs.extend(future.result())
-                except BrokenProcessPool:
-                    recs.append({"gid": task[0], "ok": False,
-                                 "error": "BrokenProcessPool: "
-                                          "worker crashed"})
-                except Exception as exc:  # noqa: BLE001
-                    recs.append({"gid": task[0], "ok": False,
-                                 "error": f"{type(exc).__name__}: {exc}"})
-    return {rec["gid"]: rec for rec in recs}
-
-
-def _run_incremental(points: List[SweepPoint], *, jobs: int,
-                     cache: Optional[ResultCache],
-                     timeout: Optional[float], retries: int,
-                     chunksize: Optional[int]) -> SweepResult:
-    """The ``incremental=True`` engine: capture bases, replay satellites.
-
-    Partition order (see the tentpole walk-through in
-    ``docs/INCREMENTAL_SIM.md``):
-
-    1. cache pass — exact entries first (they are authoritative and can
-       never be shadowed by derived ones), then derived entries;
-    2. static classification via :func:`repro.trace.adapter.classify`;
-    3. one captured full simulation per structural base, trace-cache
-       fronted, across the process pool;
-    4. in-process analytical replay for every satellite — a replay the
-       trace's recorded capability or the replayer's soundness guards
-       refuse demotes the point to the fallback set with its reason;
-    5. the fallback set runs as a normal full-simulation batch.
-    """
-    from ..jobs import JobRequest
-    from ..jobs import execute as execute_job
-    from ..registry import get_sweep
-    from ..trace.adapter import classify
-    from ..trace.replay import ReplayError, Replayer
-
-    experiment = points[0].experiment
-    if any(p.experiment != experiment for p in points):
-        raise ValueError("incremental sweeps require a single experiment")
-    spec = get_sweep(experiment)
-    adapter = spec.replay
-    t0 = time.perf_counter()
-
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    for i, point in enumerate(points):
-        hit, mode = None, "exact"
-        if cache is not None:
-            hit = cache.get(point)
-            if hit is None:
-                hit, mode = cache.get(point, mode="derived"), "derived"
-        if hit is not None:
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="cached",
-                result=hit.get("result"), telemetry=None, mode=mode)
-        else:
-            pending.append((i, point))
-
-    structural: List[Tuple[int, SweepPoint, str]] = []
-    analytic: List[Tuple[int, SweepPoint]] = []
-    groups: Dict[str, dict] = {}
-    for i, point in pending:
-        mode, reason, bparams, bseed = classify(
-            adapter, dict(point.params), point.seed)
-        if mode == "structural":
-            structural.append((i, point, reason))
-        elif adapter.kind == "analytic":
-            analytic.append((i, point))
-        else:
-            gid = canonical_json({"experiment": experiment,
-                                  "params": bparams, "seed": bseed})
-            group = groups.setdefault(
-                gid, {"base_params": bparams, "base_seed": bseed,
-                      "members": []})
-            group["members"].append((i, point))
-
-    # One capture per structural base, trace-cache fronted.  Ineligible
-    # traces are cached too: the recorded reasons are stable for a
-    # given base, so a warm sweep skips straight to the fallback.
-    captures: Dict[str, dict] = {}
-    need: List[tuple] = []
-    for gid, group in groups.items():
-        group["base_point"] = SweepPoint(
-            experiment, group["base_params"], seed=group["base_seed"])
-        hit = cache.get(group["base_point"], mode="trace") \
-            if cache is not None else None
-        if hit is not None:
-            captures[gid] = {"ok": True, "trace": hit["trace"],
-                             "wall_seconds": 0.0}
-        else:
-            need.append((gid, experiment, dict(group["base_params"]),
-                         group["base_seed"]))
-    captures.update(_run_captures(need, jobs=jobs, timeout=timeout))
-    captures_run = sum(1 for gid, _, _, _ in need
-                       if captures.get(gid, {}).get("ok"))
-    if cache is not None:
-        for gid, _, _, _ in need:
-            rec = captures.get(gid)
-            if rec is not None and rec["ok"]:
-                cache.put(groups[gid]["base_point"],
-                          {"trace": rec["trace"]}, mode="trace",
-                          cost=rec.get("wall_seconds", 0.0))
-
-    derived_count = 0
-    for gid, group in groups.items():
-        rec = captures.get(gid, {"ok": False, "error": "capture missing"})
-        if not rec["ok"]:
-            reason = f"capture failed: {rec.get('error', 'unknown')}"
-            structural.extend((i, p, reason) for i, p in group["members"])
-            continue
-        trace = rec["trace"]
-        if not trace.get("eligible", False):
-            reason = ("capture ineligible: "
-                      + "; ".join(trace.get("reasons") or ["unrecorded"]))
-            structural.extend((i, p, reason) for i, p in group["members"])
-            continue
-        # One precompiled evaluator per base: the trace is parsed once
-        # and identical channel-override signatures (e.g. period-only
-        # satellites) are served from its memo.
-        replayer = Replayer(trace)
-        for i, point in group["members"]:
-            p0 = time.perf_counter()
-            try:
-                res = adapter.derive(
-                    trace,
-                    replayer.replay(
-                        adapter.overrides(dict(point.params),
-                                          point.seed)),
-                    dict(point.params), point.seed)
-            except ReplayError as exc:
-                structural.append((i, point, f"replay refused: {exc}"))
-                continue
-            except Exception as exc:  # noqa: BLE001 - fall back, record
-                structural.append(
-                    (i, point,
-                     f"replay failed: {type(exc).__name__}: {exc}"))
-                continue
-            wall = time.perf_counter() - p0
-            derived_count += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=res,
-                wall_seconds=wall, attempts=1, mode="derived")
-            if cache is not None:
-                cache.put(point, {"result": res, "telemetry": None},
-                          mode="derived", cost=wall)
-
-    # Analytic experiments have no kernel: the runner *is* the derived
-    # evaluator, so its output is cached as exact (it is the exact
-    # result) while the outcome is accounted as derived (no simulation
-    # was dispatched for it).
-    errors = 0
-    for i, point in analytic:
-        p0 = time.perf_counter()
-        try:
-            with _alarm(timeout):
-                res = execute_job(JobRequest.from_point(point)).payload
-        except Exception as exc:  # noqa: BLE001 - terminal for the point
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error", attempts=1,
-                mode="derived",
-                error=f"{type(exc).__name__}: {exc}")
-            continue
-        wall = time.perf_counter() - p0
-        derived_count += 1
-        outcomes[i] = PointOutcome(
-            index=i, point=point, status="ok", result=res,
-            wall_seconds=wall, attempts=1, mode="derived")
-        if cache is not None:
-            cache.put(point, {"result": res, "telemetry": None},
-                      cost=wall)
-
-    structural.sort(key=lambda item: item[0])
-    fallback_reasons: Dict[str, int] = {}
-    for _, _, reason in structural:
-        fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-    reason_of = {i: reason for i, _, reason in structural}
-    fallback = [(i, p) for i, p, _ in structural]
-    raw = _execute_batch(fallback, jobs=jobs, telemetry=False,
-                         timeout=timeout, chunksize=chunksize)
-    attempts = {i: 1 for i, _ in fallback}
-    retried = 0
-    for _ in range(max(0, retries)):
-        failed = [(i, p) for i, p in fallback if not raw[i]["ok"]]
-        if not failed:
-            break
-        retried += len(failed)
-        retry_raw = _execute_batch(failed, jobs=jobs, telemetry=False,
-                                   timeout=timeout, chunksize=1)
-        for i, rec in retry_raw.items():
-            attempts[i] += 1
-            if rec["ok"] or not raw[i]["ok"]:
-                raw[i] = rec
-
-    executed = 0
-    for i, point in fallback:
-        rec = raw[i]
-        if rec["ok"]:
-            executed += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=rec["result"],
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                attempts=attempts[i], fallback_reason=reason_of[i])
-            if cache is not None:
-                cache.put(point, {"result": rec["result"],
-                                  "telemetry": None},
-                          cost=rec.get("wall_seconds", 0.0))
-        else:
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error",
-                error=rec.get("error", "unknown failure"),
-                attempts=attempts[i], fallback_reason=reason_of[i])
-
-    result = SweepResult(
-        experiment=experiment,
-        outcomes=[o for o in outcomes if o is not None],
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - t0,
-        cache_hits=sum(1 for o in outcomes
-                       if o is not None and o.status == "cached"),
-        cache_misses=len(pending),
-        executed=executed,
-        errors=errors,
-        retried=retried,
-        cache=cache.describe() if cache is not None else None,
-        incremental=True,
-        derived=derived_count,
-        captures=captures_run,
-        fallback_reasons=fallback_reasons,
-    )
-    if cache is not None:
-        cache.flush_stats()
-    return result
-
-
-def _warm_tasks(groups: Dict[str, dict], experiment: str, jobs: int,
-                timeout: Optional[float],
-                chunksize: Optional[int]) -> List[dict]:
-    """Split warm groups into pool tasks (chunks never mix groups).
-
-    The default chunk size spreads each group over at most ``jobs``
-    tasks: warm chunks should be *large* — every extra chunk of a group
-    is a potential extra session build on another worker — so the
-    fresh engine's ~4-chunks-per-worker heuristic would be
-    counterproductive here.
-    """
-    tasks: List[dict] = []
-    for digest, group in groups.items():
-        members = group["members"]
-        size = chunksize if chunksize is not None else \
-            max(1, -(-len(members) // max(1, jobs)))
-        for lo in range(0, len(members), size):
-            tasks.append({
-                "digest": digest,
-                "experiment": experiment,
-                "base_params": group["base_params"],
-                "base_seed": group["base_seed"],
-                "backend": group["backend"],
-                "members": members[lo:lo + size],
-                "timeout": timeout,
-            })
-    return tasks
-
-
-def _run_warm(points: List[SweepPoint], *, jobs: int,
-              cache: Optional[ResultCache],
-              timeout: Optional[float], retries: int,
-              chunksize: Optional[int]) -> SweepResult:
-    """The ``warm=True`` engine: construct once per group, run many.
-
-    Execution order (see ``docs/PERFORMANCE.md``):
-
-    1. cache pass — identical keys to a plain ``telemetry=False``
-       sweep, so warm, fresh, and cached runs all interchange;
-    2. grouping by structural digest via the experiment's registered
-       :class:`~repro.sweep.warm.BatchAdapter` (no adapter: every
-       point demotes to the fresh path with the reason recorded);
-    3. batch dispatch — one persistent pool for every group task, warm
-       workers keep their sessions across tasks;
-    4. demotions (session build/restore failures) and warm failures
-       re-run through the normal fresh path, the latter consuming one
-       retry; remaining ``retries`` apply as usual.
-    """
-    from .warm import batch_adapter_for, group_key, run_warm_chunk
-    from .warm import warm_worker_init
-
-    experiment = points[0].experiment
-    if any(p.experiment != experiment for p in points):
-        raise ValueError("warm sweeps require a single experiment")
-    adapter = batch_adapter_for(experiment)
-    t0 = time.perf_counter()
-
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    for i, point in enumerate(points):
-        hit = cache.get(point) if cache is not None else None
-        if hit is not None:
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="cached",
-                result=hit.get("result"), telemetry=None)
-        else:
-            pending.append((i, point))
-
-    # Partition: warm groups vs the fresh demotion set.
-    reason_of: Dict[int, str] = {}
-    fresh: List[Tuple[int, SweepPoint]] = []
-    groups: Dict[str, dict] = {}
-    if adapter is None:
-        for i, point in pending:
-            reason_of[i] = "no batch adapter registered"
-            fresh.append((i, point))
-    else:
-        for i, point in pending:
-            digest, bparams, bseed = group_key(point, adapter)
-            group = groups.setdefault(
-                digest, {"base_params": bparams, "base_seed": bseed,
-                         "backend": point.backend, "members": []})
-            group["members"].append((i, point))
-
-    # Batch dispatch: one persistent pool serves every group task, so
-    # workers keep their warm sessions across tasks (and sweeps, for
-    # the in-process jobs<=1 path).
-    tasks = _warm_tasks(groups, experiment, jobs, timeout, chunksize)
-    counters = {"warm_points": 0, "restores": 0,
-                "lowering_cache_hits": 0, "builds": 0}
-    chunk_results: List[dict] = []
-    if tasks:
-        if jobs <= 1 or len(tasks) == 1:
-            chunk_results = [run_warm_chunk(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks)),
-                    initializer=warm_worker_init) as pool:
-                futures = [(pool.submit(run_warm_chunk, task), task)
-                           for task in tasks]
-                for future, task in futures:
-                    try:
-                        chunk_results.append(future.result())
-                    except BrokenProcessPool:
-                        chunk_results.append({"records": [
-                            {"index": i, "ok": False,
-                             "error": "BrokenProcessPool: worker crashed"}
-                            for i, _ in task["members"]], "counters": {}})
-                    except Exception as exc:  # noqa: BLE001
-                        chunk_results.append({"records": [
-                            {"index": i, "ok": False,
-                             "error": f"{type(exc).__name__}: {exc}"}
-                            for i, _ in task["members"]], "counters": {}})
-    raw: Dict[int, dict] = {}
-    for res in chunk_results:
-        for rec in res["records"]:
-            raw[rec["index"]] = rec
-        for name, value in res.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-
-    # Sort the warm records: successes become outcomes, session-level
-    # demotions join the fresh set, per-point failures re-run fresh
-    # (consuming one retry).
-    executed = 0
-    warm_failed: List[Tuple[int, SweepPoint]] = []
-    for group in groups.values():
-        for i, point in group["members"]:
-            rec = raw.get(i, {"ok": False, "error": "warm record missing"})
-            if not rec["ok"] and rec.get("fallback"):
-                reason_of[i] = rec["fallback"]
-                fresh.append((i, point))
-            elif rec["ok"]:
-                executed += 1
-                outcomes[i] = PointOutcome(
-                    index=i, point=point, status="ok",
-                    result=rec["result"],
-                    wall_seconds=rec.get("wall_seconds", 0.0),
-                    attempts=1, execution=rec.get("execution", "warm"))
-                if cache is not None:
-                    cache.put(point, {"result": rec["result"],
-                                      "telemetry": None},
-                              cost=rec.get("wall_seconds", 0.0))
-            else:
-                reason_of[i] = ("warm execution failed: "
-                                + rec.get("error", "unknown failure"))
-                warm_failed.append((i, point))
-
-    fresh_all = sorted(fresh + warm_failed)
-    warm_failed_ids = {i for i, _ in warm_failed}
-    raw2 = _execute_batch(fresh_all, jobs=jobs, telemetry=False,
-                          timeout=timeout, chunksize=chunksize)
-    attempts = {i: (2 if i in warm_failed_ids else 1)
-                for i, _ in fresh_all}
-    retried = len(warm_failed)
-    for _ in range(max(0, retries)):
-        failed = [(i, p) for i, p in fresh_all if not raw2[i]["ok"]]
-        if not failed:
-            break
-        retried += len(failed)
-        retry_raw = _execute_batch(failed, jobs=jobs, telemetry=False,
-                                   timeout=timeout, chunksize=1)
-        for i, rec in retry_raw.items():
-            attempts[i] += 1
-            if rec["ok"] or not raw2[i]["ok"]:
-                raw2[i] = rec
-
-    errors = 0
-    fallback_reasons: Dict[str, int] = {}
-    for i, point in fresh_all:
-        reason = reason_of[i]
-        fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-        rec = raw2[i]
-        if rec["ok"]:
-            executed += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=rec["result"],
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                attempts=attempts[i], fallback_reason=reason)
-            if cache is not None:
-                cache.put(point, {"result": rec["result"],
-                                  "telemetry": None},
-                          cost=rec.get("wall_seconds", 0.0))
-        else:
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error",
-                error=rec.get("error", "unknown failure"),
-                attempts=attempts[i], fallback_reason=reason)
-
-    result = SweepResult(
-        experiment=experiment,
-        outcomes=[o for o in outcomes if o is not None],
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - t0,
-        cache_hits=sum(1 for o in outcomes
-                       if o is not None and o.status == "cached"),
-        cache_misses=len(pending),
-        executed=executed,
-        errors=errors,
-        retried=retried,
-        cache=cache.describe() if cache is not None else None,
-        fallback_reasons=fallback_reasons,
-        warm=True,
-        warm_groups=len(groups),
-        warm_points=counters["warm_points"],
-        restores=counters["restores"],
-        lowering_cache_hits=counters["lowering_cache_hits"],
-    )
-    if cache is not None:
-        cache.stats.warm_points += counters["warm_points"]
-        cache.stats.warm_restores += counters["restores"]
-        cache.stats.warm_lowering_hits += counters["lowering_cache_hits"]
-        cache.flush_stats()
-    return result
+        leftovers, counted = [(i, p, None, 0) for i, p in pending], {}
+    _run_fresh(leftovers, records, jobs=jobs, telemetry=telemetry,
+               timeout=timeout, retries=retries)
+    return _record(points, records, jobs=jobs, t0=t0, cache=cache,
+                   fields={"incremental": incremental, "warm": warm,
+                           **counted})

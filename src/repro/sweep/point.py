@@ -6,16 +6,71 @@ hashes stably into a cache key.  The experiment name is resolved to a
 runner *inside* the worker via the sweep registry
 (:mod:`repro.experiments.sweeps`), which also keeps spawn-based worker
 start methods working.
+
+The module also hosts the per-point wall-clock guard
+(:class:`PointTimeout`, ``_alarm``): every worker entry point — fresh
+chunks, trace captures and warm chunks alike — evaluates one point at a
+time under it, so it lives beside the point rather than in any one of
+the modules that run points.
 """
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from .serialize import canonical_json
 
-__all__ = ["SweepPoint"]
+__all__ = ["PointTimeout", "SweepPoint"]
+
+
+class PointTimeout(Exception):
+    """A sweep point exceeded its per-point wall-clock budget."""
+
+
+@contextmanager
+def _alarm(seconds: Optional[float]):
+    """Raise :class:`PointTimeout` in the current process after ``seconds``.
+
+    SIGALRM-based, so it fires even inside a busy simulation loop.
+    Where the signal cannot be armed (non-main thread, platforms
+    without SIGALRM) the point instead runs under the kernel's ambient
+    wall-clock budget (:func:`repro.kernel.time_budget`), which the
+    simulator's timestep loop polls — a slightly softer deadline, but
+    never silently unbounded.  A no-op only when no timeout was
+    requested at all.
+    """
+    if seconds is None or seconds <= 0:
+        yield
+        return
+    usable = hasattr(signal, "SIGALRM")
+    if usable:
+        try:
+            old = signal.signal(
+                signal.SIGALRM,
+                lambda signum, frame: (_ for _ in ()).throw(
+                    PointTimeout(f"point exceeded {seconds:.3g}s")))
+        except ValueError:  # not in the main thread
+            usable = False
+    if not usable:
+        from ..kernel.simulator import TimeBudgetExceeded, time_budget
+
+        try:
+            with time_budget(seconds):
+                yield
+        except TimeBudgetExceeded as exc:
+            raise PointTimeout(
+                f"point exceeded {seconds:.3g}s "
+                f"(kernel cycle-budget fallback)") from exc
+        return
+    signal.setitimer(signal.ITIMER_REAL, float(seconds))
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 from typing import Sequence, Tuple
 
-from .point import SweepPoint
+from .point import SweepPoint, _alarm
 from .serialize import canonical_digest
 
 __all__ = ["BatchAdapter", "WarmSession", "batch_adapter_for",
@@ -194,7 +194,6 @@ def run_warm_chunk(task: dict) -> dict:
     """
     from ..compile.cache import compile_cache_stats
     from ..jobs import JobRequest, execute_warm
-    from .engine import _alarm
 
     digest = task["digest"]
     experiment = task["experiment"]
@@ -207,7 +206,7 @@ def run_warm_chunk(task: dict) -> dict:
 
     adapter = batch_adapter_for(experiment)
     if adapter is None:  # engine never dispatches these; stay defensive
-        return {"records": [{"index": i, "ok": False,
+        return {"records": [{"key": i, "ok": False,
                              "fallback": "no batch adapter registered"}
                             for i, _ in members],
                 "counters": counters}
@@ -227,7 +226,7 @@ def run_warm_chunk(task: dict) -> dict:
                 fallback = (f"warm session build failed: "
                             f"{type(exc).__name__}: {exc}")
         if fallback is not None:
-            records.append({"index": index, "ok": False,
+            records.append({"key": index, "ok": False,
                             "fallback": fallback})
             continue
         execution = "warm" if built and n == 0 else "restored"
@@ -235,13 +234,13 @@ def run_warm_chunk(task: dict) -> dict:
             with _alarm(timeout):
                 job = execute_warm(JobRequest.from_point(point), adapter,
                                    session, execution=execution)
-            records.append({"index": index, "ok": True,
+            records.append({"key": index, "ok": True,
                             "result": job.payload,
                             "wall_seconds": job.wall_seconds,
                             "execution": job.execution})
             counters["warm_points"] += 1
         except Exception as exc:  # noqa: BLE001 - reported per point
-            records.append({"index": index, "ok": False,
+            records.append({"key": index, "ok": False,
                             "error": f"{type(exc).__name__}: {exc}"})
         finally:
             try:

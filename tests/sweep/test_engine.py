@@ -14,6 +14,8 @@ import pytest
 from repro.experiments.sweeps import SWEEP_SPECS, SweepSpec, register_sweep
 from repro.sweep import PointTimeout, ResultCache, SweepPoint, run_sweep
 
+from ._accounting import assert_accounting
+
 _FORK = mp.get_start_method(allow_none=False) == "fork"
 needs_fork = pytest.mark.skipif(
     not _FORK, reason="parallel registry tests need fork-started workers")
@@ -37,6 +39,16 @@ def _always_crash_runner(params, seed):
     raise RuntimeError("this point always explodes")
 
 
+def _worker_exit_runner(params, seed):
+    """Kills its whole process, as a segfault or the OOM killer would.
+
+    The pause lets the neighbouring points' results reach the driver
+    before the pool breaks, so only this point is lost with the worker.
+    """
+    time.sleep(0.5)
+    os._exit(13)
+
+
 def _sleepy_runner(params, seed):
     time.sleep(params["sleep"])
     return {"slept": params["sleep"]}
@@ -51,6 +63,8 @@ _FAKES = [
               runner=_always_crash_runner),
     SweepSpec("sleepy_test", "test", space=lambda **kw: [],
               runner=_sleepy_runner),
+    SweepSpec("worker_exit_test", "test", space=lambda **kw: [],
+              runner=_worker_exit_runner),
 ]
 for _spec in _FAKES:
     register_sweep(_spec)
@@ -69,15 +83,18 @@ def test_results_keep_point_order_serial():
     assert [r["i"] for r in result.results] == list(range(7))
     assert result.executed == 7 and result.errors == 0
     assert [o.attempts for o in result.outcomes] == [1] * 7
+    assert_accounting(result)
 
 
 @needs_fork
 def test_parallel_results_identical_to_serial():
     points = _echo_points(11)
     serial = run_sweep(points, jobs=1, telemetry=False)
-    parallel = run_sweep(points, jobs=3, telemetry=False, chunksize=2)
+    parallel = run_sweep(points, jobs=3, telemetry=False)
     assert serial.results == parallel.results
     assert serial.canonical() == parallel.canonical()
+    assert_accounting(serial)
+    assert_accounting(parallel)
 
 
 def test_empty_sweep_rejected():
@@ -119,6 +136,37 @@ def test_persistent_crash_recorded_not_raised():
     assert bad.attempts == 2  # first run + one retry
     # The healthy points are unaffected.
     assert [r["i"] for r in result.results[:2]] == [0, 1]
+    assert_accounting(result)
+
+
+@needs_fork
+def test_worker_crash_never_reruns_in_the_driver():
+    """A point whose worker died is retried in a pool even when it is
+    the only point left — in-process it would take the driver with it."""
+    points = _echo_points(1) + [SweepPoint("worker_exit_test", {"i": 9})]
+    result = run_sweep(points, jobs=2, telemetry=False)
+    assert result.outcomes[0].status == "ok"
+    bad = result.outcomes[1]
+    assert bad.status == "error" and bad.attempts == 2
+    assert "BrokenProcessPool" in bad.error
+    assert_accounting(result)
+
+
+def test_incremental_fallback_is_retried_and_cached_exact(tmp_path):
+    """The retry loop serves the incremental fallback set too."""
+    cache = ResultCache(str(tmp_path / "c"), version="t", rev="r")
+    point = SweepPoint("crash_once_test",
+                       {"i": 0, "sentinel": str(tmp_path / "s0")})
+    result = run_sweep([point], cache=cache, incremental=True)
+    outcome = result.outcomes[0]
+    assert outcome.status == "ok" and outcome.attempts == 2
+    assert result.retried == 1 and result.executed == 1
+    assert result.fallback_reasons == {
+        "experiment registers no replay adapter": 1}
+    assert outcome.mode == "exact"
+    assert cache.get(point)["result"] == outcome.result
+    assert cache.get(point, mode="derived") is None
+    assert_accounting(result)
 
 
 def test_failed_points_never_cached(tmp_path):
@@ -146,7 +194,7 @@ def test_timeout_does_not_sink_the_sweep_parallel():
     points = [SweepPoint("sleepy_test", {"sleep": 5.0})] + _echo_points(3)
     t0 = time.perf_counter()
     result = run_sweep(points, jobs=2, telemetry=False, timeout=0.3,
-                       retries=0, chunksize=1)
+                       retries=0)
     assert time.perf_counter() - t0 < 5.0
     assert result.errors == 1 and result.executed == 3
     assert result.outcomes[0].status == "error"
@@ -172,6 +220,8 @@ def test_second_run_served_from_cache(tmp_path):
     assert [o.status for o in warm.outcomes] == ["cached"] * 5
     assert warm.results == cold.results
     assert warm.canonical() == cold.canonical()
+    assert_accounting(cold)
+    assert_accounting(warm)
 
 
 def test_incremental_sweep_only_runs_new_points(tmp_path):

@@ -24,6 +24,8 @@ from repro.sweep import BatchAdapter, ResultCache, SweepPoint, WarmSession
 from repro.sweep import run_sweep
 from repro.sweep.warm import group_key, reset_sessions, session_count
 
+from ._accounting import assert_accounting
+
 _FORK = mp.get_start_method(allow_none=False) == "fork"
 needs_fork = pytest.mark.skipif(
     not _FORK, reason="parallel registry tests need fork-started workers")
@@ -74,6 +76,8 @@ def test_warm_identical_to_serial(name):
     assert warm.warm_points == len(points)
     assert warm.restores == len(points)
     assert not warm.fallback_reasons
+    assert_accounting(serial)
+    assert_accounting(warm)
 
 
 @needs_fork
@@ -85,6 +89,7 @@ def test_warm_parallel_identical_to_serial(name):
     assert serial.errors == warm.errors == 0
     assert warm.canonical() == serial.canonical()
     assert warm.warm_points == len(points)
+    assert_accounting(warm)
 
 
 @needs_fork
@@ -146,10 +151,15 @@ def test_warm_interchanges_with_cache_and_fresh():
         cache = ResultCache(cache_dir, version="t", rev="r")
         warm = run_sweep(points, jobs=1, warm=True, cache=cache)
         assert warm.cache_hits == 0 and warm.warm_points == len(points)
+        # The result's cache snapshot already includes this run.
+        assert warm.cache["warm_points"] == warm.warm_points
+        assert warm.cache["warm_restores"] == warm.restores
         # Warm results satisfy a later *fresh* sweep from the cache...
         cached = run_sweep(points, jobs=1, telemetry=False, cache=cache)
         assert cached.cache_hits == len(points)
         assert cached.canonical() == warm.canonical()
+        assert_accounting(warm)
+        assert_accounting(cached)
         # ...and the persistent stats carry the warm counters.
         persisted = ResultCache(cache_dir, version="t",
                                 rev="r").persistent_stats()
@@ -197,6 +207,7 @@ def test_no_adapter_falls_back_to_fresh():
     assert warm.warm_points == 0 and warm.warm_groups == 0
     assert warm.fallback_reasons == {"no batch adapter registered": 5}
     assert [o.execution for o in warm.outcomes] == ["fresh"] * 5
+    assert_accounting(warm)
 
 
 # ----------------------------------------------------------------------

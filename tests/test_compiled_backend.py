@@ -213,14 +213,13 @@ def test_sweep_point_compiled_backend_enters_cache_key():
 
 
 def test_sweep_executes_compiled_points_identically():
-    from repro.sweep.engine import _execute_point
+    from repro.jobs import JobRequest, execute
     from repro.sweep.point import SweepPoint
 
     params = {"n_pes": 2, "n_per_pe": 32, "mode": "fast"}
-    threaded = _execute_point(
-        0, SweepPoint("pe_scaling", params, seed=0), telemetry=False)
-    compiled = _execute_point(
-        0, SweepPoint("pe_scaling", params, seed=0, backend="compiled"),
-        telemetry=False)
-    assert threaded["result"] == compiled["result"]
+    threaded = execute(JobRequest.from_point(
+        SweepPoint("pe_scaling", params, seed=0)))
+    compiled = execute(JobRequest.from_point(
+        SweepPoint("pe_scaling", params, seed=0, backend="compiled")))
+    assert threaded.payload == compiled.payload
     assert last_run() == ("compiled", None)

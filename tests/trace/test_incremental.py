@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.sweeps import build_space
 from repro.sweep import ResultCache, run_sweep
+from tests.sweep._accounting import assert_accounting
 
 pytestmark = pytest.mark.usefixtures("pinned_rev")
 
@@ -40,6 +41,7 @@ def test_li_latency_incremental_is_byte_identical(cache):
     assert result.executed == 0 and result.errors == 0
     assert result.fallback_reasons == {}
     assert all(o.mode == "derived" for o in result.outcomes)
+    assert_accounting(result)
 
 
 def test_li_latency_meets_derived_floor(cache):
@@ -56,6 +58,7 @@ def test_warm_incremental_is_fully_cached_and_identical(cache):
     assert warm.cache_hits == len(points)
     assert warm.captures == 0 and warm.derived == 0
     assert warm.canonical() == _canonical(points)
+    assert_accounting(warm)
 
 
 def test_warm_traces_skip_recapture(cache):
@@ -97,6 +100,7 @@ def test_stall_verification_falls_back_with_recorded_reasons(cache):
     reasons = "; ".join(result.fallback_reasons)
     assert "pop_nb" in reasons and "push_nb" in reasons
     assert all(o.fallback_reason for o in result.outcomes)
+    assert_accounting(result)
 
 
 def test_gals_overhead_is_analytically_derived(cache):
@@ -105,6 +109,7 @@ def test_gals_overhead_is_analytically_derived(cache):
     assert result.canonical() == _canonical(points)
     assert result.derived == len(points)
     assert result.captures == 0 and result.executed == 0
+    assert_accounting(result)
 
 
 def test_experiment_without_adapter_falls_back(cache):
@@ -114,6 +119,7 @@ def test_experiment_without_adapter_falls_back(cache):
     assert result.derived == 0 and result.executed == len(points)
     assert list(result.fallback_reasons) == [
         "experiment registers no replay adapter"]
+    assert_accounting(result)
 
 
 def test_incremental_requires_single_experiment(cache):
