@@ -168,16 +168,16 @@ def _spec_params(spec: registry.ExperimentSpec, args) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 def _capability_tags(spec: registry.ExperimentSpec) -> str:
     """Compact capability summary for ``repro list``."""
-    tags = ["design" if spec.design is not None else "analytic"]
+    tags = ["design" if spec.has_design else "analytic"]
     if spec.sweep is not None:
         tag = f"sweep:{spec.sweep.name}"
-        if spec.sweep.replay is not None:
-            tag += f" replay:{spec.sweep.replay.kind}"
-        if spec.sweep.batch is not None:
+        if spec.sweep.replay_kind is not None:
+            tag += f" replay:{spec.sweep.replay_kind}"
+        if spec.sweep.warm:
             tag += " warm"
         tags.append(tag)
-    if spec.harness is not None:
-        tags.append(f"faults:{spec.harness.name}")
+    if spec.harness_name is not None:
+        tags.append(f"faults:{spec.harness_name}")
     if spec.compiled:
         tags.append("compiled")
     if spec.seedable:
@@ -229,22 +229,21 @@ def _cmd_describe(args) -> int:
                                if spec.seedable else
                                "deterministic (--seed accepted, ignored)"))
     lines.append("  design: " + ("simulated (inspect/lint available)"
-                                 if spec.design is not None else
+                                 if spec.has_design else
                                  "analytic — no simulated design"))
     if spec.sweep is not None:
         sweep_line = f"  sweep: {spec.sweep.name} — {spec.sweep.help}"
         lines.append(sweep_line)
-        if spec.sweep.replay is not None:
+        if spec.sweep.replay_kind is not None:
             lines.append("    incremental replay: "
-                         f"{spec.sweep.replay.kind} adapter")
-        if spec.sweep.batch is not None:
+                         f"{spec.sweep.replay_kind} adapter")
+        if spec.sweep.warm:
             lines.append("    warm batching: construct-once batch "
                          "adapter (sweep --warm)")
     else:
         lines.append("  sweep: none")
     lines.append("  fault harness: "
-                 + (spec.harness.name if spec.harness is not None
-                    else "none"))
+                 + (spec.harness_name or "none"))
     lines.append("  compiled backend: "
                  + ("eligible" if spec.compiled
                     else "always falls back to threaded"))

@@ -24,56 +24,24 @@ Table 1 API::
     in_port = In(chan)     # consumer side:  pop / pop_nb
 """
 
-from .channel import (
-    Buffer,
-    Bypass,
-    ChannelStats,
-    Combinational,
-    FastChannel,
-    Pipeline,
-)
-from .packet import (DePacketizer, Flit, Packetizer, int_deserializer,
-                     int_serializer, xor_checksum)
-from .ports import In, Out, PortError
-from .rtl_adapter import RtlChannel
-from .signal_accurate import SignalAccurateIn, SignalAccurateOut
-from .signal_channel import (
-    BufferSignal,
-    BypassSignal,
-    CombinationalSignal,
-    PipelineSignal,
-    SignalInterface,
-    stream_consumer,
-    stream_producer,
-)
-from .sim_accurate import SimAccurateIn, SimAccurateOut
+from .._lazy import lazy_exports
 
-__all__ = [
-    "In",
-    "Out",
-    "PortError",
-    "FastChannel",
-    "Combinational",
-    "Bypass",
-    "Pipeline",
-    "Buffer",
-    "RtlChannel",
-    "ChannelStats",
-    "Flit",
-    "Packetizer",
-    "DePacketizer",
-    "int_serializer",
-    "int_deserializer",
-    "xor_checksum",
-    "SignalInterface",
-    "CombinationalSignal",
-    "BufferSignal",
-    "BypassSignal",
-    "PipelineSignal",
-    "stream_producer",
-    "stream_consumer",
-    "SignalAccurateOut",
-    "SignalAccurateIn",
-    "SimAccurateOut",
-    "SimAccurateIn",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "channel": (
+        "Buffer", "Bypass", "ChannelStats", "Combinational", "FastChannel",
+        "Pipeline",
+    ),
+    "packet": (
+        "DePacketizer", "Flit", "Packetizer", "int_deserializer",
+        "int_serializer", "xor_checksum",
+    ),
+    "ports": ("In", "Out", "PortError"),
+    "rtl_adapter": ("RtlChannel",),
+    "signal_accurate": ("SignalAccurateIn", "SignalAccurateOut"),
+    "signal_channel": (
+        "BufferSignal", "BypassSignal", "CombinationalSignal",
+        "PipelineSignal", "SignalInterface", "stream_consumer",
+        "stream_producer",
+    ),
+    "sim_accurate": ("SimAccurateIn", "SimAccurateOut"),
+})

@@ -16,77 +16,41 @@ The flow-level analyses (12-hour turnaround, 2K-20K gates/day) live in
 :mod:`repro.flow` and their benches under ``benchmarks/``.
 """
 
-from .adaptive_clocking import (
-    AdaptiveClockingResult,
-    adaptive_clocking_experiment,
-    format_adaptive_clocking,
-)
-from .crossbar_qor import (
-    QorPoint,
-    crossbar_clock_sweep,
-    crossbar_qor_sweep,
-    format_qor_table,
-)
-from .designs import DESIGN_BUILDERS, build_design
-from .fig3_crossbar import (
-    CrossbarTestbench,
-    Fig3Point,
-    build_crossbar_testbench,
-    figure3,
-    format_figure3,
-    run_crossbar_accuracy,
-)
-from . import flow_analyses
-from .fig6_soc import (
-    Fig6Point,
-    fig6_workloads_small,
-    figure6,
-    format_figure6,
-    run_fig6_test,
-)
-from .gals_overhead import (
-    OverheadPoint,
-    format_overhead_table,
-    partition_size_sweep,
-    testchip_overhead,
-    testchip_partitions,
-)
-from .hls_qor import (
-    QorResult,
-    bad_constraint_ablation,
-    format_qor_results,
-    hls_vs_hand_qor,
-)
-from .li_latency import (
-    LatencyForwarder,
-    build_li_pipeline,
-)
-from .li_latency import run_report as li_latency_report
-from .stall_verification import (
-    CampaignResult,
-    LeakyForwarder,
-    build_stall_testbench,
-    format_campaign,
-    stall_campaign,
-)
-from .sweeps import SWEEP_SPECS, SweepSpec, build_space, get_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DESIGN_BUILDERS", "build_design",
-    "SWEEP_SPECS", "SweepSpec", "build_space", "get_sweep",
-    "Fig3Point", "CrossbarTestbench", "build_crossbar_testbench",
-    "run_crossbar_accuracy", "figure3", "format_figure3",
-    "Fig6Point", "run_fig6_test", "figure6", "format_figure6",
-    "fig6_workloads_small",
-    "QorPoint", "crossbar_qor_sweep", "crossbar_clock_sweep",
-    "format_qor_table",
-    "QorResult", "hls_vs_hand_qor", "bad_constraint_ablation",
-    "format_qor_results",
-    "OverheadPoint", "partition_size_sweep", "testchip_partitions",
-    "testchip_overhead", "format_overhead_table",
-    "LeakyForwarder", "build_stall_testbench", "stall_campaign",
-    "CampaignResult", "format_campaign",
-    "LatencyForwarder", "build_li_pipeline", "li_latency_report",
-    "AdaptiveClockingResult", "adaptive_clocking_experiment",
-    "format_adaptive_clocking",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "adaptive_clocking": (
+        "AdaptiveClockingResult", "adaptive_clocking_experiment",
+        "format_adaptive_clocking",
+    ),
+    "crossbar_qor": (
+        "QorPoint", "crossbar_clock_sweep", "crossbar_qor_sweep",
+        "format_qor_table",
+    ),
+    "designs": ("DESIGN_BUILDERS", "build_design"),
+    "fig3_crossbar": (
+        "CrossbarTestbench", "Fig3Point", "build_crossbar_testbench",
+        "figure3", "format_figure3", "run_crossbar_accuracy",
+    ),
+    "fig6_soc": (
+        "Fig6Point", "fig6_workloads_small", "figure6", "format_figure6",
+        "run_fig6_test",
+    ),
+    "gals_overhead": (
+        "OverheadPoint", "format_overhead_table", "partition_size_sweep",
+        "testchip_overhead", "testchip_partitions",
+    ),
+    "hls_qor": (
+        "QorResult", "bad_constraint_ablation", "format_qor_results",
+        "hls_vs_hand_qor",
+    ),
+    "li_latency": (
+        "LatencyForwarder", "build_li_pipeline",
+        "li_latency_report=run_report",
+    ),
+    "stall_verification": (
+        "CampaignResult", "LeakyForwarder", "build_stall_testbench",
+        "format_campaign", "stall_campaign",
+    ),
+    "sweeps": ("SWEEP_SPECS", "SweepSpec", "build_space", "get_sweep"),
+})

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import registry
 from ..gals.clock_generator import LocalClockGenerator, SupplyNoise
 from ..kernel import Simulator
 
@@ -91,28 +90,17 @@ def format_adaptive_clocking(result: AdaptiveClockingResult) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> AdaptiveClockingResult:
+def cli_runner(params: dict, seed) -> AdaptiveClockingResult:
     kwargs = {} if seed is None else {"seed": seed}
     return adaptive_clocking_experiment(**kwargs)
 
 
-def _cli_design():
+def cli_design():
     """The adaptive-clocking duel: one noisy local clock, one static."""
     sim = Simulator()
     LocalClockGenerator(sim, "adaptive", nominal_period=909,
                         noise=SupplyNoise(amplitude=0.08, seed=3))
     sim.add_clock("sync", period=1000)
     return sim
-
-
-registry.register(registry.ExperimentSpec(
-    name="adaptive-clocking",
-    summary="3.1: adaptive clock margin",
-    runner=_cli_runner,
-    formatter=format_adaptive_clocking,
-    design=_cli_design,
-    compiled=False,       # adaptive clocks are aperiodic: always falls back
-    order=60,
-))

@@ -19,7 +19,6 @@ from ..hls import (
     estimate_area,
     schedule,
 )
-from .. import registry
 from ..sweep.point import SweepPoint
 
 __all__ = ["QorPoint", "crossbar_qor_sweep", "crossbar_clock_sweep",
@@ -132,31 +131,13 @@ def format_qor_table(points: List[QorPoint]) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> dict:
+def cli_runner(params: dict, seed) -> dict:
     return {"lane_sweep": crossbar_qor_sweep(),
             "clock_sweep": crossbar_clock_sweep()}
 
 
-def _cli_format(payload: dict) -> str:
+def cli_format(payload: dict) -> str:
     return (format_qor_table(payload["lane_sweep"]) + "\n\n"
             + format_qor_table(payload["clock_sweep"]))
-
-
-registry.register(registry.ExperimentSpec(
-    name="crossbar-qor",
-    summary="2.4: src- vs dst-loop crossbar",
-    runner=_cli_runner,
-    formatter=_cli_format,
-    sweep=registry.SweepSpec(
-        name="crossbar_qor",
-        help="src- vs dst-loop crossbar QoR (lane sweep + clock sweep)",
-        space=sweep_space,
-        runner=run_sweep_point,
-        summarize=summarize_sweep,
-    ),
-    compiled=False,       # analytic QoR model, no simulated design
-    seedable=False,
-    order=30,
-))

@@ -1,10 +1,10 @@
 """Design builders: construct each experiment's design without running it.
 
 .. deprecated::
-    This module is now a thin view over :mod:`repro.registry` — each
-    experiment module declares its design builder on its
-    :class:`~repro.registry.ExperimentSpec` and this registry is derived
-    from those specs.  ``DESIGN_BUILDERS`` and :func:`build_design` keep
+    This module is now a thin view over :mod:`repro.registry` — the
+    manifest (:mod:`repro.catalog`) declares each experiment's design
+    builder on its :class:`~repro.registry.ExperimentSpec` and this
+    registry is derived from those specs.  ``DESIGN_BUILDERS`` and :func:`build_design` keep
     their exact historical surface for existing imports; new code should
     use ``registry.get(name).design`` / ``registry.build_design``.
     The alias is slated for removal once nothing in-tree imports it

@@ -28,7 +28,6 @@ from ..matchlib import (
     ArbitratedCrossbarRTL,
     ArbitratedCrossbarSA,
 )
-from .. import registry
 from ..sweep.point import SweepPoint
 
 __all__ = ["Fig3Point", "CrossbarTestbench", "build_crossbar_testbench",
@@ -231,39 +230,15 @@ def format_figure3(points: list[Fig3Point]) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> list[Fig3Point]:
+def cli_runner(params: dict, seed) -> list[Fig3Point]:
     ports = tuple(int(p) for p in
                   str(params.get("ports", "2,4,8,16")).split(","))
     return figure3(ports=ports, txns_per_port=params.get("txns", 60),
                    seed=seed if seed is not None else 1)
 
 
-def _cli_design():
+def cli_design():
     """Figure 3's sim-accurate crossbar testbench (4 ports)."""
     return build_crossbar_testbench("sim-accurate", 4).sim
-
-
-registry.register(registry.ExperimentSpec(
-    name="fig3",
-    summary="Figure 3: crossbar modelling accuracy",
-    runner=_cli_runner,
-    formatter=format_figure3,
-    design=_cli_design,
-    sweep=registry.SweepSpec(
-        name="fig3_crossbar",
-        help="Figure 3 modelling-accuracy grid (3 models x 4 port counts)",
-        space=sweep_space,
-        runner=run_sweep_point,
-        summarize=summarize_sweep,
-    ),
-    params=(
-        registry.CliParam("ports", "2,4,8,16",
-                          help="comma-separated port counts"),
-        registry.CliParam("txns", 60, type=int,
-                          help="transactions per port"),
-    ),
-    compiled=True,
-    order=10,
-))

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .. import registry
 from ..sweep.point import SweepPoint
 from ..workloads.soc_workloads import (
     SocWorkload,
@@ -153,34 +152,15 @@ def format_figure6(points: List[Fig6Point]) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> List[Fig6Point]:
+def cli_runner(params: dict, seed) -> List[Fig6Point]:
     return figure6()
 
 
-def _cli_design():
+def cli_design():
     """A small Figure 6 SoC in fast mode (2x2 PE array)."""
     from ..soc.chip import PrototypeSoC
 
     return PrototypeSoC(mode="fast", pe_columns=2, pe_rows=2, lanes=4,
                         spad_words=256, gmem_words=1024).sim
-
-
-registry.register(registry.ExperimentSpec(
-    name="fig6",
-    summary="Figure 6: SoC speedup vs cycle error (slow!)",
-    runner=_cli_runner,
-    formatter=format_figure6,
-    design=_cli_design,
-    sweep=registry.SweepSpec(
-        name="pe_scaling",
-        help="PE-array strong scaling on the prototype SoC (fast mode)",
-        space=pe_scaling_space,
-        runner=run_pe_scaling_point,
-        summarize=summarize_pe_scaling,
-    ),
-    compiled=True,
-    seedable=False,
-    order=20,
-))

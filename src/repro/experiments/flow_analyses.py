@@ -3,8 +3,9 @@
 The section-4 claims that are pure models — backend turnaround (the
 12-hour claim) and design productivity (gates per engineer-day) — used
 to live only as hand-written CLI verbs.  This module gives each one a
-proper :class:`~repro.registry.ExperimentSpec` so they flow through the
-same job-oriented execution core (:mod:`repro.jobs`) as the simulated
+runner and a formatter for its :class:`~repro.registry.ExperimentSpec`
+(declared in :mod:`repro.catalog`) so they flow through the same
+job-oriented execution core (:mod:`repro.jobs`) as the simulated
 experiments: ``repro run backend --json`` produces the same canonical
 payload the legacy verb does.
 
@@ -15,8 +16,6 @@ deterministic — ``--seed`` is accepted and ignored.
 from __future__ import annotations
 
 from typing import List
-
-from .. import registry
 
 __all__ = ["run_backend_turnaround", "format_backend_turnaround",
            "run_productivity", "format_productivity"]
@@ -58,24 +57,3 @@ def run_productivity(params: dict = None, seed=None) -> dict:
 
 def format_productivity(payload: dict) -> str:
     return payload["oohls"].to_text() + "\n\n" + payload["rtl"].to_text()
-
-
-registry.register(registry.ExperimentSpec(
-    name="backend",
-    summary="4: RTL-to-layout turnaround",
-    runner=run_backend_turnaround,
-    formatter=format_backend_turnaround,
-    compiled=False,       # flow-runtime model, no simulated design
-    seedable=False,
-    order=90,
-))
-
-registry.register(registry.ExperimentSpec(
-    name="productivity",
-    summary="4: gates per engineer-day",
-    runner=run_productivity,
-    formatter=format_productivity,
-    compiled=False,       # effort model, no simulated design
-    seedable=False,
-    order=100,
-))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .. import registry
 from ..gals.overhead import GalsOverheadModel, Partition, SynchronousBaseline
 from ..trace.adapter import ReplayAdapter
 from ..sweep.point import SweepPoint
@@ -131,6 +130,11 @@ def run_sweep_point(params: dict, seed: int) -> dict:
             "overhead_gates": model.overhead_gates(p)}
 
 
+#: Closed-form model, no kernel: every point is derivable by evaluating
+#: :func:`run_sweep_point` in-process, skipping the pool entirely.
+REPLAY_ADAPTER = ReplayAdapter(kind="analytic")
+
+
 def summarize_sweep(results: List[dict]) -> str:
     points = [OverheadPoint(r["logic_gates"], r["overhead_gates"])
               for r in results]
@@ -161,43 +165,21 @@ def format_overhead_table(points: List[OverheadPoint],
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> dict:
+def cli_runner(params: dict, seed) -> dict:
     return {"partition_sweep": partition_size_sweep(),
             "testchip": testchip_overhead()}
 
 
-def _cli_format(payload: dict) -> str:
+def cli_format(payload: dict) -> str:
     return format_overhead_table(payload["partition_sweep"],
                                  payload["testchip"])
 
 
-def _cli_design():
+def cli_design():
     """A GALS SoC: per-node clock generators + pausible-FIFO links."""
     from ..soc.chip import PrototypeSoC
 
     return PrototypeSoC(mode="fast", gals=True, pe_columns=2, pe_rows=2,
                         lanes=4, spad_words=256, gmem_words=1024).sim
-
-
-registry.register(registry.ExperimentSpec(
-    name="gals",
-    summary="3.1: GALS area overhead",
-    runner=_cli_runner,
-    formatter=_cli_format,
-    design=_cli_design,
-    sweep=registry.SweepSpec(
-        name="gals_overhead",
-        help="GALS overhead fraction vs partition logic size",
-        space=sweep_space,
-        runner=run_sweep_point,
-        summarize=summarize_sweep,
-        # Closed-form model, no kernel: every point is derivable by
-        # evaluating the runner in-process, skipping the pool entirely.
-        replay=ReplayAdapter(kind="analytic"),
-    ),
-    compiled=False,       # pausible clocks are not compilable (yet)
-    seedable=False,
-    order=50,
-))

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
-from .. import registry
 from ..hls import (
     adder_tree_design,
     alu_design,
@@ -89,27 +88,16 @@ def format_qor_results(results: List[QorResult], *, title: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> dict:
+def cli_runner(params: dict, seed) -> dict:
     return {"hls_vs_hand": hls_vs_hand_qor(),
             "bad_constraints": bad_constraint_ablation()}
 
 
-def _cli_format(payload: dict) -> str:
+def cli_format(payload: dict) -> str:
     return (format_qor_results(payload["hls_vs_hand"],
                                title="HLS vs hand RTL (paper: ±10 %)")
             + "\n\n"
             + format_qor_results(payload["bad_constraints"],
                                  title="...with bad constraints (ablation)"))
-
-
-registry.register(registry.ExperimentSpec(
-    name="hls-qor",
-    summary="2.2: HLS vs hand RTL",
-    runner=_cli_runner,
-    formatter=_cli_format,
-    compiled=False,       # analytic QoR model, no simulated design
-    seedable=False,
-    order=40,
-))

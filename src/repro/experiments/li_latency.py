@@ -24,7 +24,6 @@ from typing import Generator, List, Optional, Tuple
 from ..connections import Buffer, In, Out
 from ..design.hierarchy import component_scope
 from ..kernel import Simulator
-from .. import registry
 from ..sweep.point import SweepPoint
 from ..sweep.warm import BatchAdapter, WarmSession
 from ..trace.adapter import ReplayAdapter
@@ -375,29 +374,7 @@ def format_report(results: List[dict]) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> List[dict]:
+def cli_runner(params: dict, seed) -> List[dict]:
     return run_report(seed=seed if seed is not None else 500)
-
-
-registry.register(registry.ExperimentSpec(
-    name="li-latency",
-    summary="4: LI pipeline latency grid "
-            "(replay-safe; see sweep --incremental)",
-    runner=_cli_runner,
-    formatter=format_report,
-    design=build_design,
-    sweep=registry.SweepSpec(
-        name="li_latency",
-        help="LI pipeline latency grid (FIFO depth x stall p x period); "
-             "replayable from 2 captured traces via sweep --incremental",
-        space=sweep_space,
-        runner=run_sweep_point,
-        summarize=summarize_sweep,
-        replay=REPLAY_ADAPTER,
-        batch=BATCH_ADAPTER,
-    ),
-    compiled=True,
-    order=80,
-))

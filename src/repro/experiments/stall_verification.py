@@ -20,14 +20,14 @@ from typing import Generator, List
 from ..connections import Buffer, In, Out
 from ..design.hierarchy import component_scope
 from ..kernel import Simulator
-from .. import registry
 from ..sweep.point import SweepPoint
 from ..sweep.warm import BatchAdapter, WarmSession
+from ..trace.adapter import ReplayAdapter
 
 __all__ = ["LeakyForwarder", "build_stall_testbench", "stall_campaign",
            "CampaignResult", "format_campaign", "sweep_space",
            "run_sweep_point", "campaigns_from_sweep", "summarize_sweep",
-           "make_replay_adapter", "BATCH_ADAPTER"]
+           "REPLAY_ADAPTER", "BATCH_ADAPTER"]
 
 #: Defaults shared by the serial campaign and the sweep space, so both
 #: enumerate exactly the same (probability, seed) grid.
@@ -235,20 +235,15 @@ def _replay_derive(trace: dict, result, params: dict, seed: int) -> dict:
         "which op traces do not capture")
 
 
-def make_replay_adapter():
-    """Built lazily: repro.trace imports must not load at module scope
-    here (the sweep registry imports this module eagerly)."""
-    from ..trace.adapter import ReplayAdapter
-
-    return ReplayAdapter(
-        kind="trace",
-        safe_params=frozenset({"stall_probability", "trial"}),
-        base_params=_replay_base_params,
-        base_seed=_replay_base_seed,
-        capture=_replay_capture,
-        overrides=_replay_overrides,
-        derive=_replay_derive,
-    )
+REPLAY_ADAPTER = ReplayAdapter(
+    kind="trace",
+    safe_params=frozenset({"stall_probability", "trial"}),
+    base_params=_replay_base_params,
+    base_seed=_replay_base_seed,
+    capture=_replay_capture,
+    overrides=_replay_overrides,
+    derive=_replay_derive,
+)
 
 
 # ----------------------------------------------------------------------
@@ -326,39 +321,15 @@ def format_campaign(results: List[CampaignResult]) -> str:
 
 
 # ----------------------------------------------------------------------
-# registry spec (see repro.registry / docs/REGISTRY.md)
+# CLI entry points, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
-def _cli_runner(params: dict, seed) -> List[CampaignResult]:
+def cli_runner(params: dict, seed) -> List[CampaignResult]:
     base_seed = seed if seed is not None else DEFAULT_BASE_SEED
     return [stall_campaign(p, trials=10, base_seed=base_seed)
             for p in DEFAULT_PROBABILITIES]
 
 
-def _cli_design():
+def cli_design():
     """One stall-injection trial around the LeakyForwarder DUT."""
     sim, _received = build_stall_testbench(0.3, 100)
     return sim
-
-
-registry.register(registry.ExperimentSpec(
-    name="stalls",
-    summary="4: stall-injection bug hunting",
-    runner=_cli_runner,
-    formatter=format_campaign,
-    design=_cli_design,
-    sweep=registry.SweepSpec(
-        name="stall_verification",
-        help="randomized stall-injection trials "
-             "(4 probabilities x 10 seeds)",
-        space=sweep_space,
-        runner=run_sweep_point,
-        summarize=summarize_sweep,
-        # Statically derivable, dynamically refused: the capture records
-        # the harness's non-blocking ops and every point falls back with
-        # that reason — the recorded-capability path, exercised for real.
-        replay=make_replay_adapter(),
-        batch=BATCH_ADAPTER,
-    ),
-    compiled=True,
-    order=70,
-))

@@ -1,10 +1,10 @@
 """Sweep registry: each experiment's parameter space as SweepPoints.
 
 .. deprecated::
-    This module is now a thin view over :mod:`repro.registry` — each
-    experiment module declares its :class:`SweepSpec` on its
-    :class:`~repro.registry.ExperimentSpec` and ``SWEEP_SPECS`` is
-    derived from those specs.  The historical surface (``SWEEP_SPECS``,
+    This module is now a thin view over :mod:`repro.registry` — the
+    manifest (:mod:`repro.catalog`) declares each experiment's
+    :class:`SweepSpec` on its :class:`~repro.registry.ExperimentSpec`
+    and ``SWEEP_SPECS`` is derived from those specs.  The historical surface (``SWEEP_SPECS``,
     :func:`register_sweep`, :func:`get_sweep`, :func:`build_space`)
     keeps working unchanged for existing imports and for tests that
     register synthetic sweeps; new code should use

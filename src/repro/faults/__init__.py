@@ -18,36 +18,19 @@ kernel and channels pay at most one ``is None`` test on their hot paths
 (the ``python -m repro bench`` gate enforces this).
 """
 
-from .campaign import (
-    HARNESSES,
-    Harness,
-    Rig,
-    build_deadlock_fixture,
-    default_plan,
-    execute,
-    outcome_class,
-    shrink,
-)
-from .plan import (
-    AppliedFaults,
-    ChannelFaults,
-    FaultDirective,
-    FaultPlan,
-    default_corrupter,
-)
-from .watchdog import (
-    BlockedThread,
-    ChannelSnapshot,
-    HangDiagnosis,
-    HangError,
-    Watchdog,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Watchdog", "HangError", "HangDiagnosis", "BlockedThread",
-    "ChannelSnapshot",
-    "FaultPlan", "FaultDirective", "AppliedFaults", "ChannelFaults",
-    "default_corrupter",
-    "Harness", "Rig", "HARNESSES", "build_deadlock_fixture",
-    "default_plan", "execute", "shrink", "outcome_class",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "campaign": (
+        "HARNESSES", "Harness", "Rig", "build_deadlock_fixture",
+        "default_plan", "execute", "outcome_class", "shrink",
+    ),
+    "plan": (
+        "AppliedFaults", "ChannelFaults", "FaultDirective", "FaultPlan",
+        "default_corrupter",
+    ),
+    "watchdog": (
+        "BlockedThread", "ChannelSnapshot", "HangDiagnosis", "HangError",
+        "Watchdog",
+    ),
+})

@@ -345,35 +345,18 @@ def _build_deadlock_rig(seed: int) -> Rig:
 
 
 # ----------------------------------------------------------------------
-# registry integration: harnesses attach to their experiments' specs
+# the harnesses, referenced by name from repro.catalog
 # ----------------------------------------------------------------------
 # Harness names predate the registry and follow the *sweep* naming
-# (``stall_verification``), while the specs they attach to carry the CLI
-# verb names (``stalls``) — the registry indexes both.  The two
-# harness-only fixtures (``packet_stream``, ``deadlock_demo``) register
-# hidden specs: no CLI experiment verb, but full fault-campaign and
-# ``HARNESSES``-view membership.  Attach order is load-bearing: it is
-# the historical ``HARNESSES`` dict order, which fixes the default
-# campaign matrix's point order (and with it every seeded record).
-registry.attach_harness("stalls", Harness(
-    "stall_verification", _build_stall_rig, _STALL_MENU))
-registry.attach_harness("fig3", Harness(
-    "fig3_crossbar", _build_crossbar_rig, _CROSSBAR_MENU))
-registry.attach_harness("gals", Harness(
-    "gals_overhead", _build_gals_rig, _GALS_MENU))
-registry.register(registry.ExperimentSpec(
-    name="packet_stream",
-    summary="checksummed Packetizer/DePacketizer pipe (fault fixture)",
-    harness=Harness("packet_stream", _build_packet_rig, _PACKET_MENU),
-    hidden=True,
-))
-registry.register(registry.ExperimentSpec(
-    name="deadlock_demo",
-    summary="deliberately crossed blocking pops (expects hang)",
-    harness=Harness("deadlock_demo", _build_deadlock_rig,
-                    expected=("hang",), in_default_matrix=False),
-    hidden=True,
-))
+# (``stall_verification``), while the specs that carry them use the CLI
+# verb names (``stalls``) — the registry indexes both.
+STALL_HARNESS = Harness("stall_verification", _build_stall_rig, _STALL_MENU)
+CROSSBAR_HARNESS = Harness("fig3_crossbar", _build_crossbar_rig,
+                           _CROSSBAR_MENU)
+GALS_HARNESS = Harness("gals_overhead", _build_gals_rig, _GALS_MENU)
+PACKET_HARNESS = Harness("packet_stream", _build_packet_rig, _PACKET_MENU)
+DEADLOCK_HARNESS = Harness("deadlock_demo", _build_deadlock_rig,
+                           expected=("hang",), in_default_matrix=False)
 
 #: Harness name -> harness.  A live read-through view of the experiment
 #: registry (deprecated alias; use ``registry.get_harness`` instead).
@@ -578,19 +561,3 @@ def summarize_sweep(results: List[dict]) -> str:
                 lines.append(f"   {d['thread']} blocked in {d['op']}() on "
                              f"{d['channel']}")
     return "\n".join(lines)
-
-
-# The fault_campaign sweep used to be registered by experiments/sweeps.py
-# through lazy wrappers (importing this module at experiments-import time
-# would have closed an import cycle).  With the registry owning the
-# catalog, this module registers it directly — registry.load() imports
-# repro.faults.campaign after repro.experiments, so the sweep is always
-# visible wherever sweeps are resolved, including worker processes.
-registry.register_sweep(registry.SweepSpec(
-    name="fault_campaign",
-    help="seeded fault-injection cases per harness (drop/dup/corrupt/"
-         "stall/clock faults), watchdog-triaged",
-    space=sweep_space,
-    runner=run_sweep_point,
-    summarize=summarize_sweep,
-))

@@ -16,18 +16,11 @@ Quick use::
     fifo.out_port.bind(channel_in_rx_domain)
 """
 
-from .clock_generator import LocalClockGenerator, SupplyNoise
-from .gals_link import GalsLink
-from .overhead import GalsOverheadModel, Partition, SynchronousBaseline
-from .pausible_fifo import BruteForceSyncFIFO, PausibleBisyncFIFO
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LocalClockGenerator",
-    "SupplyNoise",
-    "PausibleBisyncFIFO",
-    "BruteForceSyncFIFO",
-    "GalsLink",
-    "Partition",
-    "GalsOverheadModel",
-    "SynchronousBaseline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "clock_generator": ("LocalClockGenerator", "SupplyNoise"),
+    "gals_link": ("GalsLink",),
+    "overhead": ("GalsOverheadModel", "Partition", "SynchronousBaseline"),
+    "pausible_fifo": ("BruteForceSyncFIFO", "PausibleBisyncFIFO"),
+})

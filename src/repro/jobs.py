@@ -168,10 +168,14 @@ def execute(request: JobRequest, *,
     records (labelled ``telemetry_label``, default the experiment name)
     ride along on the result.
     """
-    from .kernel.backend import last_run, use_backend
+    from .kernel.backend import last_run, record_run, use_backend
 
     runner, formatter, schema, version = _resolve(request)
     params = dict(request.params)
+    # Provenance is per job: only a compiled attach (or its fallback)
+    # records itself, so without this reset a threaded or analytic job
+    # would report whatever an earlier job in this process ran on.
+    record_run("threaded")
     t0 = time.perf_counter()
     if request.telemetry or request.trace_signals:
         from . import observe

@@ -17,44 +17,16 @@ Public API::
     sim.run(until=100_000)
 """
 
-from .backend import BACKENDS, default_backend, last_run, use_backend
-from .clock import Clock
-from .signal import BitSignal, BusSignal, Signal
-from .simulator import (
-    DeltaOverflow,
-    Event,
-    Gate,
-    Method,
-    SimulationError,
-    Simulator,
-    Thread,
-    TimeBudgetExceeded,
-    time_budget,
-)
-from .snapshot import Snapshot, SnapshotError
-from .tracing import Trace, WallClock, write_vcd
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Signal",
-    "BitSignal",
-    "BusSignal",
-    "Clock",
-    "Event",
-    "Gate",
-    "Thread",
-    "Method",
-    "Trace",
-    "WallClock",
-    "write_vcd",
-    "SimulationError",
-    "DeltaOverflow",
-    "TimeBudgetExceeded",
-    "time_budget",
-    "Snapshot",
-    "SnapshotError",
-    "BACKENDS",
-    "use_backend",
-    "default_backend",
-    "last_run",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "backend": ("BACKENDS", "default_backend", "last_run", "use_backend"),
+    "clock": ("Clock",),
+    "signal": ("BitSignal", "BusSignal", "Signal"),
+    "simulator": (
+        "DeltaOverflow", "Event", "Gate", "Method", "SimulationError",
+        "Simulator", "Thread", "TimeBudgetExceeded", "time_budget",
+    ),
+    "snapshot": ("Snapshot", "SnapshotError"),
+    "tracing": ("Trace", "WallClock", "write_vcd"),
+})

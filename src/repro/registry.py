@@ -6,9 +6,9 @@ synchronized per-experiment registries — CLI verbs in ``repro.cli``,
 in ``repro.experiments.sweeps``, and fault ``HARNESSES`` in
 ``repro.faults.campaign`` — and drift between them was a matter of
 time (the CLI's fault-harness choices were a static copy).  This module
-replaces all four with **one** declarative :class:`ExperimentSpec` that
-each experiment module registers exactly once; every legacy registry
-survives as a read-through view derived from the specs:
+replaces all four with **one** declarative :class:`ExperimentSpec` per
+experiment, declared once in the manifest (:mod:`repro.catalog`); every
+legacy registry survives as a read-through view derived from the specs:
 
 * :func:`design_builders_view` → ``repro.experiments.designs
   .DESIGN_BUILDERS`` (experiment name → construction-only builder),
@@ -18,17 +18,22 @@ survives as a read-through view derived from the specs:
   (harness name → fault harness),
 * :func:`commands_view` → the CLI's verb table.
 
-The views are live: registering a spec (or attaching a capability to
-one) updates every view at once, so the CLI's choices, the sweep
-worker's runner resolution, and the campaign runner can never disagree
-about what the system can run.
+The views are live: registering a spec updates every view at once, so
+the CLI's choices, the sweep worker's runner resolution, and the
+campaign runner can never disagree about what the system can run.
 
-Registration is import-driven and lazy: importing this module costs
-nothing, and the first lookup calls :func:`load`, which imports the
-experiment catalog (``repro.experiments`` and ``repro.faults.campaign``
-— every experiment module registers its spec at import time).  Worker
-processes resolve runners by name through the same path, so spawn- and
-fork-started pools both see the full catalog.
+Catalog metadata is data and behaviour is a reference.  The first
+lookup calls :func:`load`, which imports the manifest — a module that
+imports nothing but this one.  Everything ``repro list`` / ``describe``
+and the argument parser need (names, summaries, parameters, capability
+tags) is plain values there; ``runner``, ``formatter``, ``design``, the
+fault ``harness`` and a sweep's ``space`` / ``runner`` / ``summarize`` /
+``replay`` / ``batch`` are ``"package.module:attr"`` references that
+:func:`resolve` imports on first read of the field.  So a verb imports
+only the experiment it runs, and worker processes — which resolve
+runners by name through the same path — import only the module of the
+experiment they execute, under spawn and fork alike.  Real callables
+are accepted wherever a reference is (tests register synthetic specs).
 
 Usage::
 
@@ -45,13 +50,13 @@ job-oriented execution core (:mod:`repro.jobs`) built on top.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional
-from typing import Tuple
+from dataclasses import dataclass, replace
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
-    "CliParam", "SweepSpec", "ExperimentSpec",
-    "register", "register_sweep", "attach_harness",
+    "CliParam", "SweepSpec", "ExperimentSpec", "resolve",
+    "register", "register_sweep",
     "get", "names", "specs", "load",
     "build_design", "get_sweep", "get_harness",
     "design_builders_view", "sweep_specs_view", "harnesses_view",
@@ -80,16 +85,81 @@ class CliParam:
         return "--" + self.name.replace("_", "-")
 
 
+def resolve(ref: str) -> Any:
+    """Import ``"package.module:attr"`` and return the attribute.
+
+    The one resolver behind every reference in the catalog: nothing
+    else turns a manifest string into code.
+    """
+    module, sep, attr = ref.partition(":")
+    if not sep:
+        raise ValueError(f"expected 'package.module:attr', got {ref!r}")
+    return getattr(import_module(module), attr)
+
+
+class _Ref:
+    """A spec field holding an object or a reference to one.
+
+    Reading the field resolves a ``"package.module:attr"`` string
+    through :func:`resolve` and keeps the result, so consumers see the
+    callable (or adapter, or harness) itself, and see the same object
+    every time.  What was declared stays in the instance ``__dict__``
+    until then, where the listing properties (``runnable``,
+    ``has_design``, ``warm``) test for presence without importing
+    anything.  ``required`` fields have no dataclass default.
+    """
+
+    def __init__(self, *, required: bool = False):
+        self.required = required
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # class access: the dataclass default
+            if self.required:
+                raise AttributeError(self.name)
+            return None
+        value = obj.__dict__[self.name]
+        if isinstance(value, str):
+            value = obj.__dict__[self.name] = resolve(value)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
+def _describe(spec, field: str, listed: str, attr: str) -> None:
+    """Keep the listing value ``listed`` beside the ``field`` it describes.
+
+    A real object describes itself (``listed`` is read from its
+    ``attr``); a reference cannot without importing its module, so the
+    declaration must carry the value as data.
+    """
+    declared = spec.__dict__[field]
+    if declared is None or getattr(spec, listed) is not None:
+        return
+    if isinstance(declared, str):
+        raise ValueError(
+            f"{spec.name}: {field}={declared!r} is a reference, so "
+            f"{listed} must be declared beside it")
+    object.__setattr__(spec, listed, getattr(declared, attr, None))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One registered sweep: space builder + point runner + formatter.
 
-    (Moved here from ``repro.experiments.sweeps``, which still re-exports
-    it.)  ``replay``, when set, opts the experiment into incremental
-    sweeps (``run_sweep(..., incremental=True)``): it carries the
-    semantic map from sweep points to captured traces and back.
-    Experiments without one still work incrementally — every point just
-    falls back to full simulation with the reason recorded.
+    ``space``, ``runner``, ``summarize``, ``replay`` and ``batch`` each
+    hold the object itself or a ``"package.module:attr"`` reference to
+    it, resolved on first read.
+
+    ``replay``, when set, opts the experiment into incremental sweeps
+    (``run_sweep(..., incremental=True)``): it carries the semantic map
+    from sweep points to captured traces and back.  Experiments without
+    one still work incrementally — every point just falls back to full
+    simulation with the reason recorded.  ``replay_kind`` is the
+    adapter's ``kind`` as listing data (required beside a reference).
 
     ``batch``, when set, opts the experiment into warm batched sweeps
     (``run_sweep(..., warm=True)``): it carries the construct-once map —
@@ -101,21 +171,33 @@ class SweepSpec:
 
     name: str
     help: str
-    space: Callable[..., List[Any]]
-    runner: Callable[[dict, int], dict]
-    summarize: Optional[Callable[[List[dict]], str]] = None
-    replay: Optional[Any] = None  # repro.trace.adapter.ReplayAdapter
-    batch: Optional[Any] = None   # repro.sweep.warm.BatchAdapter
+    space: Callable[..., List[Any]] = _Ref(required=True)
+    runner: Callable[[dict, int], dict] = _Ref(required=True)
+    summarize: Optional[Callable[[List[dict]], str]] = _Ref()
+    replay: Optional[Any] = _Ref()  # repro.trace.adapter.ReplayAdapter
+    batch: Optional[Any] = _Ref()   # repro.sweep.warm.BatchAdapter
+    replay_kind: Optional[str] = None
+
+    def __post_init__(self):
+        _describe(self, "replay", "replay_kind", "kind")
+
+    @property
+    def warm(self) -> bool:
+        """True when the sweep declares a batch adapter."""
+        return self.__dict__["batch"] is not None
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything the system knows how to do with one experiment.
 
-    One spec per experiment, declared where the experiment lives.  The
+    One spec per experiment, declared in :mod:`repro.catalog`.  The
     capability fields are all optional; a spec with only a fault
     harness (``packet_stream``) or only a sweep (``fault_campaign``) is
     legal and simply ``hidden`` from the CLI's experiment verbs.
+    ``runner``, ``formatter``, ``design`` and ``harness`` each hold the
+    object itself or a ``"package.module:attr"`` reference to it,
+    resolved on first read.
 
     ``runner(params, seed)`` returns the experiment's result payload
     (plain dataclasses/dicts, serializable through
@@ -128,16 +210,19 @@ class ExperimentSpec:
     summary: str
     #: (params, seed) -> result payload.  ``None`` = not directly
     #: runnable (harness- or sweep-only specs).
-    runner: Optional[Callable[[dict, Optional[int]], Any]] = None
+    runner: Optional[Callable[[dict, Optional[int]], Any]] = _Ref()
     #: payload -> human-readable text (the legacy verb's output).
-    formatter: Optional[Callable[[Any], str]] = None
+    formatter: Optional[Callable[[Any], str]] = _Ref()
     #: Construction-only design builder (returns the Simulator) for
     #: ``inspect``/``lint``.  ``None`` = analytic, no simulated design.
-    design: Optional[Callable[[], Any]] = None
+    design: Optional[Callable[[], Any]] = _Ref()
     #: Parameter-sweep capability (space/runner/summarize/replay).
     sweep: Optional[SweepSpec] = None
-    #: Fault-campaign harness (attached by ``repro.faults.campaign``).
-    harness: Optional[Any] = None
+    #: Fault-campaign harness (``repro.faults.campaign.Harness``).
+    harness: Optional[Any] = _Ref()
+    #: The harness's ``name`` as listing data (required beside a
+    #: reference): the ``faults`` choices and ``HARNESSES`` keys.
+    harness_name: Optional[str] = None
     #: Experiment-specific CLI parameters.
     params: Tuple[CliParam, ...] = ()
     #: Declared compiled-backend eligibility: whether
@@ -160,23 +245,30 @@ class ExperimentSpec:
         if not self.schema:
             object.__setattr__(
                 self, "schema", self.name.replace("-", "_"))
+        _describe(self, "harness", "harness_name", "name")
 
     @property
     def runnable(self) -> bool:
         """True when the spec backs a CLI experiment verb."""
-        return self.runner is not None and not self.hidden
+        return self.__dict__["runner"] is not None and not self.hidden
+
+    @property
+    def has_design(self) -> bool:
+        """True when the spec declares a simulated design."""
+        return self.__dict__["design"] is not None
 
     def capabilities(self) -> Dict[str, Any]:
-        """Capability summary (``repro list`` / ``repro describe``)."""
+        """Capability summary (``repro list`` / ``repro describe``).
+
+        Plain data: reading it resolves no reference.
+        """
+        sweep = self.sweep
         return {
-            "design": self.design is not None,
-            "sweep": self.sweep.name if self.sweep else None,
-            "replay": (getattr(self.sweep.replay, "kind", None)
-                       if self.sweep and self.sweep.replay else None),
-            "warm": bool(self.sweep is not None
-                         and self.sweep.batch is not None),
-            "harness": (getattr(self.harness, "name", None)
-                        if self.harness else None),
+            "design": self.has_design,
+            "sweep": sweep.name if sweep else None,
+            "replay": sweep.replay_kind if sweep else None,
+            "warm": bool(sweep is not None and sweep.warm),
+            "harness": self.harness_name,
             "compiled": self.compiled,
             "seedable": self.seedable,
             "schema": f"{self.schema}/v{self.schema_version}",
@@ -192,86 +284,56 @@ _SPECS: Dict[str, ExperimentSpec] = {}
 _SWEEP_INDEX: Dict[str, str] = {}
 #: harness name -> spec name.
 _HARNESS_INDEX: Dict[str, str] = {}
-#: Harnesses attached before their spec was registered (import-order
-#: independence for ``repro.faults.campaign``).
-_PENDING_HARNESSES: Dict[str, Any] = {}
+_INDEXES = {"sweep": _SWEEP_INDEX, "fault harness": _HARNESS_INDEX}
 
 _LOADED = False
-_LOADING = False
-
-#: Modules whose import registers the bundled experiment catalog.
-_CATALOG_MODULES = ("repro.experiments", "repro.faults.campaign",
-                    "repro.verify")
 
 
 def load() -> None:
-    """Import the experiment catalog (idempotent, re-entrant safe).
+    """Import the catalog manifest (idempotent).
 
-    Every bundled experiment module registers its spec at import time;
-    this imports them all so views and lookups are complete.  Safe to
-    call from inside a catalog module's own import (the re-entrancy
-    guard makes the nested call a no-op).
+    :mod:`repro.catalog` declares every bundled spec and imports
+    nothing but this module, so loading costs a few milliseconds and
+    brings in no simulator code.
     """
-    global _LOADED, _LOADING
-    if _LOADED or _LOADING:
-        return
-    _LOADING = True
-    try:
-        import importlib
-
-        for module in _CATALOG_MODULES:
-            importlib.import_module(module)
+    global _LOADED
+    if not _LOADED:
+        import_module("repro.catalog")
         _LOADED = True
-    finally:
-        _LOADING = False
 
 
-def _reindex(spec: ExperimentSpec) -> None:
+def _claims(spec: ExperimentSpec) -> List[Tuple[str, str]]:
+    """The ``(index kind, name)`` entries a spec owns."""
+    claims = []
     if spec.sweep is not None:
-        owner = _SWEEP_INDEX.get(spec.sweep.name)
-        if owner is not None and owner != spec.name:
-            raise ValueError(
-                f"sweep {spec.sweep.name!r} is already registered by "
-                f"experiment {owner!r}")
-        _SWEEP_INDEX[spec.sweep.name] = spec.name
-    if spec.harness is not None:
-        hname = spec.harness.name
-        owner = _HARNESS_INDEX.get(hname)
-        if owner is not None and owner != spec.name:
-            raise ValueError(
-                f"fault harness {hname!r} is already registered by "
-                f"experiment {owner!r}")
-        _HARNESS_INDEX[hname] = spec.name
+        claims.append(("sweep", spec.sweep.name))
+    if spec.harness_name is not None:
+        claims.append(("fault harness", spec.harness_name))
+    return claims
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
     """Register (or re-register) one experiment's spec.
 
-    Returns the stored spec — with any harness that was attached before
-    registration folded in.  Re-registering the same name replaces the
-    old spec (module reloads); sweep/harness *names* stay unique across
-    distinct specs.
+    Re-registering the same name replaces the old spec, together with
+    the sweep and harness names only the old one claimed; names both
+    claim keep their place in the views' order.  Sweep/harness *names*
+    stay unique across distinct specs.
     """
-    pending = _PENDING_HARNESSES.pop(spec.name, None)
-    if pending is not None and spec.harness is None:
-        spec = replace(spec, harness=pending)
-    _reindex(spec)
+    claims = _claims(spec)
+    for kind, name in claims:
+        owner = _INDEXES[kind].get(name)
+        if owner is not None and owner != spec.name:
+            raise ValueError(f"{kind} {name!r} is already registered by "
+                             f"experiment {owner!r}")
+    old = _SPECS.get(spec.name)
+    for kind, name in (_claims(old) if old is not None else ()):
+        if (kind, name) not in claims:
+            del _INDEXES[kind][name]
+    for kind, name in claims:
+        _INDEXES[kind][name] = spec.name
     _SPECS[spec.name] = spec
     return spec
-
-
-def attach_harness(name: str, harness: Any) -> None:
-    """Attach a fault harness to the named spec (deferred if unknown).
-
-    ``repro.faults.campaign`` lives downstream of the experiment
-    modules, so harnesses are attached after the fact; attaching before
-    the spec exists parks the harness until :func:`register` sees it.
-    """
-    spec = _SPECS.get(name)
-    if spec is None:
-        _PENDING_HARNESSES[name] = harness
-        return
-    register(replace(spec, harness=harness))
 
 
 def register_sweep(sweep: SweepSpec) -> SweepSpec:
@@ -331,7 +393,7 @@ def build_design(experiment: str):
             f"unknown experiment {experiment!r}; one of "
             f"{sorted(design_builders_view())}")
     spec = _SPECS[experiment]
-    if spec.design is None:
+    if not spec.has_design:
         raise ValueError(f"experiment {experiment!r} is analytic — "
                          "it builds no simulated design")
     return spec.design()

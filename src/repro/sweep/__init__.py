@@ -35,33 +35,15 @@ From the command line::
     python -m repro sweep stall_verification --jobs 4
 """
 
-from .cache import CacheStats, ResultCache, default_cache_dir, repo_rev
-from .engine import PointOutcome, PointTimeout, SweepResult, run_sweep
-from .point import SweepPoint
-from .serialize import (
-    NONDETERMINISTIC_FIELDS,
-    canonical_digest,
-    canonical_json,
-    dump_json,
-    to_jsonable,
-)
-from .warm import BatchAdapter, WarmSession
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SweepPoint",
-    "run_sweep",
-    "SweepResult",
-    "PointOutcome",
-    "PointTimeout",
-    "BatchAdapter",
-    "WarmSession",
-    "ResultCache",
-    "CacheStats",
-    "default_cache_dir",
-    "repo_rev",
-    "canonical_json",
-    "canonical_digest",
-    "to_jsonable",
-    "dump_json",
-    "NONDETERMINISTIC_FIELDS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("CacheStats", "ResultCache", "default_cache_dir", "repo_rev"),
+    "engine": ("PointOutcome", "PointTimeout", "SweepResult", "run_sweep"),
+    "point": ("SweepPoint",),
+    "serialize": (
+        "NONDETERMINISTIC_FIELDS", "canonical_digest", "canonical_json",
+        "dump_json", "to_jsonable",
+    ),
+    "warm": ("BatchAdapter", "WarmSession"),
+})

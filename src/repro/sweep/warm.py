@@ -142,10 +142,11 @@ def session_count() -> int:
 
 
 def warm_worker_init() -> None:
-    """Pool initializer: pre-import the experiment catalog.
+    """Pool initializer: load the catalog manifest.
 
-    Spawn-started workers otherwise pay the catalog import inside their
-    first chunk's timeout window.
+    Cheap — the manifest imports no experiment.  A spawn-started worker
+    imports its experiment's module (and only that one) when the first
+    chunk resolves the batch adapter by name.
     """
     from .. import registry
 

@@ -22,7 +22,7 @@ Counterexamples shrink through Hypothesis's shrinker jointly over
 topology + plan + stimulus and persist to the example database, so a
 failing campaign replays deterministically (``docs/ROBUSTNESS.md``).
 
-This module is importable (and the ``repro verify`` verb registers)
+This module is importable (and the ``repro verify`` verb is listed)
 without ``hypothesis`` installed; actually *running* a campaign raises
 :class:`VerifyUnavailable` with install guidance when it is missing.
 """
@@ -30,8 +30,6 @@ without ``hypothesis`` installed; actually *running* a campaign raises
 from __future__ import annotations
 
 from importlib import util as _importlib_util
-
-from .. import registry
 
 __all__ = [
     "VerifyUnavailable",
@@ -58,44 +56,18 @@ def require_hypothesis(what: str = "repro verify") -> None:
             "(or: pip install hypothesis)")
 
 
-def _runner(params, seed=None):
-    # Lazy import: the registry catalog (and `repro list`) must load
-    # without hypothesis; only execution requires it.
+# The ``verify`` verb's entry points, referenced by name from
+# repro.catalog.
+def cli_runner(params, seed=None):
+    # Lazy import: this package must import without hypothesis (the CLI
+    # catches VerifyUnavailable); only execution requires it.
     require_hypothesis()
     from .runner import run_verification
 
     return run_verification(params, seed)
 
 
-def _formatter(payload):
+def cli_format(payload):
     from .runner import format_report
 
     return format_report(payload)
-
-
-registry.register(registry.ExperimentSpec(
-    name="verify",
-    summary="property-based verification: generated topologies vs "
-            "differential/LI/classification oracles",
-    runner=_runner,
-    formatter=_formatter,
-    params=(
-        registry.CliParam(
-            "profile", "dev",
-            help="hypothesis settings profile (dev, ci, thorough)"),
-        registry.CliParam(
-            "checks", "all",
-            help="comma-separated oracle families to run "
-                 "(differential, li, classification; 'all')"),
-        registry.CliParam(
-            "max_examples", 0, type=int,
-            help="override examples per family (0 = profile default)"),
-        registry.CliParam(
-            "inject", "none",
-            help="deliberately seed a bug to demo shrinking "
-                 "(none, deadlock, corrupt)"),
-    ),
-    compiled=False,  # the differential oracle drives both backends itself
-    seedable=True,
-    order=110,
-))

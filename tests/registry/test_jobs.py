@@ -107,3 +107,49 @@ def test_write_json_is_deterministic_across_runs(tmp_path):
     a.write_json(str(pa))
     b.write_json(str(pb))
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# backend provenance is per job, not whatever ran last in the process
+# ----------------------------------------------------------------------
+def test_backend_provenance_is_per_job():
+    compiled = execute(JobRequest("li-latency", backend="compiled"))
+    threaded = execute(JobRequest("li-latency"))
+    analytic = execute(JobRequest("backend"))
+    assert compiled.backend == "compiled"
+    # Neither a threaded-requested nor an analytic run records a
+    # backend of its own; both used to inherit "compiled" from the job
+    # before them.
+    assert (threaded.backend, threaded.fallback_reason) == ("threaded", None)
+    assert (analytic.backend, analytic.fallback_reason) == ("threaded", None)
+    assert compiled.payload == threaded.payload
+
+
+def test_serial_mixed_backend_sweep_reports_each_points_own_backend(
+        monkeypatch):
+    """``jobs=1`` runs every point in this process, back to back.
+
+    A ``PointOutcome`` keeps the point (with the backend it asked for)
+    but not the job's provenance, so the jobs are observed on their way
+    through the engine.
+    """
+    import repro.jobs
+    from repro.sweep import run_sweep
+
+    seen = {}
+
+    def recording_execute(request, **kwargs):
+        job = execute(request, **kwargs)
+        seen[kwargs["telemetry_label"]] = job
+        return job
+
+    monkeypatch.setattr(repro.jobs, "execute", recording_execute)
+    space = registry.get_sweep("li_latency").space()[:4]
+    points = [dataclasses.replace(p, backend=b) for p, b in
+              zip(space, ("compiled", "threaded", "compiled", "threaded"))]
+    result = run_sweep(points, jobs=1, telemetry=False)
+    assert not result.errors
+    for outcome in result.outcomes:
+        job = seen[f"li_latency[{outcome.index}]"]
+        assert job.backend == outcome.point.backend
+        assert job.fallback_reason is None

@@ -6,6 +6,8 @@ shape so a missing registration (or a drifting deprecated view) fails
 loudly instead of silently dropping an experiment from a verb.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import registry
@@ -46,6 +48,71 @@ def test_runnable_spec_is_complete(name):
     caps = spec.capabilities()
     assert set(caps) == {"design", "sweep", "replay", "harness",
                         "compiled", "seedable", "schema", "warm"}
+
+
+@pytest.mark.parametrize("name", registry.names(hidden=True))
+def test_manifest_matches_the_code_it_points_at(name):
+    """Every reference resolves, and what `repro list` / `describe`
+    print from the manifest's plain values is what the resolved objects
+    say — the catalog cannot promise a capability the code lacks."""
+    from repro.faults.campaign import Harness
+    from repro.sweep.warm import BatchAdapter
+    from repro.trace.adapter import ReplayAdapter
+
+    spec = registry.get(name)
+    for value in (spec.runner, spec.formatter, spec.design):
+        assert value is None or callable(value)
+    assert spec.runnable == (spec.runner is not None and not spec.hidden)
+    assert spec.has_design == (spec.design is not None)
+    assert spec.harness is None or isinstance(spec.harness, Harness)
+    sweep = spec.sweep
+    if sweep is not None:
+        assert callable(sweep.space) and callable(sweep.runner)
+        assert sweep.summarize is None or callable(sweep.summarize)
+        assert sweep.replay is None or isinstance(sweep.replay,
+                                                  ReplayAdapter)
+        assert sweep.batch is None or isinstance(sweep.batch, BatchAdapter)
+    # The listing, recomputed from the resolved objects alone.
+    assert spec.capabilities() == {
+        "design": spec.design is not None,
+        "sweep": sweep.name if sweep else None,
+        "replay": sweep.replay.kind if sweep and sweep.replay else None,
+        "warm": bool(sweep and sweep.batch is not None),
+        "harness": spec.harness.name if spec.harness else None,
+        "compiled": spec.compiled,
+        "seedable": spec.seedable,
+        "schema": f"{spec.schema}/v{spec.schema_version}",
+    }
+
+
+def test_reference_needs_its_listing_value_beside_it():
+    with pytest.raises(ValueError, match="harness_name must be declared"):
+        registry.ExperimentSpec(name="probe", summary="probe",
+                                harness="repro.faults.campaign:GALS_HARNESS")
+    with pytest.raises(ValueError, match="replay_kind must be declared"):
+        registry.SweepSpec(
+            name="probe", help="probe", space=lambda **kw: [],
+            runner=lambda p, s: {},
+            replay="repro.experiments.li_latency:REPLAY_ADAPTER")
+
+
+def test_real_objects_describe_themselves():
+    harness = registry.get_harness("packet_stream")
+    spec = registry.ExperimentSpec(name="probe", summary="probe",
+                                   harness=harness)
+    assert spec.harness is harness
+    assert spec.harness_name == "packet_stream"
+    replay = registry.get_sweep("li_latency").replay
+    sweep = registry.SweepSpec(name="probe", help="probe",
+                               space=lambda **kw: [],
+                               runner=lambda p, s: {}, replay=replay)
+    assert (sweep.replay_kind, sweep.warm) == ("trace", False)
+
+
+def test_resolve_rejects_a_string_that_is_not_a_reference():
+    assert registry.resolve("repro.registry:resolve") is registry.resolve
+    with pytest.raises(ValueError, match="package.module:attr"):
+        registry.resolve("repro.registry.resolve")
 
 
 def test_specs_sorted_by_order_then_name():
@@ -161,6 +228,75 @@ def test_cross_spec_sweep_name_collision_rejected():
     with pytest.raises(ValueError, match="already registered"):
         registry.register(clash)
     assert "collision_probe" not in registry._SPECS
+
+
+# ----------------------------------------------------------------------
+# re-registration drops the names only the replaced spec claimed
+# ----------------------------------------------------------------------
+@pytest.fixture
+def probe_spec():
+    """Register ``reindex_probe`` variants; unregister on the way out."""
+    def make(sweep_name=None):
+        sweep = sweep_name and registry.SweepSpec(
+            name=sweep_name, help=sweep_name, space=lambda **kw: [],
+            runner=lambda p, s: {})
+        return registry.register(registry.ExperimentSpec(
+            name="reindex_probe", summary="probe", sweep=sweep,
+            hidden=True))
+
+    registry.load()
+    try:
+        yield make
+    finally:
+        make()  # sweep-less: releases whatever sweep name is held
+        registry._SPECS.pop("reindex_probe", None)
+
+
+def test_reregistering_with_another_sweep_drops_the_old_name(probe_spec):
+    probe_spec("reindex_a")
+    assert registry.get_sweep("reindex_a").name == "reindex_a"
+    probe_spec("reindex_b")
+    assert registry.get_sweep("reindex_b").name == "reindex_b"
+    with pytest.raises(KeyError, match="unknown sweep experiment"):
+        registry.get_sweep("reindex_a")  # used to return sweep "b"
+    assert "reindex_a" not in registry.sweep_specs_view()
+
+
+def test_reregistering_without_a_sweep_drops_the_name(probe_spec):
+    probe_spec("reindex_a")
+    probe_spec()
+    with pytest.raises(KeyError, match="unknown sweep experiment"):
+        registry.get_sweep("reindex_a")  # used to return None
+    assert "reindex_a" not in registry.sweep_specs_view()
+    assert registry.sweep_owner("reindex_a") is None
+
+
+def test_reregistering_keeps_a_shared_names_place_in_the_view():
+    before = list(registry.harnesses_view())
+    stalls = registry.get("stalls")
+    try:
+        registry.register(dataclasses.replace(stalls, summary="edited"))
+        assert list(registry.harnesses_view()) == before
+    finally:
+        registry.register(stalls)
+
+
+def test_reregistering_drops_a_stale_harness_name():
+    harness = registry.get_harness("packet_stream")
+    probe = dataclasses.replace(harness, name="reindex_harness")
+    try:
+        registry.register(registry.ExperimentSpec(
+            name="reindex_probe", summary="probe", harness=probe,
+            hidden=True))
+        assert registry.get_harness("reindex_harness") is probe
+        registry.register(registry.ExperimentSpec(
+            name="reindex_probe", summary="probe", hidden=True))
+        with pytest.raises(KeyError, match="unknown fault-campaign"):
+            registry.get_harness("reindex_harness")
+        assert "reindex_harness" not in registry.harnesses_view()
+    finally:
+        registry._SPECS.pop("reindex_probe", None)
+        registry._HARNESS_INDEX.pop("reindex_harness", None)
 
 
 # ----------------------------------------------------------------------
