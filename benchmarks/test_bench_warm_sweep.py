@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.connections import Buffer, In, Out
-from repro.experiments.sweeps import SweepSpec, register_sweep
+from repro.registry import SweepSpec, register_sweep
 from repro.kernel import Simulator
 from repro.sweep import BatchAdapter, SweepPoint, WarmSession, run_sweep
 from repro.sweep.warm import reset_sessions

@@ -38,7 +38,7 @@ import tempfile
 from dataclasses import replace
 
 from repro.experiments.stall_verification import sweep_space
-from repro.experiments.sweeps import get_sweep
+from repro.registry import get_sweep
 from repro.sweep import ResultCache, run_sweep
 
 

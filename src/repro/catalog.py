@@ -17,10 +17,11 @@ each listing value against the object it describes, so this file
 cannot promise a capability the code does not have.
 
 Declaration order is load-bearing in one respect: specs carrying a
-fault harness come first, in the historical ``HARNESSES`` order
-(``stall_verification``, ``fig3_crossbar``, ``gals_overhead``,
-``packet_stream``, ``deadlock_demo``), which fixes the default campaign
-matrix's point order and with it every seeded campaign record.
+fault harness come first (``stall_verification``, ``fig3_crossbar``,
+``gals_overhead``, ``packet_stream``, ``deadlock_demo`` —
+:func:`repro.registry.harness_names` reports them in this order), which
+fixes the default campaign matrix's point order and with it every
+seeded campaign record.
 ``repro list`` order comes from ``order``, not from position.
 
 Adding an experiment is one entry here plus the module the references
@@ -48,7 +49,7 @@ def _sweep(module: str, name: str, help: str, *, space="sweep_space",
 
 
 # ----------------------------------------------------------------------
-# harness-bearing specs, in HARNESSES order (see the module docstring)
+# harness-bearing specs, in campaign-matrix order (see the module docstring)
 # ----------------------------------------------------------------------
 register(ExperimentSpec(
     name="stalls",
@@ -109,7 +110,7 @@ register(ExperimentSpec(
 ))
 
 # The two harness-only fixtures: no CLI experiment verb, but full
-# fault-campaign and ``HARNESSES``-view membership.
+# fault-campaign membership.
 register(ExperimentSpec(
     name="packet_stream",
     summary="checksummed Packetizer/DePacketizer pipe (fault fixture)",

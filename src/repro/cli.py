@@ -98,12 +98,6 @@ from . import registry
 
 __all__ = ["main"]
 
-#: Deprecated compat alias: verb -> ``(runner, summary)``, now a live
-#: view of the experiment registry (the historical hand-written dict's
-#: import surface; use ``registry.get(name)`` in new code).
-_COMMANDS = registry.commands_view()
-
-
 # ----------------------------------------------------------------------
 # the one shared-flags builder (satellite: no more per-verb copies)
 # ----------------------------------------------------------------------
@@ -367,11 +361,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """Run an experiment's parameter sweep: pool + result cache."""
-    from .experiments.sweeps import build_space
     from .sweep import ResultCache, default_cache_dir, run_sweep
 
     spec = registry.get_sweep(args.experiment)
-    points = build_space(args.experiment, seed=args.seed)
+    points = registry.build_space(args.experiment, seed=args.seed)
     if args.limit is not None:
         points = points[:args.limit]
     if args.backend != "threaded":
@@ -568,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run an experiment's parameter sweep across a process pool "
              "with content-addressed result caching")
     sweep_p.add_argument("experiment",
-                         choices=sorted(registry.sweep_specs_view()),
+                         choices=sorted(registry.sweep_names()),
                          help="which sweep space to run")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes (1 = serial, default)")
@@ -612,8 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run seeded fault-injection campaigns with watchdog triage "
              "(exit 1 on any undiagnosed hang, crash, or escape)")
     faults_p.add_argument("experiment",
-                          choices=tuple(registry.harnesses_view())
-                          + ("all",),
+                          choices=(*registry.harness_names(), "all"),
                           help="which harness to fault (or 'all' for the "
                                "default matrix)")
     faults_p.add_argument("--cases", type=int, default=4,

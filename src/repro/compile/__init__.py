@@ -16,9 +16,9 @@ This package removes that cost without changing a single observable:
    NodeSchedule`): clock edge, channel-tick nodes, thread nodes,
    data/handshake edges.
 2. :mod:`.capability` proves the design shape is one the engine can
-   execute equivalently (single periodic clock, no methods, no timed
-   events, no instrumentation) — anything else **falls back** to the
-   threaded kernel, recording why.
+   execute equivalently — no construct the ``compiled`` column of the
+   capability table (:mod:`repro.kernel.capability`) refuses; anything
+   else **falls back** to the threaded kernel, recording why.
 3. :class:`.engine.CompiledEngine` executes the schedule with a flat,
    allocation-free dispatch loop: parked threads and idle channels are
    skipped, a posedge costs four integer updates, and any construct
@@ -40,6 +40,7 @@ from typing import Optional
 
 from .cache import (CompileCache, compile_cache_stats, process_cache,
                     reset_compile_cache)
+from ..kernel.capability import reason as capability_reason
 from .capability import check as check_capability
 from .engine import CompiledEngine
 
@@ -81,7 +82,7 @@ def try_attach(sim) -> Optional[CompiledEngine]:
         try:
             schedule = lower(sim)
         except Exception as exc:  # defensive: lowering must never kill a run
-            reason = f"lowering failed: {exc}"
+            reason = capability_reason("lower", "compiled", exc=exc)
     if cache is not None:
         cache.store(key, sim, schedule, reason)
     if schedule is not None:

@@ -2,56 +2,29 @@
 
 The compiled engine (:mod:`repro.compile.engine`) proves its
 equivalence to the threaded kernel cycle by cycle, and that proof only
-holds for a specific — but very common — design shape: one periodic
-clock driving channel cores and clocked generator threads.  Everything
-else (GALS clock generators, pausible clocking, combinational methods,
-timed events, observability instrumentation) routes scheduling through
-machinery the flat dispatch loop does not replicate, so such designs
-**fall back** to the threaded kernel rather than risk divergence.
+holds for a specific — but very common — design shape.  Which
+constructs fall outside it, and the reason recorded for each, is the
+``compiled`` column of the capability table
+(:mod:`repro.kernel.capability`); such designs **fall back** to the
+threaded kernel rather than risk divergence.
 
-:func:`check` returns ``None`` when the design is eligible, or a
-human-readable reason string otherwise.  The reason is recorded on the
+:func:`check` returns ``None`` when the design is eligible, or the
+first finding's reason text otherwise.  The reason is recorded on the
 simulator (``sim.backend_fallback_reason``) and surfaced by
 ``python -m repro stats`` so a silent fallback is always diagnosable.
-The full supported/unsupported construct table lives in
-``docs/COMPILED_BACKEND.md``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..kernel.capability import findings
+
 __all__ = ["check"]
 
 
 def check(sim) -> Optional[str]:
     """Return ``None`` if ``sim`` can attach the compiled engine, else why not."""
-    clocks = sim._clocks
-    if len(clocks) != 1:
-        return (f"design has {len(clocks)} clocks "
-                f"(the compiled backend supports exactly one)")
-    clock = clocks[0]
-    if clock.generator is not None:
-        return (f"clock {clock.name!r} has a per-edge period generator "
-                f"(GALS / adaptive clocking)")
-    if clock._stopped:
-        return f"clock {clock.name!r} is stopped"
-    if not clock._callbacks:
-        return ("clock has no per-edge callbacks; the threaded kernel's "
-                "idle-skip already elides empty cycles")
-    if clock._pause_until > clock.next_edge:
-        return (f"clock {clock.name!r} has a pending pause "
-                f"(pausible clocking)")
-    if sim._queue:
-        return (f"{len(sim._queue)} pending timed events in the heap "
-                f"(delayed notifications, unclocked threads, or methods)")
-    if sim._method_count:
-        return (f"{sim._method_count} combinational methods registered "
-                f"(signal sensitivity needs the delta scheduler)")
-    if sim.telemetry is not None:
-        return "telemetry hub attached (per-delta instrumentation)"
-    if sim.trace is not None:
-        return "signal trace attached (per-commit recording)"
-    if sim.watchdog is not None:
-        return "progress watchdog attached (per-resume attribution)"
+    for _key, text in findings(sim, "compiled"):
+        return text
     return None

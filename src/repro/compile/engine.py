@@ -44,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ..kernel.backend import record_run
+from ..kernel.capability import OBSERVABILITY, reason as capability_reason
 from ..kernel.simulator import (DeltaOverflow, Event, Gate, SimulationError,
                                 TimeBudgetExceeded, _TIME_BUDGET, _monotonic)
 
@@ -295,10 +296,10 @@ class CompiledEngine:
         clock = self.clock
         # Observability may attach between runs; it needs the threaded
         # kernel's instrumented delta loop.
-        if sim.telemetry is not None or sim.trace is not None \
-                or sim.watchdog is not None:
-            self.detach("observability attached between runs")
-            return (False, 0)
+        for row in OBSERVABILITY:
+            if row.detect(sim):
+                self.detach(capability_reason("observed", "compiled"))
+                return (False, 0)
 
         live = self._live
         keys = self._live_keys
@@ -334,18 +335,19 @@ class CompiledEngine:
                     or sim._method_count
                     or len(threads) != thread_count):
                 if queue:
-                    reason = "timed event scheduled in the heap"
+                    key = "schedule"
                 elif clock._stopped:
-                    reason = f"clock {clock.name!r} stopped"
+                    key = "midstop"
                 elif clock._pause_until > next_edge:
-                    reason = f"clock {clock.name!r} paused"
+                    key = "midpause"
                 elif len(callbacks) != cb_count:
-                    reason = "per-edge callback registered mid-run"
+                    key = "midcallback"
                 elif sim._method_count:
-                    reason = "combinational method registered mid-run"
+                    key = "midmethod"
                 else:
-                    reason = "thread registered mid-run"
-                self.detach(reason)
+                    key = "midthread"
+                self.detach(capability_reason(key, "compiled",
+                                              name=clock.name))
                 return (False, steps)
 
             # -- phase 1: the clock edge (four updates, no heap traffic)

@@ -33,7 +33,8 @@ from typing import Any, Callable, List, Optional
 
 from .elaborate import DesignGraph, elaborate
 
-__all__ = ["ChannelNode", "ThreadNode", "NodeSchedule", "lower"]
+__all__ = ["ChannelNode", "ThreadNode", "NodeSchedule", "edge_callbacks",
+           "lower"]
 
 
 @dataclass
@@ -118,6 +119,22 @@ def _thread_paths(graph: DesignGraph) -> dict:
     return paths
 
 
+def edge_callbacks(clock):
+    """Yield ``(callback, channel, name)`` per per-edge callback of
+    ``clock``, in tick order: ``channel`` is the FastChannel whose tick
+    the callback is (managed), or None for any other callback, which
+    ``name`` then labels."""
+    from ..connections.channel import FastChannel
+
+    for cb in clock._callbacks:
+        owner = getattr(cb, "__self__", None)
+        if isinstance(owner, FastChannel) and cb.__name__ == "_tick":
+            yield cb, owner, None
+        else:
+            yield cb, None, str(getattr(owner, "name", None)
+                                or getattr(cb, "__name__", repr(cb)))
+
+
 def lower(sim, graph: Optional[DesignGraph] = None) -> NodeSchedule:
     """Lower an elaborated design to its static node schedule.
 
@@ -126,8 +143,6 @@ def lower(sim, graph: Optional[DesignGraph] = None) -> NodeSchedule:
     capability check in :mod:`repro.compile.capability` reports richer
     reasons for the general case.
     """
-    from ..connections.channel import FastChannel
-
     if len(sim._fast_clocks) != 1:
         raise ValueError(
             f"lowering needs exactly one fast-lane clock, design has "
@@ -142,9 +157,8 @@ def lower(sim, graph: Optional[DesignGraph] = None) -> NodeSchedule:
 
     channels: List[ChannelNode] = []
     unmanaged: List[Callable] = []
-    for cb in clock._callbacks:
-        owner = getattr(cb, "__self__", None)
-        if isinstance(owner, FastChannel) and cb.__name__ == "_tick":
+    for cb, owner, name in edge_callbacks(clock):
+        if owner is not None:
             rec = records.get(id(owner))
             path = rec.path if rec is not None else owner.path
             consumers = ([p.owner.path for p in rec.consumers]
@@ -154,9 +168,8 @@ def lower(sim, graph: Optional[DesignGraph] = None) -> NodeSchedule:
                                         consumers=consumers))
         else:
             unmanaged.append(cb)
-            name = getattr(owner, "name", None) or getattr(
-                cb, "__name__", repr(cb))
-            channels.append(ChannelNode(channel=owner, path=str(name),
+            owner = getattr(cb, "__self__", None)
+            channels.append(ChannelNode(channel=owner, path=name,
                                         kind=type(owner).__name__
                                         if owner is not None else "callback",
                                         managed=False))

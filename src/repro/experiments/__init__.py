@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "QorPoint", "crossbar_clock_sweep", "crossbar_qor_sweep",
         "format_qor_table",
     ),
-    "designs": ("DESIGN_BUILDERS", "build_design"),
     "fig3_crossbar": (
         "CrossbarTestbench", "Fig3Point", "build_crossbar_testbench",
         "figure3", "format_figure3", "run_crossbar_accuracy",
@@ -52,5 +51,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CampaignResult", "LeakyForwarder", "build_stall_testbench",
         "format_campaign", "stall_campaign",
     ),
-    "sweeps": ("SWEEP_SPECS", "SweepSpec", "build_space", "get_sweep"),
 })

@@ -22,7 +22,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "campaign": (
-        "HARNESSES", "Harness", "Rig", "build_deadlock_fixture",
+        "Harness", "Rig", "build_deadlock_fixture",
         "default_plan", "execute", "outcome_class", "shrink",
     ),
     "plan": (

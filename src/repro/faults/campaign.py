@@ -48,7 +48,7 @@ from ..sweep.point import SweepPoint
 from .plan import FaultPlan
 from .watchdog import HangError, Watchdog
 
-__all__ = ["Rig", "Harness", "HARNESSES", "default_plan", "execute",
+__all__ = ["Rig", "Harness", "default_plan", "execute",
            "shrink", "outcome_class", "build_deadlock_fixture",
            "sweep_space", "run_sweep_point", "summarize_sweep",
            "OUTCOMES"]
@@ -358,11 +358,6 @@ PACKET_HARNESS = Harness("packet_stream", _build_packet_rig, _PACKET_MENU)
 DEADLOCK_HARNESS = Harness("deadlock_demo", _build_deadlock_rig,
                            expected=("hang",), in_default_matrix=False)
 
-#: Harness name -> harness.  A live read-through view of the experiment
-#: registry (deprecated alias; use ``registry.get_harness`` instead).
-HARNESSES: Dict[str, Harness] = registry.harnesses_view()
-
-
 # ----------------------------------------------------------------------
 # case execution
 # ----------------------------------------------------------------------
@@ -372,7 +367,7 @@ def default_plan(harness_name: str, seed: int) -> FaultPlan:
     1-3 distinct menu entries, chosen and parameterized by a named RNG
     stream — the same ``(harness, seed)`` always yields the same plan.
     """
-    harness = HARNESSES[harness_name]
+    harness = registry.get_harness(harness_name)
     plan = FaultPlan(seed)
     if not harness.menu:
         return plan
@@ -390,7 +385,7 @@ def execute(harness_name: str, plan: FaultPlan, seed: int) -> dict:
     The returned record is plain JSON-able data and fully deterministic
     for a given ``(harness, plan, seed)``.
     """
-    harness = HARNESSES[harness_name]
+    harness = registry.get_harness(harness_name)
     rig = harness.build(seed)
     applied = plan.apply(rig.sim)
     Watchdog(rig.sim, rig.clock, window=rig.window,
@@ -473,7 +468,7 @@ def shrink(harness_name: str, plan: FaultPlan, seed: int,
     """
     if match not in ("class", "outcome", "any"):
         raise ValueError(f"unknown shrink match mode {match!r}")
-    harness = HARNESSES[harness_name]
+    harness = registry.get_harness(harness_name)
     reference = execute(harness_name, plan, seed)
     runs = 1
     if target_outcome is not None \
@@ -513,13 +508,12 @@ def sweep_space(*, experiments: Optional[List[str]] = None, cases: int = 4,
                 seed: int = 0) -> List[SweepPoint]:
     """Enumerate N seeded cases per harness as sweep points."""
     if experiments is None:
-        names = [n for n, h in HARNESSES.items() if h.in_default_matrix]
+        names = [name for name in registry.harness_names()
+                 if registry.get_harness(name).in_default_matrix]
     else:
         names = list(experiments)
-    for name in names:
-        if name not in HARNESSES:
-            raise KeyError(f"unknown fault-campaign harness {name!r}; "
-                           f"one of {sorted(HARNESSES)}")
+        for name in names:
+            registry.get_harness(name)  # KeyError names the known ones
     return [SweepPoint("fault_campaign", {"experiment": name, "case": case},
                        seed=seed + case)
             for name in names for case in range(cases)]

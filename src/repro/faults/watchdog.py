@@ -176,7 +176,7 @@ class Watchdog:
         if window < 2:
             raise ValueError(f"window must be >= 2 cycles, got {window}")
         if sim.watchdog is not None:
-            raise ValueError("simulator already has a watchdog attached")
+            raise ValueError("simulator already has a watchdog")
         self.sim = sim
         self.clock = clock
         self.window = window

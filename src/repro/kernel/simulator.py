@@ -706,7 +706,9 @@ class Simulator:
             # any process) must file into the wakeup bucket *after* the
             # pollers the engine manages, so let the threaded loop order
             # this boundary.
-            engine.detach("runnable processes at a run boundary")
+            from .capability import reason
+
+            engine.detach(reason("boundary", "compiled"))
             return None
         self._delta_loop()  # commit stray writes before the first edge
         return engine.run(until, max_steps, stop_clock, stop_cycles)

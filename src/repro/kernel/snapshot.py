@@ -18,8 +18,9 @@ this module is deliberately conservative:
   ``_snapshot_state()/_restore_state()`` protocol (queue, transit,
   stall RNG, stats, fault-hook RNGs), and per-thread done flags.
 * **Generators are re-created, never copied.**  Python generators
-  cannot be copied, so snapshot eligibility requires every thread to
-  have been registered factory-style
+  cannot be copied, so snapshot eligibility (the ``snapshot`` column
+  of :mod:`repro.kernel.capability`) requires every thread to have
+  been registered factory-style
   (``sim.add_thread(lambda: body(), clk)``); restore calls each factory
   again.  Determinism follows because the factories close over
   construction-time state that restore has just reset.
@@ -44,8 +45,7 @@ base state instead.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional
-
+from .capability import findings
 from .simulator import Method, SimulationError
 
 __all__ = ["Snapshot", "SnapshotError", "enable", "capture", "restore"]
@@ -72,32 +72,6 @@ class Snapshot:
         return f"Snapshot(runs={len(self.history)})"
 
 
-def eligibility_reasons(sim) -> List[str]:
-    """Every construct blocking snapshot support, or ``[]`` if eligible."""
-    reasons: List[str] = []
-    for thread in sim._threads:
-        if thread.factory is None:
-            reasons.append(
-                f"thread {thread.name!r} was registered from a raw "
-                f"generator (register a zero-arg factory for snapshot "
-                f"support)")
-    if sim.telemetry is not None:
-        reasons.append("telemetry hub attached (counters are not rewound)")
-    if sim.trace is not None:
-        reasons.append("signal trace attached (VCD output is append-only)")
-    if sim.watchdog is not None:
-        reasons.append("progress watchdog attached (census state is "
-                       "not rewound)")
-    for inst in sim.design.root.walk():
-        for chan in inst.channels:
-            if not hasattr(chan, "_snapshot_state"):
-                reasons.append(
-                    f"channel {getattr(chan, 'path', chan)!r} "
-                    f"({type(chan).__name__}) does not implement the "
-                    f"snapshot state protocol")
-    return reasons
-
-
 def enable(sim) -> None:
     """Capture ``sim``'s base state; must precede the first run call."""
     if sim._snap_base is not None:
@@ -106,7 +80,7 @@ def enable(sim) -> None:
         raise SnapshotError(
             "enable_snapshots() must be called before the first run "
             f"(now={sim.now}, {len(sim._history)} runs recorded)")
-    reasons = eligibility_reasons(sim)
+    reasons = [text for _key, text in findings(sim, "snapshot")]
     if reasons:
         raise SnapshotError(
             "design is not snapshot-eligible: " + "; ".join(reasons))

@@ -1,26 +1,13 @@
 """The unified experiment registry: one declarative spec per experiment.
 
-Before this module existed the repository kept four parallel, hand-
-synchronized per-experiment registries — CLI verbs in ``repro.cli``,
-``DESIGN_BUILDERS`` in ``repro.experiments.designs``, ``SWEEP_SPECS``
-in ``repro.experiments.sweeps``, and fault ``HARNESSES`` in
-``repro.faults.campaign`` — and drift between them was a matter of
-time (the CLI's fault-harness choices were a static copy).  This module
-replaces all four with **one** declarative :class:`ExperimentSpec` per
-experiment, declared once in the manifest (:mod:`repro.catalog`); every
-legacy registry survives as a read-through view derived from the specs:
-
-* :func:`design_builders_view` → ``repro.experiments.designs
-  .DESIGN_BUILDERS`` (experiment name → construction-only builder),
-* :func:`sweep_specs_view` → ``repro.experiments.sweeps.SWEEP_SPECS``
-  (sweep name → :class:`SweepSpec`),
-* :func:`harnesses_view` → ``repro.faults.campaign.HARNESSES``
-  (harness name → fault harness),
-* :func:`commands_view` → the CLI's verb table.
-
-The views are live: registering a spec updates every view at once, so
-the CLI's choices, the sweep worker's runner resolution, and the
-campaign runner can never disagree about what the system can run.
+One declarative :class:`ExperimentSpec` per experiment, declared once
+in the manifest (:mod:`repro.catalog`), is everything the system knows
+how to do with it: the CLI verb, the construction-only design builder,
+the parameter sweep and the fault-campaign harness.  The CLI's choices,
+the sweep worker's runner resolution and the campaign runner all read
+the specs through the accessors below (:func:`get`, :func:`names`,
+:func:`get_sweep`, :func:`get_harness`, …), so they can never disagree
+about what the system can run.
 
 Catalog metadata is data and behaviour is a reference.  The first
 lookup calls :func:`load`, which imports the manifest — a module that
@@ -49,18 +36,16 @@ job-oriented execution core (:mod:`repro.jobs`) built on top.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from importlib import import_module
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "CliParam", "SweepSpec", "ExperimentSpec", "resolve",
     "register", "register_sweep",
     "get", "names", "specs", "load",
-    "build_design", "get_sweep", "get_harness",
-    "design_builders_view", "sweep_specs_view", "harnesses_view",
-    "commands_view",
+    "build_design", "get_sweep", "sweep_names", "build_space",
+    "get_harness", "harness_names",
 ]
 
 
@@ -221,7 +206,7 @@ class ExperimentSpec:
     #: Fault-campaign harness (``repro.faults.campaign.Harness``).
     harness: Optional[Any] = _Ref()
     #: The harness's ``name`` as listing data (required beside a
-    #: reference): the ``faults`` choices and ``HARNESSES`` keys.
+    #: reference): the ``faults`` choices and :func:`harness_names`.
     harness_name: Optional[str] = None
     #: Experiment-specific CLI parameters.
     params: Tuple[CliParam, ...] = ()
@@ -317,8 +302,9 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 
     Re-registering the same name replaces the old spec, together with
     the sweep and harness names only the old one claimed; names both
-    claim keep their place in the views' order.  Sweep/harness *names*
-    stay unique across distinct specs.
+    claim keep their place in :func:`sweep_names` /
+    :func:`harness_names`.  Sweep/harness *names* stay unique across
+    distinct specs.
     """
     claims = _claims(spec)
     for kind, name in claims:
@@ -337,7 +323,7 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 
 
 def register_sweep(sweep: SweepSpec) -> SweepSpec:
-    """Register a bare sweep (the legacy ``register_sweep`` surface).
+    """Register a bare sweep.
 
     If a spec already owns a sweep with this name the sweep is replaced
     in place; otherwise a hidden sweep-only spec is created (tests
@@ -379,7 +365,7 @@ def specs(*, hidden: bool = False) -> List[ExperimentSpec]:
 
 
 # ----------------------------------------------------------------------
-# capability lookups (the programmatic face of the old registries)
+# capability lookups
 # ----------------------------------------------------------------------
 def build_design(experiment: str):
     """Construct the named experiment's design; returns its Simulator.
@@ -391,7 +377,7 @@ def build_design(experiment: str):
     if experiment not in _SPECS or _SPECS[experiment].hidden:
         raise KeyError(
             f"unknown experiment {experiment!r}; one of "
-            f"{sorted(design_builders_view())}")
+            f"{sorted(names(runnable=True))}")
     spec = _SPECS[experiment]
     if not spec.has_design:
         raise ValueError(f"experiment {experiment!r} is analytic — "
@@ -409,6 +395,20 @@ def get_sweep(name: str) -> SweepSpec:
                        f"{sorted(_SWEEP_INDEX)}") from None
 
 
+def sweep_names() -> List[str]:
+    """Registered sweep names, in registration order."""
+    load()
+    return list(_SWEEP_INDEX)
+
+
+def build_space(name: str, *, seed: Optional[int] = None,
+                **options) -> List[Any]:
+    """Enumerate a registered sweep's default (or re-seeded) space."""
+    if seed is not None:
+        options["seed"] = seed
+    return get_sweep(name).space(**options)
+
+
 def get_harness(name: str) -> Any:
     """Look up a fault harness by *harness* name."""
     load()
@@ -419,77 +419,15 @@ def get_harness(name: str) -> Any:
                        f"one of {sorted(_HARNESS_INDEX)}") from None
 
 
+def harness_names() -> List[str]:
+    """Registered fault-harness names, in registration order (which
+    fixes the default campaign matrix's point order)."""
+    load()
+    return list(_HARNESS_INDEX)
+
+
 def sweep_owner(sweep_name: str) -> Optional[ExperimentSpec]:
     """The spec that owns the named sweep (None when unregistered)."""
     load()
     owner = _SWEEP_INDEX.get(sweep_name)
     return _SPECS.get(owner) if owner is not None else None
-
-
-# ----------------------------------------------------------------------
-# deprecated read-through views (the old registries' import surface)
-# ----------------------------------------------------------------------
-class _RegistryView(Mapping):
-    """A live, read-only Mapping derived from the registered specs.
-
-    ``keys`` enumerates the view's key set from the current registry
-    state and ``value`` projects one key to the legacy registry's value
-    — so code importing ``DESIGN_BUILDERS`` / ``SWEEP_SPECS`` /
-    ``HARNESSES`` keeps working, while the specs stay the single source
-    of truth.
-    """
-
-    def __init__(self, keys: Callable[[], List[str]],
-                 value: Callable[[str], Any], kind: str):
-        self._keys = keys
-        self._value = value
-        self._kind = kind
-
-    def __getitem__(self, key: str) -> Any:
-        load()
-        if key not in self._keys():
-            raise KeyError(key)
-        return self._value(key)
-
-    def __iter__(self) -> Iterator[str]:
-        load()
-        return iter(self._keys())
-
-    def __len__(self) -> int:
-        load()
-        return len(self._keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<registry view: {self._kind} ({len(self)} entries)>"
-
-
-def design_builders_view() -> Mapping:
-    """``DESIGN_BUILDERS``: experiment verb -> builder (None=analytic)."""
-    return _RegistryView(
-        keys=lambda: [n for n, s in _SPECS.items() if s.runnable],
-        value=lambda n: _SPECS[n].design,
-        kind="design builders")
-
-
-def sweep_specs_view() -> Mapping:
-    """``SWEEP_SPECS``: sweep name -> :class:`SweepSpec`."""
-    return _RegistryView(
-        keys=lambda: list(_SWEEP_INDEX),
-        value=lambda n: _SPECS[_SWEEP_INDEX[n]].sweep,
-        kind="sweep specs")
-
-
-def harnesses_view() -> Mapping:
-    """``HARNESSES``: harness name -> fault harness."""
-    return _RegistryView(
-        keys=lambda: list(_HARNESS_INDEX),
-        value=lambda n: _SPECS[_HARNESS_INDEX[n]].harness,
-        kind="fault harnesses")
-
-
-def commands_view() -> Mapping:
-    """The CLI's verb table: name -> (runner, summary) for compat."""
-    return _RegistryView(
-        keys=lambda: names(runnable=True),
-        value=lambda n: (_SPECS[n].runner, _SPECS[n].summary),
-        kind="CLI commands")

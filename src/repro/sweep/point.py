@@ -4,7 +4,7 @@ A :class:`SweepPoint` is deliberately dumb data — no callables, no
 simulator handles — so it pickles cheaply across the process pool and
 hashes stably into a cache key.  The experiment name is resolved to a
 runner *inside* the worker via the sweep registry
-(:mod:`repro.experiments.sweeps`), which also keeps spawn-based worker
+(:func:`repro.registry.get_sweep`), which also keeps spawn-based worker
 start methods working.
 
 The module also hosts the per-point wall-clock guard
@@ -78,7 +78,7 @@ class SweepPoint:
     """One enumerable point of an experiment's parameter space.
 
     ``experiment`` names a registered sweep (see
-    :data:`repro.experiments.sweeps.SWEEP_SPECS`), ``params`` are the
+    :func:`repro.registry.get_sweep`), ``params`` are the
     keyword arguments of that experiment's point runner, and ``seed`` is
     the point's deterministic RNG seed — assigned by the space builder,
     never invented by the engine, so a point's identity fully determines

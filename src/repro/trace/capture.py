@@ -30,19 +30,12 @@ What one capture records:
 Eligibility
 -----------
 Replay is exact only for designs whose behaviour is provably
-timing-independent.  Capture watches for everything that breaks that
-proof and records human-readable **fallback reasons** instead of
-failing (mirroring :mod:`repro.compile.capability`):
-
-* non-blocking port ops (``push_nb``/``pop_nb``/``peek_nb``/
-  ``can_push``/``can_pop``) — their control flow observes timing,
-* more than one clock, generator/paused/stopped clocks,
-* combinational methods, raw signal registration, event waits, timed
-  events scheduled mid-run,
-* channels with more than one pushing or popping thread (arbitration
-  order is timing-dependent),
-* fault-injection hooks, mid-run ``set_stall`` reconfiguration,
-  channels pre-loaded before capture.
+timing-independent.  Every construct that breaks that proof is a row of
+the capability table (:mod:`repro.kernel.capability`, ``replay``
+column): capture evaluates the table on entry, watches the run for the
+constructs only a run reveals (non-blocking port ops, event waits,
+mid-run ``schedule``/``set_stall``, multi-pusher channels), and records
+each finding's text as a **fallback reason** instead of failing.
 
 A trace with reasons is still returned — the sweep engine records the
 reasons and falls back to full simulation for that parameter group.
@@ -59,6 +52,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
+
+from ..kernel import capability
 
 __all__ = ["TRACE_SCHEMA", "CaptureError", "capture", "captured_trace"]
 
@@ -82,7 +77,7 @@ class _Recorder:
     def __init__(self, sim) -> None:
         self.sim = sim
         self.reasons: List[str] = []
-        self._reason_keys: set = set()
+        self._recorded: set = set()
         self.channels: List[Any] = []          # FastChannel, tick order
         self._chan_index: Dict[int, int] = {}
         self.threads: List[Any] = []           # kernel Thread, registration order
@@ -98,47 +93,24 @@ class _Recorder:
         self.clock = None
 
     # -- findings ------------------------------------------------------
-    def reason(self, key: str, text: str) -> None:
-        """Record one fallback reason (deduplicated by ``key``)."""
-        if key not in self._reason_keys:
-            self._reason_keys.add(key)
-            self.reasons.append(text)
+    def reason(self, key: str, **found) -> None:
+        """Record capability row ``key`` as a fallback reason, once per
+        distinct occurrence (``found`` is the row text's arguments)."""
+        occurrence = (key, *found.values())
+        if occurrence not in self._recorded:
+            self._recorded.add(occurrence)
+            self.reasons.append(capability.reason(key, "replay", **found))
 
     # -- structural snapshot (capture entry) ---------------------------
     def snapshot(self) -> None:
         sim = self.sim
-        clocks = sim._clocks
-        if len(clocks) != 1:
-            self.reason("clocks", f"design has {len(clocks)} clocks "
-                        "(trace replay supports exactly one)")
-        for clock in clocks:
-            if clock.generator is not None:
-                self.reason("clockgen", f"clock {clock.name!r} has a per-edge "
-                            "period generator (GALS / adaptive clocking)")
-            if clock._stopped:
-                self.reason("stopped", f"clock {clock.name!r} is stopped")
-            if clock.cycles:
-                self.reason("started", f"clock {clock.name!r} already ticked "
-                            f"{clock.cycles} cycles before capture")
-            if clock.next_edge is not None \
-                    and clock._pause_until > clock.next_edge:
-                self.reason("paused", f"clock {clock.name!r} has a pending "
-                            "pause (pausible clocking)")
-        if sim._queue:
-            self.reason("timed", f"{len(sim._queue)} pending timed events in "
-                        "the heap (delayed notifications, unclocked threads, "
-                        "or methods)")
-        if sim._method_count:
-            self.reason("methods", f"{sim._method_count} combinational "
-                        "methods registered (signal sensitivity)")
-        n_signals = sum(len(inst.signals)
-                        for inst in sim.design.root.walk())
-        if n_signals:
-            self.reason("signals", f"{n_signals} raw signals registered "
-                        "(signal timing is not captured)")
-        if not clocks:
+        for key, text in capability.findings(sim, "replay"):
+            if key == "watchdog":  # the recorder needs that slot itself
+                raise CaptureError(text)
+            self.reasons.append(text)
+        if not sim._clocks:
             return
-        self.clock = clocks[0]
+        self.clock = sim._clocks[0]
 
         # Node schedule: channel tick order, thread paths, handshake
         # edges — the same lowering the compiled backend executes.
@@ -147,29 +119,14 @@ class _Recorder:
 
             schedule = lower(sim)
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
-            self.reason("lower", f"design does not lower to a node "
-                        f"schedule: {exc}")
+            self.reason("lower", exc=exc)
             schedule = None
         if schedule is not None:
             for node in schedule.channels:
-                if not node.managed:
-                    self.reason(f"unmanaged:{node.path}",
-                                f"per-edge callback {node.path!r} is not a "
-                                "FastChannel tick (RTL adapter or custom "
-                                "bookkeeping)")
-                    continue
-                self._chan_index[id(node.channel)] = len(self.channels)
-                self.channels.append(node.channel)
-                self.channel_paths.append(node.path)
-                if node.channel.occupancy:
-                    self.reason(f"preloaded:{node.path}",
-                                f"channel {node.path!r} holds "
-                                f"{node.channel.occupancy} messages before "
-                                "capture")
-                if node.channel._faults is not None:
-                    self.reason(f"faults:{node.path}",
-                                f"channel {node.path!r} has fault injection "
-                                "attached")
+                if node.managed:
+                    self._chan_index[id(node.channel)] = len(self.channels)
+                    self.channels.append(node.channel)
+                    self.channel_paths.append(node.path)
             for node in schedule.threads:
                 self._thread_index[id(node.thread)] = len(self.threads)
                 self.threads.append(node.thread)
@@ -191,19 +148,15 @@ class _Recorder:
         if idx is None:
             # A channel constructed after capture entry (or outside the
             # lowered schedule): behaviourally unknown.
-            self.reason("latechan", f"channel {channel.path!r} appeared "
-                        "after capture started")
+            self.reason("latechan", path=channel.path)
             return
         thread = self.sim._current
         if thread is None:
-            self.reason(f"nothread:{channel.path}",
-                        f"channel {channel.path!r} accessed outside any "
-                        "kernel thread")
+            self.reason("nothread", path=channel.path)
             return
         t = self._thread_index.get(id(thread))
         if t is None:
-            self.reason("latethread", f"thread {thread.name!r} appeared "
-                        "after capture started")
+            self.reason("latethread", name=thread.name)
             return
         cycle = self.clock.cycles if self.clock is not None else 0
         group = self._open[t]
@@ -213,10 +166,7 @@ class _Recorder:
                 # A blocking op attempts exactly once per consecutive
                 # posedge until it succeeds; anything else means the
                 # thread's control flow observed timing.
-                self.reason(f"interleave:{self.thread_paths[t]}",
-                            f"thread {self.thread_paths[t]!r} interleaves "
-                            "channel operations (timing-dependent control "
-                            "flow)")
+                self.reason("interleave", path=self.thread_paths[t])
                 self._open[t] = None
                 group = None
             else:
@@ -236,23 +186,17 @@ class _Recorder:
         name = getattr(thread, "name", None) or "<outside threads>"
         t = self._thread_index.get(id(thread)) if thread is not None else None
         path = self.thread_paths[t] if t is not None else name
-        self.reason(f"nb:{path}:{port_kind}",
-                    f"thread {path!r} used non-blocking {port_kind} "
-                    "(behaviour is timing-dependent)")
+        self.reason("nb", path=path, op=port_kind)
 
     def on_set_stall(self, channel) -> None:
         if self.clock is not None and self.clock.cycles:
-            self.reason(f"midstall:{channel.path}",
-                        f"channel {channel.path!r} reconfigured stall "
-                        "injection mid-run")
+            self.reason("midstall", path=channel.path)
 
     def on_event_wait(self) -> None:
-        self.reason("event", "a thread waits on an Event "
-                    "(delta-cycle notification timing)")
+        self.reason("event")
 
     def on_schedule(self) -> None:
-        self.reason("schedule", "a timed event was scheduled during "
-                    "capture (delayed notification or unclocked work)")
+        self.reason("schedule")
 
     # -- finalize ------------------------------------------------------
     def finalize(self) -> dict:
@@ -273,15 +217,9 @@ class _Recorder:
             pushers = sorted(pushers_of.get(c, ()))
             poppers = sorted(poppers_of.get(c, ()))
             if len(pushers) > 1:
-                self.reason(f"pushers:{path}",
-                            f"channel {path!r} has {len(pushers)} pushing "
-                            "threads (arbitration order is timing-"
-                            "dependent)")
+                self.reason("pushers", path=path, n=len(pushers))
             if len(poppers) > 1:
-                self.reason(f"poppers:{path}",
-                            f"channel {path!r} has {len(poppers)} popping "
-                            "threads (arbitration order is timing-"
-                            "dependent)")
+                self.reason("poppers", path=path, n=len(poppers))
             stats = chan.stats
             channels.append({
                 "path": path,
@@ -307,9 +245,7 @@ class _Recorder:
             if rec["stall_probability"] > 0.0 and rec["stall_seed"] is None:
                 # set_stall predates the capture window: the seed lives
                 # only inside the Random instance, unrecoverable.
-                self.reason(f"stallseed:{rec['path']}",
-                            f"channel {rec['path']!r} has stall injection "
-                            "whose seed predates the capture window")
+                self.reason("stallseed", path=rec["path"])
         threads = []
         for t, path in enumerate(self.thread_paths):
             pending = self._open[t]
@@ -465,8 +401,6 @@ def capture(sim):
     global _ACTIVE
     if _ACTIVE is not None:
         raise CaptureError("trace captures do not nest")
-    if sim.watchdog is not None:
-        raise CaptureError("simulator already has a watchdog attached")
     recorder = _Recorder(sim)
     recorder.snapshot()
     session = _Session(recorder)

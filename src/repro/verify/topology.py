@@ -242,8 +242,8 @@ class BuiltTopology:
         """Run until every sink finishes or the cycle budget lapses.
 
         Chunked so GALS fifo helper threads (which never terminate) do
-        not keep the simulation alive after the payload work is done; a
-        watchdog attached by the caller fires inside the chunks.
+        not keep the simulation alive after the payload work is done; the
+        caller's watchdog, if any, fires inside the chunks.
         """
         clk = self.clocks[0]
         # One spare chunk past the budget so a budget-kind watchdog

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro import registry
 from repro.design import design_path, elaborate, lint
-from repro.experiments.designs import DESIGN_BUILDERS, build_design
+from repro.registry import build_design
 
-_BUILDABLE = sorted(name for name, builder in DESIGN_BUILDERS.items()
-                    if builder is not None)
-_ANALYTIC = sorted(name for name, builder in DESIGN_BUILDERS.items()
-                   if builder is None)
+_RUNNABLE = sorted(registry.names(runnable=True))
+_BUILDABLE = [name for name in _RUNNABLE if registry.get(name).has_design]
+_ANALYTIC = [name for name in _RUNNABLE if not registry.get(name).has_design]
 
 
 @pytest.mark.parametrize("experiment", _BUILDABLE)
@@ -39,9 +39,14 @@ def test_unknown_experiment_raises_key_error():
 
 
 def test_registry_covers_every_cli_experiment():
-    from repro.cli import _COMMANDS
+    """Every runnable spec is a CLI verb and `inspect`/`lint` accept it."""
+    from repro.cli import _build_parser
 
-    assert sorted(DESIGN_BUILDERS) == sorted(_COMMANDS)
+    verbs = _build_parser()._subparsers._group_actions[0].choices
+    assert set(_RUNNABLE) <= set(verbs)
+    inspect_choices = next(a for a in verbs["inspect"]._actions
+                           if a.dest == "experiment").choices
+    assert sorted(inspect_choices) == _RUNNABLE
 
 
 def test_soc_units_have_hierarchical_paths():

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.faults import (FaultPlan, HARNESSES, default_plan, execute,
-                          shrink)
+from repro import registry
+from repro.faults import FaultPlan, default_plan, execute, shrink
 from repro.faults.campaign import summarize_sweep, sweep_space
 from repro.sweep import run_sweep
 from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, to_jsonable
@@ -14,8 +14,9 @@ from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, to_jsonable
 # ----------------------------------------------------------------------
 # outcome classification
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", [n for n, h in HARNESSES.items()
-                                  if h.in_default_matrix])
+@pytest.mark.parametrize("name", [
+    n for n in registry.harness_names()
+    if registry.get_harness(n).in_default_matrix])
 def test_fault_free_runs_are_clean(name):
     record = execute(name, FaultPlan(seed=0), seed=0)
     assert record["outcome"] == "clean", record

@@ -1,22 +1,20 @@
-"""Differential tests: ``repro run <name>`` vs each legacy verb.
+"""Parity tests: ``repro run <name>`` vs each legacy verb.
 
-The tentpole's byte-identity guarantee: the generic ``run`` verb and
-the dedicated experiment verbs resolve to the same registered runner
-with the same defaults, so their ``--json`` dumps agree byte-for-byte
-modulo the serializer's documented wall-clock fields
-(:data:`repro.sweep.serialize.NONDETERMINISTIC_FIELDS` — the only keys
-two otherwise-identical runs may legitimately differ in), and their
-stdout agrees exactly for every experiment whose table contains no
-wall-clock-derived number.
+The dedicated experiment verbs and the generic ``run`` verb are two
+argv spellings of one code path: both parse to a
+:class:`repro.jobs.JobRequest` and hand it to :func:`repro.jobs.execute`
+(whose determinism — equal requests, equal canonical payloads —
+``test_jobs.py`` pins).  So parity is checked where the spellings can
+differ, at the request each one builds, and every experiment is
+executed once, through ``run``.
 """
 
 import json
 
 import pytest
 
-from repro import registry
+from repro import jobs, registry
 from repro.cli import main
-from repro.sweep.serialize import NONDETERMINISTIC_FIELDS
 
 #: Per-experiment shrunken arguments: (legacy verb flags, run -p form).
 #: Both spellings must describe the same parameter values.
@@ -26,26 +24,6 @@ FAST_ARGS = {
     "verify": (["--max-examples", "4", "--checks", "differential,li"],
                ["-p", "max_examples=4", "-p", "checks=differential,li"]),
 }
-
-#: Experiments whose formatted table embeds wall-clock-derived numbers
-#: (fig6 speedups, crossbar-qor compile ratios) — JSON is still
-#: compared, stdout is not.
-WALL_CLOCK_TEXT = {"fig6", "crossbar-qor"}
-
-
-def _strip(obj):
-    """Recursively drop the serializer's nondeterministic keys."""
-    if isinstance(obj, dict):
-        return {k: _strip(v) for k, v in obj.items()
-                if k not in NONDETERMINISTIC_FIELDS}
-    if isinstance(obj, list):
-        return [_strip(v) for v in obj]
-    return obj
-
-
-def _canonical(path):
-    return json.dumps(_strip(json.loads(path.read_text())),
-                      sort_keys=True)
 
 
 @pytest.fixture
@@ -59,23 +37,36 @@ def tiny_fig6(monkeypatch):
 
 
 @pytest.mark.parametrize("name", registry.names(runnable=True))
-def test_run_verb_matches_legacy_verb(name, tmp_path, capsys, request):
+def test_run_verb_matches_legacy_verb(name, tmp_path, capsys, request,
+                                      monkeypatch):
     if name == "fig6":
         request.getfixturevalue("tiny_fig6")
     legacy_flags, run_params = FAST_ARGS.get(name, ([], []))
     seed = ["--seed", "3"] if registry.get(name).seedable else []
-    a, b = tmp_path / "legacy.json", tmp_path / "run.json"
+    out = tmp_path / "run.json"
+    execute, requests = jobs.execute, []
 
-    assert main([name, *legacy_flags, *seed, "--json", str(a)]) == 0
-    legacy_out = capsys.readouterr().out
-    assert main(["run", name, *run_params, *seed,
-                 "--json", str(b)]) == 0
-    run_out = capsys.readouterr().out
+    class Parsed(Exception):
+        """The legacy spelling stops once its request is built."""
 
-    assert _canonical(a) == _canonical(b)
-    if name not in WALL_CLOCK_TEXT:
-        assert (legacy_out.replace(str(a), "OUT")
-                == run_out.replace(str(b), "OUT"))
+    def parse_only(req, **kwargs):
+        requests.append((req, kwargs))
+        raise Parsed
+
+    def record_and_execute(req, **kwargs):
+        requests.append((req, kwargs))
+        return execute(req, **kwargs)
+
+    monkeypatch.setattr(jobs, "execute", parse_only)
+    with pytest.raises(Parsed):
+        main([name, *legacy_flags, *seed, "--json", str(out)])
+    monkeypatch.setattr(jobs, "execute", record_and_execute)
+    assert main(["run", name, *run_params, *seed, "--json", str(out)]) == 0
+
+    legacy, run = requests
+    assert legacy == run
+    assert f"wrote {out}" in capsys.readouterr().out
+    assert json.loads(out.read_text())
 
 
 def test_run_rejects_unknown_experiment():

@@ -2,8 +2,8 @@
 
 Every capability the CLI, sweep engine, and fault campaigns consume is
 derived from :mod:`repro.registry`; these tests pin down the catalog's
-shape so a missing registration (or a drifting deprecated view) fails
-loudly instead of silently dropping an experiment from a verb.
+shape so a missing registration fails loudly instead of silently
+dropping an experiment from a verb.
 """
 
 import dataclasses
@@ -121,7 +121,7 @@ def test_specs_sorted_by_order_then_name():
 
 
 def test_every_sweep_has_a_resolvable_owner():
-    for sweep_name in registry.sweep_specs_view():
+    for sweep_name in registry.sweep_names():
         owner = registry.sweep_owner(sweep_name)
         assert owner is not None
         assert owner.sweep is not None
@@ -130,21 +130,21 @@ def test_every_sweep_has_a_resolvable_owner():
 
 
 def test_every_harness_resolves_by_name():
-    for harness_name, harness in registry.harnesses_view().items():
+    for harness_name in registry.harness_names():
+        harness = registry.get_harness(harness_name)
         assert registry.get_harness(harness_name) is harness
         assert harness.name == harness_name
 
 
-def test_design_capability_matches_view():
-    view = registry.design_builders_view()
+def test_build_design_serves_every_designed_spec():
+    from repro.kernel import Simulator
+
     for name in registry.names(runnable=True):
-        assert name in view
-        spec = registry.get(name)
-        if spec.design is None:
+        if registry.get(name).design is None:
             with pytest.raises(ValueError, match="analytic"):
                 registry.build_design(name)
         else:
-            assert view[name] is spec.design
+            assert isinstance(registry.build_design(name), Simulator)
 
 
 def test_unknown_lookups_preserve_legacy_messages():
@@ -157,8 +157,15 @@ def test_unknown_lookups_preserve_legacy_messages():
 
 
 def test_declared_compiled_eligibility():
-    compiled = {n for n in RUNNABLE if registry.get(n).compiled}
-    assert compiled == {"fig3", "fig6", "stalls", "li-latency"}
+    """The catalog's ``compiled=`` is the capability table's verdict on
+    the spec's own design, so the declaration cannot drift from it."""
+    from repro.kernel.capability import findings
+
+    for name in RUNNABLE:
+        spec = registry.get(name)
+        eligible = spec.has_design and not list(
+            findings(spec.design(), "compiled"))
+        assert spec.compiled == eligible, name
 
 
 def test_declared_seedability():
@@ -168,54 +175,28 @@ def test_declared_seedability():
 
 
 # ----------------------------------------------------------------------
-# deprecated views: the four legacy registries' import surfaces
+# name listings and lookups follow the registry's state
 # ----------------------------------------------------------------------
-def test_design_builders_alias_is_live_view():
-    from repro.experiments.designs import DESIGN_BUILDERS
-
-    assert sorted(DESIGN_BUILDERS) == sorted(registry.names(runnable=True))
-    assert DESIGN_BUILDERS["fig3"] is registry.get("fig3").design
-    assert DESIGN_BUILDERS["backend"] is None  # analytic
-
-
-def test_sweep_specs_alias_preserves_identity():
-    from repro.experiments.sweeps import SWEEP_SPECS
-
-    for name, spec in SWEEP_SPECS.items():
-        assert spec.name == name
-        assert SWEEP_SPECS[name] is spec  # view returns stored objects
-
-
-def test_harnesses_alias_matches_registry_order():
-    from repro.faults.campaign import HARNESSES
-
-    assert list(HARNESSES) == ["stall_verification", "fig3_crossbar",
-                               "gals_overhead", "packet_stream",
-                               "deadlock_demo"]
-    for name, harness in HARNESSES.items():
-        assert registry.get_harness(name) is harness
-
-
-def test_commands_alias_matches_runnable_specs():
-    from repro.cli import _COMMANDS
-
-    assert sorted(_COMMANDS) == sorted(registry.names(runnable=True))
+def test_harness_names_keep_registration_order():
+    assert registry.harness_names() == [
+        "stall_verification", "fig3_crossbar", "gals_overhead",
+        "packet_stream", "deadlock_demo"]
 
 
 def test_views_reflect_later_registrations():
-    view = registry.sweep_specs_view()
     name = "registry_view_probe"
-    assert name not in view
+    assert name not in registry.sweep_names()
     sweep = registry.SweepSpec(name=name, help="probe",
                                space=lambda **kw: [], runner=lambda p: {})
     registry.register_sweep(sweep)
     try:
-        assert view[name] is sweep
+        assert registry.get_sweep(name) is sweep
+        assert name in registry.sweep_names()
         assert registry.get(name).hidden
     finally:
         registry._SPECS.pop(name, None)
         registry._SWEEP_INDEX.pop(name, None)
-    assert name not in view
+    assert name not in registry.sweep_names()
 
 
 def test_cross_spec_sweep_name_collision_rejected():
@@ -259,7 +240,7 @@ def test_reregistering_with_another_sweep_drops_the_old_name(probe_spec):
     assert registry.get_sweep("reindex_b").name == "reindex_b"
     with pytest.raises(KeyError, match="unknown sweep experiment"):
         registry.get_sweep("reindex_a")  # used to return sweep "b"
-    assert "reindex_a" not in registry.sweep_specs_view()
+    assert "reindex_a" not in registry.sweep_names()
 
 
 def test_reregistering_without_a_sweep_drops_the_name(probe_spec):
@@ -267,16 +248,16 @@ def test_reregistering_without_a_sweep_drops_the_name(probe_spec):
     probe_spec()
     with pytest.raises(KeyError, match="unknown sweep experiment"):
         registry.get_sweep("reindex_a")  # used to return None
-    assert "reindex_a" not in registry.sweep_specs_view()
+    assert "reindex_a" not in registry.sweep_names()
     assert registry.sweep_owner("reindex_a") is None
 
 
-def test_reregistering_keeps_a_shared_names_place_in_the_view():
-    before = list(registry.harnesses_view())
+def test_reregistering_keeps_a_shared_names_place():
+    before = registry.harness_names()
     stalls = registry.get("stalls")
     try:
         registry.register(dataclasses.replace(stalls, summary="edited"))
-        assert list(registry.harnesses_view()) == before
+        assert registry.harness_names() == before
     finally:
         registry.register(stalls)
 
@@ -293,18 +274,17 @@ def test_reregistering_drops_a_stale_harness_name():
             name="reindex_probe", summary="probe", hidden=True))
         with pytest.raises(KeyError, match="unknown fault-campaign"):
             registry.get_harness("reindex_harness")
-        assert "reindex_harness" not in registry.harnesses_view()
+        assert "reindex_harness" not in registry.harness_names()
     finally:
         registry._SPECS.pop("reindex_probe", None)
         registry._HARNESS_INDEX.pop("reindex_harness", None)
 
 
 # ----------------------------------------------------------------------
-# satellite regression: faults CLI choices == HARNESSES keys
+# satellite regression: CLI choices == the registry's name listings
 # ----------------------------------------------------------------------
 def test_faults_cli_choices_derive_from_registry():
     from repro.cli import _build_parser
-    from repro.faults.campaign import HARNESSES
 
     parser = _build_parser()
     sub = next(a for a in parser._actions
@@ -312,7 +292,7 @@ def test_faults_cli_choices_derive_from_registry():
     faults = sub.choices["faults"]
     choice_action = next(a for a in faults._actions
                          if a.dest == "experiment")
-    assert tuple(choice_action.choices) == tuple(HARNESSES) + ("all",)
+    assert tuple(choice_action.choices) == (*registry.harness_names(), "all")
 
 
 def test_sweep_cli_choices_derive_from_registry():
@@ -322,5 +302,4 @@ def test_sweep_cli_choices_derive_from_registry():
     sweep = parser._subparsers._group_actions[0].choices["sweep"]
     choice_action = next(a for a in sweep._actions
                          if a.dest == "experiment")
-    assert sorted(choice_action.choices) == sorted(
-        registry.sweep_specs_view())
+    assert sorted(choice_action.choices) == sorted(registry.sweep_names())

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.experiments.sweeps import SWEEP_SPECS, SweepSpec, register_sweep
+from repro.registry import SweepSpec, get_sweep, register_sweep
 from repro.sweep import PointTimeout, ResultCache, SweepPoint, run_sweep
 
 from ._accounting import assert_accounting
@@ -273,7 +273,7 @@ def test_unknown_experiment_becomes_error_outcome():
 
 def test_fake_specs_are_registered():
     for spec in _FAKES:
-        assert SWEEP_SPECS[spec.name] is spec
+        assert get_sweep(spec.name) is spec
 
 
 # ----------------------------------------------------------------------

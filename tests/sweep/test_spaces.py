@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import stall_verification as sv
-from repro.experiments.sweeps import SWEEP_SPECS, build_space, get_sweep
+from repro.registry import build_space, get_sweep
 from repro.sweep import SweepPoint
 
 _REAL_SPECS = ("stall_verification", "fig3_crossbar", "gals_overhead",
@@ -24,7 +24,7 @@ def test_space_is_nonempty_and_deterministic(name):
 
 @pytest.mark.parametrize("name", _REAL_SPECS)
 def test_registry_exposes_runner_and_summarizer(name):
-    spec = SWEEP_SPECS[name]
+    spec = get_sweep(name)
     assert callable(spec.runner)
     assert spec.summarize is None or callable(spec.summarize)
     assert spec.help

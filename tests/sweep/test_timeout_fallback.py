@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.experiments.sweeps import SweepSpec, register_sweep
+from repro.registry import SweepSpec, register_sweep
 from repro.kernel import Simulator
 from repro.kernel.simulator import TimeBudgetExceeded, time_budget
 from repro.sweep import SweepPoint, run_sweep

@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro import registry
-from repro.experiments.sweeps import SweepSpec, register_sweep
+from repro.registry import SweepSpec, register_sweep
 from repro.kernel import Simulator
 from repro.sweep import BatchAdapter, ResultCache, SweepPoint, WarmSession
 from repro.sweep import run_sweep

@@ -10,7 +10,7 @@ simulations.
 
 import pytest
 
-from repro.experiments.sweeps import build_space
+from repro.registry import build_space
 from repro.sweep import ResultCache, run_sweep
 from tests.sweep._accounting import assert_accounting
 

@@ -15,15 +15,16 @@ an "eligible" trace may never replay to different numbers.
 
 import pytest
 
-from repro.experiments.designs import DESIGN_BUILDERS, build_design
+from repro import registry
+from repro.registry import build_design
 from repro.trace import CaptureError, ReplayError, capture, replay
 
 #: Small per-design horizons (ns) keeping the suite fast; the property
 #: holds for any horizon.
 _HORIZON = 3000
 
-_SIMULATED = sorted(name for name, builder in DESIGN_BUILDERS.items()
-                    if builder is not None)
+_SIMULATED = sorted(name for name in registry.names(runnable=True)
+                    if registry.get(name).has_design)
 
 
 @pytest.mark.parametrize("experiment", _SIMULATED)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the documentation stays truthful.
 
-Three checks over the repo's markdown docs and example scripts:
+Four checks over the repo's markdown docs and example scripts:
 
 1. **Runnable snippets** — every fenced ``python`` code block in
    ``docs/*.md`` is executed (with ``src/`` on ``sys.path``) and must
@@ -11,11 +11,17 @@ Three checks over the repo's markdown docs and example scripts:
    intra-document ``#fragment`` links must match a heading.
 3. **Executable examples** — scripts in ``EXEC_EXAMPLES`` are run as
    ``__main__`` (fast ones only; the slow demos stay out of the loop).
+4. **Rendered capability table** — the block between the
+   ``capability-table`` markers in each of ``CAPABILITY_DOCS`` must equal
+   what :func:`render_capability_table` produces from
+   ``repro.kernel.capability.TABLE``; ``--render`` rewrites stale blocks
+   instead of failing on them.
 
 Usage::
 
     python tools/check_docs.py            # check docs/*.md + README.md
     python tools/check_docs.py FILE...    # check specific files
+    python tools/check_docs.py --render   # regenerate the rendered blocks
 
 README.md python blocks are NOT executed (the quickstart builds the
 full SoC, which is deliberately slow); they are link-linted only.
@@ -33,6 +39,14 @@ EXEC_DIRS = {REPO / "docs"}  # only execute snippets from these dirs
 #: Example scripts fast enough (~1 s) to execute on every docs check.
 EXEC_EXAMPLES = (REPO / "examples" / "sweep_demo.py",
                  REPO / "examples" / "fault_campaign_demo.py")
+
+#: Docs carrying the rendered capability table.
+CAPABILITY_DOCS = tuple(REPO / "docs" / name for name in (
+    "COMPILED_BACKEND.md", "REGISTRY.md", "INCREMENTAL_SIM.md"))
+CAPABILITY_BEGIN = ("<!-- capability-table:begin — rendered from "
+                    "repro.kernel.capability by `python tools/check_docs.py "
+                    "--render`; do not edit -->")
+CAPABILITY_END = "<!-- capability-table:end -->"
 
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -112,8 +126,44 @@ def run_example(path: Path) -> str | None:
     return None
 
 
+def render_capability_table() -> str:
+    """The capability table as markdown: one line per row, one column
+    per executor holding ``yes`` or the recorded reason text."""
+    from repro.kernel.capability import EXECUTORS, TABLE
+
+    lines = ["| construct | key | found | " + " | ".join(EXECUTORS) + " |",
+             "|---|---|---|" + "---|" * len(EXECUTORS)]
+    for row in TABLE:
+        cells = [f"`{text}`" if text else "yes"
+                 for text in (getattr(row, e) for e in EXECUTORS)]
+        found = "in the design" if row.detect is not None else "while running"
+        lines.append(f"| {row.construct} | `{row.key}` | {found} | "
+                     + " | ".join(cells) + " |")
+    return "\n".join([CAPABILITY_BEGIN, *lines, CAPABILITY_END])
+
+
+def check_capability_table(path: Path, render: bool) -> str | None:
+    """Compare (or with ``render`` rewrite) ``path``'s rendered block."""
+    text = path.read_text()
+    begin, end = text.find(CAPABILITY_BEGIN), text.find(CAPABILITY_END)
+    if begin < 0 or end < begin:
+        return f"{path.name}: capability-table markers missing"
+    fresh = (text[:begin] + render_capability_table()
+             + text[end + len(CAPABILITY_END):])
+    if fresh == text:
+        return None
+    if render:
+        path.write_text(fresh)
+        print(f"  [rendered] {path.name}")
+        return None
+    return (f"{path.name}: rendered capability table is stale "
+            "(run `python tools/check_docs.py --render`)")
+
+
 def main(argv: list) -> int:
     sys.path.insert(0, str(REPO / "src"))
+    render = "--render" in argv
+    argv = [a for a in argv if a != "--render"]
     if argv:
         files = [Path(a).resolve() for a in argv]
     else:
@@ -123,6 +173,10 @@ def main(argv: list) -> int:
     for path in files:
         if path.suffix != ".md":
             continue  # .py arguments are handled as examples below
+        if path in CAPABILITY_DOCS:
+            err = check_capability_table(path, render)
+            if err:
+                errors.append(err)
         text = path.read_text()
         errors.extend(check_links(path, text))
         if path.parent in EXEC_DIRS:
