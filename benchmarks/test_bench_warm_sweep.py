@@ -28,8 +28,9 @@ import pytest
 from repro.connections import Buffer, In, Out
 from repro.registry import SweepSpec, register_sweep
 from repro.kernel import Simulator
-from repro.sweep import BatchAdapter, SweepPoint, WarmSession, run_sweep
+from repro.sweep import SweepPoint, WarmSession, run_sweep
 from repro.sweep.warm import reset_sessions
+from repro.trace.adapter import SweepAdapter
 
 LANES = 48
 N_MSGS = 1
@@ -109,7 +110,9 @@ def _fabric_runner(params, seed):
 
 
 def _fabric_build(base_params, base_seed):
-    sim, received, lanes = _build_fabric(2, 0.0, base_seed)
+    sim, received, lanes = _build_fabric(
+        base_params["capacity"], base_params["stall_probability"],
+        base_seed)
     return WarmSession(sim=sim,
                        context={"received": received, "lanes": lanes})
 
@@ -129,10 +132,9 @@ register_sweep(SweepSpec(
     "warm_bench_fabric", "bench",
     space=lambda **kw: [],
     runner=_fabric_runner,
-    batch=BatchAdapter(
-        safe_params=frozenset({"capacity", "stall_probability", "trial"}),
-        base_params=lambda params: {},
-        base_seed=lambda params, seed: 0,
+    # No parameter is structural: all 200 points share one session.
+    adapter=SweepAdapter(
+        base={"capacity": 2, "stall_probability": 0.0, "trial": 0},
         build=_fabric_build,
         run=_fabric_run,
     )))

@@ -7,11 +7,11 @@ an import of the simulator.
 
 The rule: **catalog metadata is data, behaviour is a reference.**
 Names, summaries, parameters, ordering, eligibility flags and the
-listing values (``replay_kind``, ``harness_name``) are plain values
-here.  Everything that *does* something — ``runner``, ``formatter``,
-``design``, ``harness``, a sweep's ``space`` / ``runner`` /
-``summarize`` / ``replay`` / ``batch`` — is a ``"package.module:attr"``
-string that :func:`repro.registry.resolve` imports on first use.
+listing values (``replay_kind``, ``warm``, ``harness_name``) are plain
+values here.  Everything that *does* something — ``runner``,
+``formatter``, ``design``, ``harness``, a sweep's ``space`` / ``runner``
+/ ``summarize`` / ``adapter`` — is a ``"package.module:attr"`` string
+that :func:`repro.registry.resolve` imports on first use.
 ``tests/registry/test_registry.py`` resolves every reference and checks
 each listing value against the object it describes, so this file
 cannot promise a capability the code does not have.
@@ -37,15 +37,15 @@ _CAMPAIGN = "repro.faults.campaign:"
 
 def _sweep(module: str, name: str, help: str, *, space="sweep_space",
            runner="run_sweep_point", summarize="summarize_sweep",
-           replay=None, replay_kind=None, batch=None) -> SweepSpec:
+           adapter=None, replay_kind=None, warm=False) -> SweepSpec:
     """A sweep whose callables all live in one module, under the
     conventional attribute names unless stated."""
     at = f"{module}:"
     return SweepSpec(
         name=name, help=help, space=at + space, runner=at + runner,
         summarize=at + summarize,
-        replay=at + replay if replay else None, replay_kind=replay_kind,
-        batch=at + batch if batch else None)
+        adapter=at + adapter if adapter else None,
+        replay_kind=replay_kind, warm=warm)
 
 
 # ----------------------------------------------------------------------
@@ -63,8 +63,7 @@ register(ExperimentSpec(
         # Statically derivable, dynamically refused: the capture records
         # the harness's non-blocking ops and every point falls back with
         # that reason — the recorded-capability path, exercised for real.
-        replay="REPLAY_ADAPTER", replay_kind="trace",
-        batch="BATCH_ADAPTER"),
+        adapter="SWEEP_ADAPTER", replay_kind="trace", warm=True),
     harness=_CAMPAIGN + "STALL_HARNESS",
     harness_name="stall_verification",
     compiled=True,
@@ -101,7 +100,7 @@ register(ExperimentSpec(
         "GALS overhead fraction vs partition logic size",
         # Closed-form model, no kernel: every point is derivable by
         # evaluating the runner in-process, skipping the pool entirely.
-        replay="REPLAY_ADAPTER", replay_kind="analytic"),
+        adapter="SWEEP_ADAPTER", replay_kind="analytic"),
     harness=_CAMPAIGN + "GALS_HARNESS",
     harness_name="gals_overhead",
     compiled=False,       # pausible clocks are not compilable (yet)
@@ -190,8 +189,7 @@ register(ExperimentSpec(
         _EXP + "li_latency", "li_latency",
         "LI pipeline latency grid (FIFO depth x stall p x period); "
         "replayable from 2 captured traces via sweep --incremental",
-        replay="REPLAY_ADAPTER", replay_kind="trace",
-        batch="BATCH_ADAPTER"),
+        adapter="SWEEP_ADAPTER", replay_kind="trace", warm=True),
     compiled=True,
     order=80,
 ))

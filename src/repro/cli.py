@@ -583,8 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "analytically (implies --no-telemetry; "
                               "points replay refuses fall back to full "
                               "simulation with the reason recorded)")
-    sweep_p.add_argument("--warm", default=False,
-                         action=argparse.BooleanOptionalAction,
+    sweep_p.add_argument("--warm", action="store_true",
                          help="construct-once batched execution: group "
                               "points by structural digest, build each "
                               "group's design once in persistent warm "

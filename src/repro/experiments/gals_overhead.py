@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..gals.overhead import GalsOverheadModel, Partition, SynchronousBaseline
-from ..trace.adapter import ReplayAdapter
+from ..trace.adapter import SweepAdapter
 from ..sweep.point import SweepPoint
 
 __all__ = [
@@ -132,7 +132,7 @@ def run_sweep_point(params: dict, seed: int) -> dict:
 
 #: Closed-form model, no kernel: every point is derivable by evaluating
 #: :func:`run_sweep_point` in-process, skipping the pool entirely.
-REPLAY_ADAPTER = ReplayAdapter(kind="analytic")
+SWEEP_ADAPTER = SweepAdapter(analytic=True)
 
 
 def summarize_sweep(results: List[dict]) -> str:

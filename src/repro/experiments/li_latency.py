@@ -12,9 +12,9 @@ from one captured trace (:mod:`repro.trace`): the default sweep space
 holds only two structural configurations (the stage counts) and dozens
 of derivable satellites, so ``python -m repro sweep li_latency
 --incremental`` simulates twice and replays everything else — the
-LightningSimV2 workflow from PAPERS.md in miniature.  The replay
-adapter below is the reference implementation of
-:class:`repro.trace.adapter.ReplayAdapter`.
+LightningSimV2 workflow from PAPERS.md in miniature.  ``SWEEP_ADAPTER``
+below is the reference :class:`repro.trace.adapter.SweepAdapter`, with
+both halves: warm sessions and trace replay.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from ..connections import Buffer, In, Out
 from ..design.hierarchy import component_scope
 from ..kernel import Simulator
 from ..sweep.point import SweepPoint
-from ..sweep.warm import BatchAdapter, WarmSession
-from ..trace.adapter import ReplayAdapter
+from ..sweep.warm import WarmSession
+from ..trace.adapter import SweepAdapter
 
 __all__ = ["build_li_pipeline", "build_design", "hop_paths",
            "horizon_cycles", "run_point", "format_report", "sweep_space",
-           "run_sweep_point", "summarize_sweep", "REPLAY_ADAPTER",
-           "BATCH_ADAPTER"]
+           "run_sweep_point", "summarize_sweep", "SWEEP_ADAPTER"]
 
 DEFAULT_PERIOD = 10
 DEFAULT_N_MSGS = 80
@@ -154,10 +153,9 @@ def _result_record(params: dict, seed: int, *,
                    channels: List[dict]) -> dict:
     """Fold measurements into the result record.
 
-    Shared by the kernel runner and the replay adapter's ``derive`` so
-    an incremental sweep is byte-identical to a full one by
-    construction: both paths feed raw counters through this one
-    formatter.
+    Shared by the kernel runner and the sweep adapter's ``run`` and
+    ``derive``, so every execution path feeds raw counters through this
+    one formatter.
     """
     n_msgs = params["n_msgs"]
     completed = completion_cycle is not None
@@ -207,31 +205,34 @@ def run_point(params: dict, seed: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# replay adapter: the semantic map for `sweep --incremental`
+# sweep adapter: the structural/latency-knob split for `sweep --warm`
+# and `sweep --incremental` (only `stages` and `n_msgs` are structural)
 # ----------------------------------------------------------------------
-def _base_params(params: dict) -> dict:
-    return {**params, "capacity": BASE_CAPACITY, "stall_probability": 0.0,
-            "trial": 0, "period": DEFAULT_PERIOD}
-
-
-def _base_seed(params: dict, seed: int) -> int:
-    # The base runs without stalls, so the point seed is irrelevant;
-    # a constant collapses every satellite onto one capture.
-    return 0
-
-
-def _capture_base(base_params: dict, base_seed: int) -> dict:
-    from ..trace.capture import capture
-
-    sim, _, _ = build_li_pipeline(
+def _session_build(base_params: dict, base_seed: int) -> WarmSession:
+    sim, state, channels = build_li_pipeline(
         stages=base_params["stages"], n_msgs=base_params["n_msgs"],
         capacity=base_params["capacity"],
         stall_probability=base_params["stall_probability"],
         stall_seed=base_seed, period=base_params["period"])
-    with capture(sim) as session:
-        sim.run(until=(horizon_cycles(base_params) - 1)
-                * base_params["period"])
-    return session.trace
+    return WarmSession(sim=sim, context={"state": state,
+                                         "channels": channels,
+                                         "clock": sim._clocks[0]})
+
+
+def _session_run(session: WarmSession, params: dict, seed: int) -> dict:
+    # Re-apply the very mutations a fresh construction would have
+    # performed; the kernel's snapshot restore rewinds them afterwards.
+    channels = session.context["channels"]
+    for chan in channels:
+        chan.capacity = params["capacity"]
+    if params["stall_probability"] > 0.0:
+        channels[-1].set_stall(params["stall_probability"], seed=seed)
+    session.context["clock"].period = params["period"]
+    session.sim.run(until=(horizon_cycles(params) - 1) * params["period"])
+    state = session.context["state"]
+    return _result_record(params, seed,
+                          completion_cycle=state["completion_cycle"],
+                          channels=_channel_stats(channels))
 
 
 def _overrides(params: dict, seed: int) -> dict:
@@ -253,59 +254,17 @@ def _derive(trace: dict, result, params: dict, seed: int) -> dict:
                           channels=channels)
 
 
-REPLAY_ADAPTER = ReplayAdapter(
-    kind="trace",
-    safe_params=frozenset({"capacity", "stall_probability", "trial",
-                           "period"}),
-    base_params=_base_params,
-    base_seed=_base_seed,
-    capture=_capture_base,
+SWEEP_ADAPTER = SweepAdapter(
+    # The base runs at the fastest point of the space (see
+    # BASE_CAPACITY) and without stalls, so the point seed is
+    # irrelevant: a constant collapses every satellite onto one base.
+    base={"capacity": BASE_CAPACITY, "stall_probability": 0.0, "trial": 0,
+          "period": DEFAULT_PERIOD},
+    base_seed=0,
+    build=_session_build,
+    run=_session_run,
     overrides=_overrides,
     derive=_derive,
-)
-
-
-# ----------------------------------------------------------------------
-# batch adapter: the construct-once map for `sweep --warm`
-# ----------------------------------------------------------------------
-# The warm session is built at the replay adapter's base configuration
-# (one per stage count); each point then re-applies the very mutations
-# a fresh construction would have performed — capacity, stall schedule,
-# clock period — before its first run, which the kernel's snapshot
-# restore rewinds afterwards.  `tests/sweep/test_warm_sweep.py` pins
-# byte-identity against the fresh runner.
-def _batch_build(base_params: dict, base_seed: int) -> "WarmSession":
-    sim, state, channels = build_li_pipeline(
-        stages=base_params["stages"], n_msgs=base_params["n_msgs"],
-        capacity=base_params["capacity"],
-        stall_probability=base_params["stall_probability"],
-        stall_seed=base_seed, period=base_params["period"])
-    return WarmSession(sim=sim, context={"state": state,
-                                         "channels": channels,
-                                         "clock": sim._clocks[0]})
-
-
-def _batch_run(session: "WarmSession", params: dict, seed: int) -> dict:
-    channels = session.context["channels"]
-    for chan in channels:
-        chan.capacity = params["capacity"]
-    if params["stall_probability"] > 0.0:
-        channels[-1].set_stall(params["stall_probability"], seed=seed)
-    session.context["clock"].period = params["period"]
-    session.sim.run(until=(horizon_cycles(params) - 1) * params["period"])
-    state = session.context["state"]
-    return _result_record(params, seed,
-                          completion_cycle=state["completion_cycle"],
-                          channels=_channel_stats(channels))
-
-
-BATCH_ADAPTER = BatchAdapter(
-    safe_params=frozenset({"capacity", "stall_probability", "trial",
-                           "period"}),
-    base_params=_base_params,
-    base_seed=_base_seed,
-    build=_batch_build,
-    run=_batch_run,
 )
 
 

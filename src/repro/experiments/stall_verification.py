@@ -21,13 +21,13 @@ from ..connections import Buffer, In, Out
 from ..design.hierarchy import component_scope
 from ..kernel import Simulator
 from ..sweep.point import SweepPoint
-from ..sweep.warm import BatchAdapter, WarmSession
-from ..trace.adapter import ReplayAdapter
+from ..sweep.warm import WarmSession
+from ..trace.adapter import SweepAdapter
 
 __all__ = ["LeakyForwarder", "build_stall_testbench", "stall_campaign",
            "CampaignResult", "format_campaign", "sweep_space",
            "run_sweep_point", "campaigns_from_sweep", "summarize_sweep",
-           "REPLAY_ADAPTER", "BATCH_ADAPTER"]
+           "SWEEP_ADAPTER"]
 
 #: Defaults shared by the serial campaign and the sweep space, so both
 #: enumerate exactly the same (probability, seed) grid.
@@ -187,34 +187,39 @@ def run_sweep_point(params: dict, seed: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# replay adapter: the *dynamic* fallback showcase
+# sweep adapter (repro.trace.adapter.SweepAdapter): warm yes, replay no
 # ----------------------------------------------------------------------
-# The static classifier accepts these points (only the stall knobs vary
-# between trials), but the capture itself records that this harness is
+# Only the stall knobs vary between trials, so every trial shares one
+# structural base.  A warm session *re-simulates* each point on the
+# constructed testbench, so the non-blocking ops and message values play
+# out exactly as in a fresh build.  Analytical replay is the *dynamic*
+# fallback showcase: the capture itself records that this harness is
 # not replayable — LeakyForwarder retries with push_nb and the checker
 # polls with pop_nb, and non-blocking timing races are exactly what
-# analytical replay cannot reconstruct.  `sweep --incremental` therefore
-# captures the base once, reads the recorded reasons, and falls back to
-# full simulation for every point — the honest path an adapter author
-# hits before restructuring a harness around blocking handshakes
-# (compare li_latency, which is this pipeline rebuilt replay-safe).
-def _replay_base_params(params: dict) -> dict:
-    return {**params, "stall_probability": 0.0, "trial": 0}
-
-
-def _replay_base_seed(params: dict, seed: int) -> int:
-    return DEFAULT_BASE_SEED
-
-
-def _replay_capture(base_params: dict, base_seed: int) -> dict:
-    from ..trace.capture import capture
-
-    sim, _ = build_stall_testbench(
+# replay cannot reconstruct.  `sweep --incremental` therefore captures
+# the base once, reads the recorded reasons, and falls back to full
+# simulation for every point — the honest path an adapter author hits
+# before restructuring a harness around blocking handshakes (compare
+# li_latency, which is this pipeline rebuilt replay-safe).
+def _session_build(base_params: dict, base_seed: int) -> WarmSession:
+    sim, received = build_stall_testbench(
         base_params["stall_probability"], base_seed,
         n_msgs=base_params["n_msgs"], bug=base_params["bug"])
-    with capture(sim) as session:
-        sim.run(until=base_params["n_msgs"] * 1200)
-    return session.trace
+    down = next(chan for inst in sim.design.root.walk()
+                for chan in inst.channels if chan.path == "down")
+    return WarmSession(sim=sim, context={"received": received,
+                                         "down": down})
+
+
+def _session_run(session: WarmSession, params: dict, seed: int) -> dict:
+    if params["stall_probability"] > 0.0:
+        session.context["down"].set_stall(params["stall_probability"],
+                                          seed=seed)
+    n_msgs = params["n_msgs"]
+    session.sim.run(until=n_msgs * 1200)
+    detected = session.context["received"] != list(range(n_msgs))
+    return {"stall_probability": params["stall_probability"],
+            "trial": params["trial"], "seed": seed, "detected": detected}
 
 
 def _replay_overrides(params: dict, seed: int) -> dict:
@@ -235,54 +240,13 @@ def _replay_derive(trace: dict, result, params: dict, seed: int) -> dict:
         "which op traces do not capture")
 
 
-REPLAY_ADAPTER = ReplayAdapter(
-    kind="trace",
-    safe_params=frozenset({"stall_probability", "trial"}),
-    base_params=_replay_base_params,
-    base_seed=_replay_base_seed,
-    capture=_replay_capture,
+SWEEP_ADAPTER = SweepAdapter(
+    base={"stall_probability": 0.0, "trial": 0},
+    base_seed=DEFAULT_BASE_SEED,
+    build=_session_build,
+    run=_session_run,
     overrides=_replay_overrides,
     derive=_replay_derive,
-)
-
-
-# ----------------------------------------------------------------------
-# batch adapter: warm batched execution (`sweep --warm`)
-# ----------------------------------------------------------------------
-# Where analytical replay is impossible for this harness (non-blocking
-# timing races, value-dependent verdicts — see the replay adapter
-# above), warm batching is not: a warm session *re-simulates* every
-# point on the constructed testbench, so the non-blocking ops and
-# message values play out exactly as in a fresh build.  The pair makes
-# the contrast concrete: replay derives results from one recorded run,
-# warm batching amortizes construction across many real runs.
-def _batch_build(base_params: dict, base_seed: int) -> WarmSession:
-    sim, received = build_stall_testbench(
-        base_params["stall_probability"], base_seed,
-        n_msgs=base_params["n_msgs"], bug=base_params["bug"])
-    down = next(chan for inst in sim.design.root.walk()
-                for chan in inst.channels if chan.path == "down")
-    return WarmSession(sim=sim, context={"received": received,
-                                         "down": down})
-
-
-def _batch_run(session: WarmSession, params: dict, seed: int) -> dict:
-    if params["stall_probability"] > 0.0:
-        session.context["down"].set_stall(params["stall_probability"],
-                                          seed=seed)
-    n_msgs = params["n_msgs"]
-    session.sim.run(until=n_msgs * 1200)
-    detected = session.context["received"] != list(range(n_msgs))
-    return {"stall_probability": params["stall_probability"],
-            "trial": params["trial"], "seed": seed, "detected": detected}
-
-
-BATCH_ADAPTER = BatchAdapter(
-    safe_params=frozenset({"stall_probability", "trial"}),
-    base_params=_replay_base_params,
-    base_seed=_replay_base_seed,
-    build=_batch_build,
-    run=_batch_run,
 )
 
 

@@ -1,8 +1,7 @@
 """The job-oriented execution core: JobRequest in, JobResult out.
 
 This is the single programmatic "submit a job, get a canonical result"
-surface the future simulation-as-a-service API (ROADMAP item 3) will
-sit on.  A :class:`JobRequest` names *what* to run — an experiment from
+surface.  A :class:`JobRequest` names *what* to run — an experiment from
 :mod:`repro.registry` (or one sweep point of it), its parameters, seed,
 simulation backend, and observability flags — and :func:`execute`
 handles *how*: runner resolution, ambient backend selection with
@@ -216,8 +215,8 @@ def execute_warm(request: JobRequest, adapter, session, *,
 
     The warm counterpart of :func:`execute` for ``kind="point"``
     requests: instead of constructing the design, the point is
-    evaluated by the experiment's :class:`~repro.sweep.warm
-    .BatchAdapter` against ``session`` — a constructed, snapshot-
+    evaluated by the experiment's :class:`~repro.trace.adapter
+    .SweepAdapter` against ``session`` — a constructed, snapshot-
     enabled simulation owned by the calling worker (see
     :mod:`repro.sweep.warm`, which also handles the restore between
     points).  Backend provenance is read from the session's simulator

@@ -84,7 +84,7 @@ def enable(sim) -> None:
     if reasons:
         raise SnapshotError(
             "design is not snapshot-eligible: " + "; ".join(reasons))
-    sim._snap_base = _capture_base(sim)
+    sim._snap_base = _base_state(sim)
 
 
 def capture(sim) -> Snapshot:
@@ -132,7 +132,7 @@ def _live(registry) -> list:
     return objs
 
 
-def _capture_base(sim) -> dict:
+def _base_state(sim) -> dict:
     # Burn one sequence number so the counter origin is known; replace
     # the counter so numbering continues from exactly that origin.
     # Relative order is all the kernel ever compares, and every

@@ -114,44 +114,42 @@ class _Ref:
         obj.__dict__[self.name] = value
 
 
-def _describe(spec, field: str, listed: str, attr: str) -> None:
-    """Keep the listing value ``listed`` beside the ``field`` it describes.
+def _describe(spec, field: str, **listed: str) -> None:
+    """Keep the listing values beside the ``field`` they describe.
 
-    A real object describes itself (``listed`` is read from its
-    ``attr``); a reference cannot without importing its module, so the
-    declaration must carry the value as data.
+    ``listed`` maps each listing field of the spec to the attribute of
+    the described object it mirrors.  A real object describes itself;
+    a reference cannot without importing its module, so the declaration
+    must carry at least one listing value as data.
     """
     declared = spec.__dict__[field]
-    if declared is None or getattr(spec, listed) is not None:
-        return
     if isinstance(declared, str):
-        raise ValueError(
-            f"{spec.name}: {field}={declared!r} is a reference, so "
-            f"{listed} must be declared beside it")
-    object.__setattr__(spec, listed, getattr(declared, attr, None))
+        if not any(getattr(spec, name) for name in listed):
+            raise ValueError(
+                f"{spec.name}: {field}={declared!r} is a reference, so "
+                f"{' / '.join(listed)} must be declared beside it")
+    elif declared is not None:
+        for name, attr in listed.items():
+            object.__setattr__(spec, name, getattr(declared, attr, None))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One registered sweep: space builder + point runner + formatter.
 
-    ``space``, ``runner``, ``summarize``, ``replay`` and ``batch`` each
-    hold the object itself or a ``"package.module:attr"`` reference to
-    it, resolved on first read.
+    ``space``, ``runner``, ``summarize`` and ``adapter`` each hold the
+    object itself or a ``"package.module:attr"`` reference to it,
+    resolved on first read.
 
-    ``replay``, when set, opts the experiment into incremental sweeps
-    (``run_sweep(..., incremental=True)``): it carries the semantic map
-    from sweep points to captured traces and back.  Experiments without
-    one still work incrementally — every point just falls back to full
-    simulation with the reason recorded.  ``replay_kind`` is the
-    adapter's ``kind`` as listing data (required beside a reference).
-
-    ``batch``, when set, opts the experiment into warm batched sweeps
-    (``run_sweep(..., warm=True)``): it carries the construct-once map —
-    build one snapshot-eligible session per structural base, then
-    evaluate every point against it via mutate/run/restore.  Experiments
-    without one still accept ``--warm``; every point falls back to a
-    fresh per-point simulation with the reason recorded.
+    ``adapter``, when set, is the experiment's
+    :class:`~repro.trace.adapter.SweepAdapter` — the one declaration of
+    its structural/latency-knob split, which opts it into incremental
+    sweeps (``run_sweep(..., incremental=True)``), warm batched sweeps
+    (``warm=True``), or both, depending on the halves it carries.
+    Experiments without one still accept both modes; every point falls
+    back to a fresh simulation with the reason recorded.
+    ``replay_kind`` and ``warm`` are the adapter's properties of the
+    same names as listing data (declared beside a reference).
     """
 
     name: str
@@ -159,17 +157,12 @@ class SweepSpec:
     space: Callable[..., List[Any]] = _Ref(required=True)
     runner: Callable[[dict, int], dict] = _Ref(required=True)
     summarize: Optional[Callable[[List[dict]], str]] = _Ref()
-    replay: Optional[Any] = _Ref()  # repro.trace.adapter.ReplayAdapter
-    batch: Optional[Any] = _Ref()   # repro.sweep.warm.BatchAdapter
+    adapter: Optional[Any] = _Ref()
     replay_kind: Optional[str] = None
+    warm: bool = False
 
     def __post_init__(self):
-        _describe(self, "replay", "replay_kind", "kind")
-
-    @property
-    def warm(self) -> bool:
-        """True when the sweep declares a batch adapter."""
-        return self.__dict__["batch"] is not None
+        _describe(self, "adapter", replay_kind="replay_kind", warm="warm")
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,7 @@ class ExperimentSpec:
     #: Construction-only design builder (returns the Simulator) for
     #: ``inspect``/``lint``.  ``None`` = analytic, no simulated design.
     design: Optional[Callable[[], Any]] = _Ref()
-    #: Parameter-sweep capability (space/runner/summarize/replay).
+    #: Parameter-sweep capability (space/runner/summarize/adapter).
     sweep: Optional[SweepSpec] = None
     #: Fault-campaign harness (``repro.faults.campaign.Harness``).
     harness: Optional[Any] = _Ref()
@@ -230,7 +223,7 @@ class ExperimentSpec:
         if not self.schema:
             object.__setattr__(
                 self, "schema", self.name.replace("-", "_"))
-        _describe(self, "harness", "harness_name", "name")
+        _describe(self, "harness", harness_name="name")
 
     @property
     def runnable(self) -> bool:
@@ -252,7 +245,7 @@ class ExperimentSpec:
             "design": self.has_design,
             "sweep": sweep.name if sweep else None,
             "replay": sweep.replay_kind if sweep else None,
-            "warm": bool(sweep is not None and sweep.warm),
+            "warm": sweep.warm if sweep else False,
             "harness": self.harness_name,
             "compiled": self.compiled,
             "seedable": self.seedable,

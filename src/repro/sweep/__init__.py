@@ -44,5 +44,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NONDETERMINISTIC_FIELDS", "canonical_digest", "canonical_json",
         "dump_json", "to_jsonable",
     ),
-    "warm": ("BatchAdapter", "WarmSession"),
+    "warm": ("WarmSession",),
 })

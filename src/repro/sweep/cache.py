@@ -45,7 +45,7 @@ import pathlib
 import subprocess
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 try:  # POSIX only; Windows falls back to lock-free best effort
     import fcntl
@@ -187,45 +187,57 @@ class ResultCache:
             require=None) -> Optional[dict]:
         """The stored payload for ``point``, or ``None`` on a miss.
 
-        A hit refreshes the entry's LRU clock and credits the entry's
-        stored recompute cost to ``stats.recompute_seconds_saved``.
-        Unreadable or schema-mismatched entries are unlinked and counted
-        as misses.  ``require`` is an optional predicate on the payload:
-        a stored value that fails it is a *miss* (the entry stays on
+        One-mode :meth:`probe` (see there for the accounting).
+        """
+        found = self.probe(point, (mode,), require=require)
+        return found[1] if found is not None else None
+
+    def probe(self, point: SweepPoint, modes: Sequence[str], *,
+              require=None) -> Optional[Tuple[str, dict]]:
+        """One lookup: ``(mode, payload)`` from the first of ``modes``
+        holding an acceptable entry, or ``None`` on a miss.
+
+        A hit — in whichever mode — is one ``stats.hits`` and no miss;
+        a point absent in every mode is one ``stats.misses``.  A hit
+        refreshes the entry's LRU clock and credits the entry's stored
+        recompute cost to ``stats.recompute_seconds_saved``.
+        Unreadable or schema-mismatched entries are unlinked and treated
+        as absent.  ``require`` is an optional predicate on the payload:
+        a stored value that fails it is absent too (the entry stays on
         disk and is not credited as saved work) — the engine uses this
         so a telemetry-less entry can never satisfy a telemetry-enabled
         sweep.
         """
-        path = self._path(self.key_for(point, mode=mode))
-        try:
-            with open(path) as fh:
-                entry = json.load(fh)
-            if entry.get("schema") != SCHEMA or "value" not in entry:
-                raise ValueError("cache entry schema mismatch")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError):
-            path.unlink(missing_ok=True)
-            self.stats.corrupt_dropped += 1
-            self.stats.misses += 1
-            return None
-        if require is not None and not require(entry["value"]):
-            self.stats.misses += 1
-            return None
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
-        self.stats.hits += 1
-        setattr(self.stats, f"hits_{mode}",
-                getattr(self.stats, f"hits_{mode}") + 1)
-        try:
-            self.stats.recompute_seconds_saved += float(
-                entry.get("cost", 0.0))
-        except (TypeError, ValueError):
-            pass
-        return entry["value"]
+        for mode in modes:
+            path = self._path(self.key_for(point, mode=mode))
+            try:
+                with open(path) as fh:
+                    entry = json.load(fh)
+                if entry.get("schema") != SCHEMA or "value" not in entry:
+                    raise ValueError("cache entry schema mismatch")
+            except FileNotFoundError:
+                continue
+            except (OSError, ValueError):
+                path.unlink(missing_ok=True)
+                self.stats.corrupt_dropped += 1
+                continue
+            if require is not None and not require(entry["value"]):
+                continue
+            try:
+                os.utime(path)  # LRU touch
+            except OSError:
+                pass
+            self.stats.hits += 1
+            setattr(self.stats, f"hits_{mode}",
+                    getattr(self.stats, f"hits_{mode}") + 1)
+            try:
+                self.stats.recompute_seconds_saved += float(
+                    entry.get("cost", 0.0))
+            except (TypeError, ValueError):
+                pass
+            return mode, entry["value"]
+        self.stats.misses += 1
+        return None
 
     def put(self, point: SweepPoint, value: dict, *, mode: str = "exact",
             cost: float = 0.0) -> str:

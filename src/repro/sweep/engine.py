@@ -10,12 +10,14 @@ and ``warm`` only swap the strategy of step 2.
    probed first — they are authoritative and can never be shadowed —
    and only incremental sweeps then also accept derived entries.
 2. **Strategy.**  A mode-specific attempt to serve the misses without a
-   fresh simulation each.  Plain sweeps have none.  Incremental sweeps
-   classify each point (:func:`repro.trace.adapter.classify`), capture
-   one full simulation per structural base (trace-cache fronted, across
-   the pool) and replay every satellite analytically in-process.  Warm
-   sweeps group points by structural digest and send each group's
-   chunks to persistent warm workers that construct once and
+   fresh simulation each.  Plain sweeps have none.  The other two
+   share one grouping step: every point is projected onto its
+   structural base (:func:`repro.trace.adapter.classify`, from the
+   experiment's one :class:`~repro.trace.adapter.SweepAdapter`) and
+   points sharing a base form a group.  Incremental sweeps capture one
+   full simulation per group (trace-cache fronted, across the pool) and
+   replay every member analytically in-process.  Warm sweeps send each
+   group's chunks to persistent warm workers that construct once and
    snapshot-restore between points (:mod:`repro.sweep.warm`).  Whatever
    a strategy cannot finish is *left over* with its recorded reason.
 3. **Dispatch.**  Fresh chunks, capture tasks and warm chunks all go
@@ -297,17 +299,16 @@ def _probe(points: List[SweepPoint], cache: Optional[ResultCache],
         if telemetry else None
     pending: List[Tuple[int, SweepPoint]] = []
     for i, point in enumerate(points):
-        for mode in modes if cache is not None else ():
-            hit = cache.get(point, mode=mode, require=require)
-            if hit is not None:
-                records[i] = {
-                    "ok": True, "cached": True, "mode": mode,
-                    "result": hit.get("result"),
-                    "telemetry": hit.get("telemetry") if telemetry
-                    else None}
-                break
-        else:
+        found = cache.probe(point, modes, require=require) \
+            if cache is not None else None
+        if found is None:
             pending.append((i, point))
+            continue
+        mode, hit = found
+        records[i] = {"ok": True, "cached": True, "mode": mode,
+                      "result": hit.get("result"),
+                      "telemetry": hit.get("telemetry") if telemetry
+                      else None}
     return pending
 
 
@@ -354,56 +355,78 @@ def _dispatch(fn: Callable[[dict], dict], tasks: List[dict], jobs: int, *,
     return records, counters
 
 
+def _group(pending: List[Tuple[int, SweepPoint]], adapter) -> Dict[str, dict]:
+    """Step 2, shared: project each point onto its structural base.
+
+    The one grouping step both strategies consume.  The projection is
+    :func:`repro.sweep.warm.group_key` (that is,
+    :func:`repro.trace.adapter.classify`); points sharing a digest
+    form one group — plain data, ready to cross a process boundary —
+    and the strategies differ only in what they do with a group:
+    capture + replay, or chunk + warm-dispatch.
+    """
+    from .warm import group_key
+
+    groups: Dict[str, dict] = {}
+    for i, point in pending:
+        digest, bparams, bseed = group_key(point, adapter)
+        group = groups.setdefault(
+            digest, {"digest": digest, "experiment": point.experiment,
+                     "base_params": bparams, "base_seed": bseed,
+                     "backend": point.backend, "members": []})
+        group["members"].append((i, point))
+    return groups
+
+
 def _incremental_strategy(experiment: str,
                           pending: List[Tuple[int, SweepPoint]],
                           records: Dict[int, dict], *, jobs: int,
                           cache: Optional[ResultCache],
                           timeout: Optional[float]
                           ) -> Tuple[List[_Leftover], dict]:
-    """Step 2, ``incremental=True``: classify, capture bases, replay.
+    """Step 2, ``incremental=True``: group, capture bases, replay.
 
-    Points the static classification calls structural are left over at
-    once; analytic experiments are evaluated in-process; every other
-    point joins its structural base's group, the base is captured once
-    (see ``docs/INCREMENTAL_SIM.md``) and the members are replayed — a
+    Without a replay-capable adapter every point is left over at once;
+    analytic experiments are evaluated in-process; otherwise each
+    group's structural base is captured once (see
+    ``docs/INCREMENTAL_SIM.md``) and the members are replayed — a
     replay the trace's recorded capability or the replayer's soundness
     guards refuse leaves the point over with its reason.
     """
-    from ..registry import get_sweep
-    from ..trace.adapter import classify
+    from ..trace.adapter import NO_REPLAY_ADAPTER, adapter_for
     from ..trace.replay import ReplayError, Replayer
 
-    adapter = get_sweep(experiment).replay
-    leftovers: List[_Leftover] = []
-    analytic: List[Tuple[int, SweepPoint]] = []
-    groups: Dict[str, dict] = {}
-    for i, point in pending:
-        mode, reason, bparams, bseed = classify(
-            adapter, dict(point.params), point.seed)
-        if mode == "structural":
-            leftovers.append((i, point, reason, 0))
-        elif adapter.kind == "analytic":
-            analytic.append((i, point))
-        else:
-            gid = canonical_json({"experiment": experiment,
-                                  "params": bparams, "seed": bseed})
-            if gid not in groups:
-                groups[gid] = {"members": [], "base_point": SweepPoint(
-                    experiment, bparams, seed=bseed)}
-            groups[gid]["members"].append((i, point))
+    adapter = adapter_for(experiment)
+    if adapter is None:
+        return [(i, point, NO_REPLAY_ADAPTER, 0) for i, point in pending], {}
+    if adapter.analytic:
+        # No kernel: the runner *is* the derived evaluator, so its
+        # output is cached as exact (it is the exact result) while the
+        # outcome is accounted as derived (no simulation was dispatched
+        # for it).  A failure is terminal for the point.
+        evaluated, _ = _dispatch(
+            _run_chunk,
+            [{"members": pending, "telemetry": False, "timeout": timeout}],
+            jobs=1)
+        for i, rec in evaluated.items():
+            records[i] = {**rec, "attempts": 1, "mode": "derived"}
+        return [], {}
 
     # One capture per structural base, trace-cache fronted.  Ineligible
     # traces are cached too: the recorded reasons are stable for a
     # given base, so a warm sweep skips straight to the fallback.
+    groups = _group(pending, adapter)
+    bases = {gid: SweepPoint(experiment, group["base_params"],
+                             seed=group["base_seed"])
+             for gid, group in groups.items()}
     captures: Dict[str, dict] = {}
     need: List[dict] = []
-    for gid, group in groups.items():
-        base = group["base_point"]
+    for gid, base in bases.items():
         hit = cache.get(base, mode="trace") if cache is not None else None
         if hit is not None:
             captures[gid] = {"ok": True, "trace": hit["trace"]}
         else:
-            need.append({"members": [(gid, experiment, dict(base.params),
+            need.append({"members": [(gid, experiment, base.params,
                                       base.seed)],
                          "timeout": timeout})
     captured, _ = _dispatch(_capture_chunk, need, jobs)
@@ -411,10 +434,10 @@ def _incremental_strategy(experiment: str,
     if cache is not None:
         for gid, rec in captured.items():
             if rec["ok"]:
-                cache.put(groups[gid]["base_point"],
-                          {"trace": rec["trace"]}, mode="trace",
+                cache.put(bases[gid], {"trace": rec["trace"]}, mode="trace",
                           cost=rec.get("wall_seconds", 0.0))
 
+    leftovers: List[_Leftover] = []
     for gid, group in groups.items():
         rec = captures.get(gid, {"ok": False, "error": "capture missing"})
         trace = rec.get("trace") or {}
@@ -452,17 +475,6 @@ def _incremental_strategy(experiment: str,
                           "wall_seconds": time.perf_counter() - p0,
                           "mode": "derived", "cache_mode": "derived"}
 
-    # Analytic experiments have no kernel: the runner *is* the derived
-    # evaluator, so its output is cached as exact (it is the exact
-    # result) while the outcome is accounted as derived (no simulation
-    # was dispatched for it).  A failure is terminal for the point.
-    evaluated, _ = _dispatch(
-        _run_chunk,
-        [{"members": analytic, "telemetry": False, "timeout": timeout}],
-        jobs=1)
-    for i, rec in evaluated.items():
-        records[i] = {**rec, "attempts": 1, "mode": "derived"}
-
     return leftovers, {"captures": sum(rec["ok"]
                                        for rec in captured.values())}
 
@@ -471,31 +483,20 @@ def _warm_strategy(experiment: str, pending: List[Tuple[int, SweepPoint]],
                    records: Dict[int, dict], *, jobs: int,
                    timeout: Optional[float]
                    ) -> Tuple[List[_Leftover], dict]:
-    """Step 2, ``warm=True``: group by structural digest, run batches.
+    """Step 2, ``warm=True``: group, run each group's batches warm.
 
-    Grouping uses the experiment's registered
-    :class:`~repro.sweep.warm.BatchAdapter` (no adapter: every point is
-    left over with the reason recorded).  Session-level demotions
-    (build/restore failures) are left over as first attempts; a point
-    that failed *inside* its warm batch has used one attempt, so its
-    fresh re-run is attempt 2.
+    Without a warm-capable adapter every point is left over with the
+    reason recorded.  Session-level demotions (build/restore failures)
+    are left over as first attempts; a point that failed *inside* its
+    warm batch has used one attempt, so its fresh re-run is attempt 2.
     """
-    from .warm import batch_adapter_for, group_key, run_warm_chunk
-    from .warm import warm_worker_init
+    from .warm import batch_adapter_for, run_warm_chunk, warm_worker_init
 
     adapter = batch_adapter_for(experiment)
     if adapter is None:
         return [(i, point, "no batch adapter registered", 0)
                 for i, point in pending], {}
-    groups: Dict[str, dict] = {}
-    for i, point in pending:
-        digest, bparams, bseed = group_key(point, adapter)
-        group = groups.setdefault(
-            digest, {"digest": digest, "experiment": experiment,
-                     "base_params": bparams, "base_seed": bseed,
-                     "backend": point.backend, "timeout": timeout,
-                     "members": []})
-        group["members"].append((i, point))
+    groups = _group(pending, adapter)
 
     # Chunks never mix groups, and each group is spread over at most
     # ``jobs`` tasks: warm chunks should be *large* — every extra chunk
@@ -506,7 +507,8 @@ def _warm_strategy(experiment: str, pending: List[Tuple[int, SweepPoint]],
     for group in groups.values():
         members = group["members"]
         size = max(1, -(-len(members) // max(1, jobs)))
-        tasks.extend({**group, "members": members[lo:lo + size]}
+        tasks.extend({**group, "timeout": timeout,
+                      "members": members[lo:lo + size]}
                      for lo in range(0, len(members), size))
     # One persistent pool serves every group task, so workers keep
     # their warm sessions across tasks (and sweeps, for the in-process
@@ -648,7 +650,7 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
 
     With ``incremental`` the engine partitions the space into structural
     bases and derivable satellites using the experiment's registered
-    :class:`~repro.trace.adapter.ReplayAdapter`: one full simulation is
+    :class:`~repro.trace.adapter.SweepAdapter`: one full simulation is
     captured per base (process pool), every satellite is replayed
     analytically in-process, and any point the capability check or the
     replayer refuses falls back to a full simulation with its reason

@@ -12,12 +12,13 @@ Warm execution (``run_sweep(..., warm=True)``) amortizes the fixed
 costs across each structural group:
 
 1. pending points are grouped by **structural digest** — the canonical
-   hash of the experiment, the adapter's base parameters/seed, and the
-   backend (the same keying discipline the trace subsystem uses for
-   incremental sweeps);
+   hash of the experiment, the point's projection onto its structural
+   base (:func:`repro.trace.adapter.classify`, the same projection
+   incremental sweeps group by), and the backend;
 2. each group is dispatched as a batch to persistent warm workers; the
    first point to land builds the design **once** via the experiment's
-   :class:`BatchAdapter`, stamps the simulator with the digest (so the
+   :class:`~repro.trace.adapter.SweepAdapter` (``build`` / ``run``: the
+   contract lives there), stamps the simulator with the digest (so the
    per-process :class:`~repro.compile.cache.CompileCache` serves any
    re-attach), enables kernel snapshots, and captures the base state;
 3. every point then evaluates as *mutate knobs → run → collect →
@@ -28,7 +29,7 @@ costs across each structural group:
 
 Correctness bar: a warm sweep is byte-identical to a serial or parallel
 one under ``SweepResult.canonical()`` — pinned differentially by
-``tests/sweep/test_warm_sweep.py`` for every registered batch adapter.
+``tests/sweep/test_warm_sweep.py`` for every registered adapter.
 
 Sessions live in a small per-process cache keyed by digest, so a group
 split across several pool tasks rebuilds at most once per worker, and
@@ -43,15 +44,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
-from typing import Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..trace.adapter import SweepAdapter, classify
 from .point import SweepPoint, _alarm
 from .serialize import canonical_digest
 
-__all__ = ["BatchAdapter", "WarmSession", "batch_adapter_for",
-           "group_key", "run_warm_chunk", "reset_sessions",
-           "session_count", "warm_worker_init"]
+__all__ = ["WarmSession", "batch_adapter_for", "group_key",
+           "run_warm_chunk", "reset_sessions", "session_count",
+           "warm_worker_init"]
 
 
 @dataclass
@@ -70,52 +71,25 @@ class WarmSession:
     snap: Any = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class BatchAdapter:
-    """The construct-once map for one experiment's warm sweeps.
-
-    ``safe_params`` are the knobs ``run`` can re-apply to a built
-    session (everything else is structural and keys the group);
-    ``base_params(params)`` / ``base_seed(params, seed)`` canonicalize
-    a point onto its group's build configuration — the same contract as
-    :class:`repro.trace.adapter.ReplayAdapter`, and experiments with
-    both typically share the functions.
-
-    ``build(base_params, base_seed)`` constructs the design **without
-    running it** and returns a :class:`WarmSession`; any testbench
-    state that accumulates across runs must be registered for rewind
-    with :meth:`Simulator.on_restore`.  ``run(session, params, seed)``
-    applies one point's knobs (capacity, stall schedule, period, …),
-    runs the simulation, and returns a result record **byte-identical**
-    to the plain point runner's — it must not restore; the warm runner
-    owns the restore-in-finally.
-    """
-
-    safe_params: FrozenSet[str]
-    base_params: Callable[[dict], dict]
-    base_seed: Callable[[dict, int], int]
-    build: Callable[[dict, int], WarmSession]
-    run: Callable[[WarmSession, dict, int], dict]
-
-
-def batch_adapter_for(experiment: str) -> Optional[BatchAdapter]:
-    """The registered batch adapter for a sweep, or ``None``."""
+def batch_adapter_for(experiment: str) -> Optional[SweepAdapter]:
+    """The named sweep's adapter if it can serve warm batches, else
+    ``None``."""
     from .. import registry
 
-    return registry.get_sweep(experiment).batch
+    adapter = registry.get_sweep(experiment).adapter
+    return adapter if adapter is not None and adapter.warm else None
 
 
 def group_key(point: SweepPoint,
-              adapter: BatchAdapter) -> Tuple[str, dict, int]:
-    """``(digest, base_params, base_seed)`` for a point's warm group.
+              adapter: SweepAdapter) -> Tuple[str, dict, int]:
+    """``(digest, base_params, base_seed)`` for a point's group.
 
-    The digest mirrors the incremental engine's structural-base keying
-    (experiment + canonical base params + base seed) and additionally
-    folds in a non-default backend, because the session is built under
-    the point's backend and the compile cache is keyed by this digest.
+    The digest covers the experiment, the point's projection onto its
+    structural base, and a non-default backend — the warm session is
+    built under the point's backend and the compile cache is keyed by
+    this digest.
     """
-    bparams = adapter.base_params(dict(point.params))
-    bseed = adapter.base_seed(dict(point.params), point.seed)
+    _, _, bparams, bseed = classify(adapter, point.params, point.seed)
     payload: Dict[str, Any] = {"experiment": point.experiment,
                                "params": bparams, "seed": bseed}
     if point.backend != "threaded":
@@ -146,7 +120,7 @@ def warm_worker_init() -> None:
 
     Cheap — the manifest imports no experiment.  A spawn-started worker
     imports its experiment's module (and only that one) when the first
-    chunk resolves the batch adapter by name.
+    chunk resolves the adapter by name.
     """
     from .. import registry
 
@@ -155,7 +129,7 @@ def warm_worker_init() -> None:
 
 def _build_session(digest: str, experiment: str, base_params: dict,
                    base_seed: int, backend: str,
-                   adapter: BatchAdapter) -> WarmSession:
+                   adapter: SweepAdapter) -> WarmSession:
     """Construct, digest-stamp, and snapshot one group's session."""
     from ..kernel.backend import use_backend
 

@@ -9,17 +9,18 @@ re-running the kernel.  See ``docs/INCREMENTAL_SIM.md``.
 * :mod:`repro.trace.capture` — scoped instrumentation producing a
   JSON-able trace dict plus recorded ineligibility reasons,
 * :mod:`repro.trace.replay` — the exact analytical evaluator,
-* :mod:`repro.trace.adapter` — per-experiment glue classifying sweep
-  points as derivable vs structural for ``sweep --incremental``.
+* :mod:`repro.trace.adapter` — the per-experiment sweep adapter: the
+  structural/latency-knob split ``sweep --incremental`` and ``sweep
+  --warm`` both group points by.
 """
 
-from .capture import CaptureError, TRACE_SCHEMA, capture, captured_trace
+from .capture import CaptureError, TRACE_SCHEMA, capture
 from .replay import (ReplayError, Replayer, ReplayResult, replay,
                      stall_schedule)
-from .adapter import ReplayAdapter, classify
+from .adapter import SweepAdapter, classify
 
 __all__ = [
-    "CaptureError", "TRACE_SCHEMA", "capture", "captured_trace",
+    "CaptureError", "TRACE_SCHEMA", "capture",
     "ReplayError", "Replayer", "ReplayResult", "replay", "stall_schedule",
-    "ReplayAdapter", "classify",
+    "SweepAdapter", "classify",
 ]

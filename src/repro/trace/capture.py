@@ -55,7 +55,7 @@ from typing import Any, Dict, List, Optional
 
 from ..kernel import capability
 
-__all__ = ["TRACE_SCHEMA", "CaptureError", "capture", "captured_trace"]
+__all__ = ["TRACE_SCHEMA", "CaptureError", "capture"]
 
 TRACE_SCHEMA = "repro-trace/1"
 
@@ -421,18 +421,3 @@ class _Session:
     def __init__(self, recorder: "_Recorder") -> None:
         self._recorder = recorder
         self.trace: Optional[dict] = None
-
-
-def captured_trace(build, run) -> dict:
-    """Build a design, run it under capture, return the trace.
-
-    ``build()`` constructs and returns the simulator (plus anything the
-    caller needs — only the first element of a tuple is treated as the
-    simulator); ``run(built)`` executes it.  Convenience wrapper used by
-    replay adapters and the round-trip tests.
-    """
-    built = build()
-    sim = built[0] if isinstance(built, tuple) else built
-    with capture(sim) as session:
-        run(built)
-    return session.trace

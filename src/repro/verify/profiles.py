@@ -13,7 +13,10 @@ with a single knob instead of hard-coding ``max_examples`` per test:
 ``conftest.py`` calls :func:`load_profile` at collection time, honoring
 the ``REPRO_HYPOTHESIS_PROFILE`` environment variable; tests that need
 a different budget *scale* the active profile via
-:func:`property_settings` rather than pinning absolute counts.
+:func:`property_settings` rather than pinning absolute counts, and
+non-Hypothesis tests with a budget of their own (an exhaustive oracle's
+stride, a shrink campaign's starting draw) pick it by
+:func:`active_profile`, so the same one knob tiers them too.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import require_hypothesis
 __all__ = [
     "PROFILES",
     "ENV_VAR",
+    "active_profile",
     "register_profiles",
     "load_profile",
     "profile_settings",
@@ -64,14 +68,19 @@ def register_profiles() -> None:
     _REGISTERED = True
 
 
+def active_profile() -> str:
+    """The tier ``REPRO_HYPOTHESIS_PROFILE`` names, ``dev`` when unset
+    — the tier-1 suite stays fast unless CI opts in."""
+    return os.environ.get(ENV_VAR, "dev")
+
+
 def load_profile(name: str | None = None) -> str:
     """Register and globally load a profile; returns the loaded name.
 
-    ``name=None`` reads ``REPRO_HYPOTHESIS_PROFILE`` and falls back to
-    ``dev`` — the tier-1 suite stays fast unless CI opts in.
+    ``name=None`` loads the :func:`active_profile`.
     """
     if name is None:
-        name = os.environ.get(ENV_VAR, "dev")
+        name = active_profile()
     if name not in PROFILES:
         raise ValueError(
             f"unknown hypothesis profile {name!r}; "

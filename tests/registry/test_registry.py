@@ -56,8 +56,7 @@ def test_manifest_matches_the_code_it_points_at(name):
     print from the manifest's plain values is what the resolved objects
     say — the catalog cannot promise a capability the code lacks."""
     from repro.faults.campaign import Harness
-    from repro.sweep.warm import BatchAdapter
-    from repro.trace.adapter import ReplayAdapter
+    from repro.trace.adapter import SweepAdapter
 
     spec = registry.get(name)
     for value in (spec.runner, spec.formatter, spec.design):
@@ -69,15 +68,15 @@ def test_manifest_matches_the_code_it_points_at(name):
     if sweep is not None:
         assert callable(sweep.space) and callable(sweep.runner)
         assert sweep.summarize is None or callable(sweep.summarize)
-        assert sweep.replay is None or isinstance(sweep.replay,
-                                                  ReplayAdapter)
-        assert sweep.batch is None or isinstance(sweep.batch, BatchAdapter)
+        assert sweep.adapter is None or isinstance(sweep.adapter,
+                                                   SweepAdapter)
     # The listing, recomputed from the resolved objects alone.
     assert spec.capabilities() == {
         "design": spec.design is not None,
         "sweep": sweep.name if sweep else None,
-        "replay": sweep.replay.kind if sweep and sweep.replay else None,
-        "warm": bool(sweep and sweep.batch is not None),
+        "replay": sweep.adapter.replay_kind
+        if sweep and sweep.adapter else None,
+        "warm": bool(sweep and sweep.adapter and sweep.adapter.warm),
         "harness": spec.harness.name if spec.harness else None,
         "compiled": spec.compiled,
         "seedable": spec.seedable,
@@ -89,11 +88,12 @@ def test_reference_needs_its_listing_value_beside_it():
     with pytest.raises(ValueError, match="harness_name must be declared"):
         registry.ExperimentSpec(name="probe", summary="probe",
                                 harness="repro.faults.campaign:GALS_HARNESS")
-    with pytest.raises(ValueError, match="replay_kind must be declared"):
+    with pytest.raises(ValueError,
+                       match="replay_kind / warm must be declared"):
         registry.SweepSpec(
             name="probe", help="probe", space=lambda **kw: [],
             runner=lambda p, s: {},
-            replay="repro.experiments.li_latency:REPLAY_ADAPTER")
+            adapter="repro.experiments.li_latency:SWEEP_ADAPTER")
 
 
 def test_real_objects_describe_themselves():
@@ -102,11 +102,22 @@ def test_real_objects_describe_themselves():
                                    harness=harness)
     assert spec.harness is harness
     assert spec.harness_name == "packet_stream"
-    replay = registry.get_sweep("li_latency").replay
-    sweep = registry.SweepSpec(name="probe", help="probe",
-                               space=lambda **kw: [],
-                               runner=lambda p, s: {}, replay=replay)
-    assert (sweep.replay_kind, sweep.warm) == ("trace", False)
+    from dataclasses import replace
+
+    adapter = registry.get_sweep("li_latency").adapter
+
+    def listed(adapter):
+        sweep = registry.SweepSpec(name="probe", help="probe",
+                                   space=lambda **kw: [],
+                                   runner=lambda p, s: {}, adapter=adapter)
+        return sweep.replay_kind, sweep.warm
+
+    assert listed(adapter) == ("trace", True)
+    # The session half alone: warm, no replay.
+    assert listed(replace(adapter, overrides=None, derive=None)) == \
+        (None, True)
+    assert listed(registry.get_sweep("gals_overhead").adapter) == \
+        ("analytic", False)
 
 
 def test_resolve_rejects_a_string_that_is_not_a_reference():

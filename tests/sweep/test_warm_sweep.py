@@ -1,13 +1,15 @@
 """Warm batched sweeps: byte identity, provenance, containment.
 
 The correctness bar for ``run_sweep(..., warm=True)`` is differential:
-for every experiment that registers a :class:`BatchAdapter`, a warm
-sweep must be byte-identical under ``SweepResult.canonical()`` to the
-serial and parallel fresh paths (and, through the shared cache keys, to
-a cached rerun).  Failure containment is pinned with a synthetic
-adapter: a point that wedges inside a batch loses only itself — the
-SIGALRM fires inside ``adapter.run``, the finally-restore re-arms the
-session, and the victim re-runs through the fresh path.
+for every experiment whose :class:`SweepAdapter` carries the session
+half (``build`` / ``run``), a warm sweep must be byte-identical under
+``SweepResult.canonical()`` to the serial and parallel fresh paths (and,
+through the shared cache keys, to a cached rerun; the serial comparison
+is the shared ``assert_modes_match_fresh`` oracle, which holds
+``incremental=True`` to the same bar).  Failure containment is pinned
+with a synthetic adapter: a point that wedges inside a batch loses only
+itself — the SIGALRM fires inside ``adapter.run``, the finally-restore
+re-arms the session, and the victim re-runs through the fresh path.
 """
 
 import multiprocessing as mp
@@ -20,11 +22,13 @@ import pytest
 from repro import registry
 from repro.registry import SweepSpec, register_sweep
 from repro.kernel import Simulator
-from repro.sweep import BatchAdapter, ResultCache, SweepPoint, WarmSession
-from repro.sweep import run_sweep
-from repro.sweep.warm import group_key, reset_sessions, session_count
+from repro.sweep import ResultCache, SweepPoint, WarmSession, run_sweep
+from repro.sweep.warm import batch_adapter_for, group_key, reset_sessions
+from repro.sweep.warm import session_count
+from repro.trace.adapter import SweepAdapter
 
 from ._accounting import assert_accounting
+from ._differential import assert_modes_match_fresh
 
 _FORK = mp.get_start_method(allow_none=False) == "fork"
 needs_fork = pytest.mark.skipif(
@@ -42,7 +46,7 @@ def _fresh_sessions():
 def _batch_experiments():
     names = []
     for spec in registry.specs(hidden=True):
-        if spec.sweep is not None and spec.sweep.batch is not None:
+        if spec.sweep is not None and spec.sweep.warm:
             names.append(spec.sweep.name)
     return sorted(names)
 
@@ -51,7 +55,7 @@ def _small_space(name):
     """A reduced default space: every group, a handful of points each."""
     points = registry.get_sweep(name).space()
     by_group = {}
-    adapter = registry.get_sweep(name).batch
+    adapter = batch_adapter_for(name)
     kept = []
     for p in points:
         digest, _, _ = group_key(p, adapter)
@@ -68,16 +72,11 @@ def _small_space(name):
 def test_warm_identical_to_serial(name):
     points = _small_space(name)
     assert points, f"{name} enumerated an empty space"
-    serial = run_sweep(points, jobs=1, telemetry=False)
-    warm = run_sweep(points, jobs=1, warm=True)
-    assert serial.errors == warm.errors == 0
-    assert warm.canonical() == serial.canonical()
+    serial, warm, _ = assert_modes_match_fresh(points)
     assert warm.warm and not serial.warm
     assert warm.warm_points == len(points)
     assert warm.restores == len(points)
     assert not warm.fallback_reasons
-    assert_accounting(serial)
-    assert_accounting(warm)
 
 
 @needs_fork
@@ -232,17 +231,16 @@ def _sleepy_warm_run(session, params, seed):
     return _sleepy_warm_runner(params, seed)
 
 
-_SLEEPY_ADAPTER = BatchAdapter(
-    safe_params=frozenset({"i", "sentinel", "sleep"}),
-    base_params=lambda params: {},
-    base_seed=lambda params, seed: 0,
+# No parameter is structural: every point shares the one session.
+_SLEEPY_ADAPTER = SweepAdapter(
+    base={"i": 0, "sentinel": "", "sleep": 0.0},
     build=_sleepy_warm_build,
     run=_sleepy_warm_run,
 )
 
 register_sweep(SweepSpec("warm_sleepy_test", "test", space=lambda **kw: [],
                          runner=_sleepy_warm_runner,
-                         batch=_SLEEPY_ADAPTER))
+                         adapter=_SLEEPY_ADAPTER))
 
 
 def test_timeout_kills_only_the_wedged_point(tmp_path):

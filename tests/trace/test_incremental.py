@@ -5,14 +5,18 @@ plain full-simulation sweep of the same points via
 ``SweepResult.canonical()`` — the byte-comparable serialization — so
 replayed, analytically derived, cache-served and fallback results are
 all held to the same standard: indistinguishable from fresh
-simulations.
+simulations.  The per-experiment comparisons go through the shared
+``assert_modes_match_fresh`` oracle (which holds ``warm=True`` to the
+same bar); the cache-fronted ones compare directly.
 """
 
 import pytest
 
+from repro.cli import main
 from repro.registry import build_space
 from repro.sweep import ResultCache, run_sweep
 from tests.sweep._accounting import assert_accounting
+from tests.sweep._differential import assert_modes_match_fresh
 
 pytestmark = pytest.mark.usefixtures("pinned_rev")
 
@@ -31,17 +35,15 @@ def _canonical(points):
     return run_sweep(points, telemetry=False).canonical()
 
 
-def test_li_latency_incremental_is_byte_identical(cache):
+def test_li_latency_incremental_is_byte_identical():
     points = build_space("li_latency")
-    result = run_sweep(points, cache=cache, incremental=True)
-    assert result.canonical() == _canonical(points)
+    _, _, result = assert_modes_match_fresh(points)
     # The headline property: 48 points, 2 structural bases, 0 fallbacks.
     assert result.derived == len(points)
     assert result.captures == 2
     assert result.executed == 0 and result.errors == 0
     assert result.fallback_reasons == {}
     assert all(o.mode == "derived" for o in result.outcomes)
-    assert_accounting(result)
 
 
 def test_li_latency_meets_derived_floor(cache):
@@ -59,6 +61,28 @@ def test_warm_incremental_is_fully_cached_and_identical(cache):
     assert warm.captures == 0 and warm.derived == 0
     assert warm.canonical() == _canonical(points)
     assert_accounting(warm)
+
+
+def test_one_probed_point_is_one_cache_lookup(cache, tmp_path, capsys):
+    """A point costs one hit or one miss however many modes the probe
+    accepts; only the trace lookups of the captures count besides."""
+    points = build_space("li_latency")
+    cold = run_sweep(points, cache=cache, incremental=True)
+    assert cache.stats.hits == 0
+    assert cache.stats.misses == len(points) + cold.captures
+    rerun = ResultCache(cache.root, version=cache.version)
+    run_sweep(points, cache=rerun, incremental=True)
+    assert (rerun.stats.hits, rerun.stats.misses) == (len(points), 0)
+    assert rerun.stats.hits_derived == len(points)
+    # And the line the user reads says so.
+    argv = ["sweep", "li_latency", "--incremental",
+            "--cache-dir", str(tmp_path / "cli-cache")]
+    assert main(argv) == 0
+    assert f"0 hits / {len(points) + cold.captures} misses" \
+        in capsys.readouterr().out
+    assert main(argv) == 0
+    assert f"{len(points)} hits / 0 misses (100% hit rate)" \
+        in capsys.readouterr().out
 
 
 def test_warm_traces_skip_recapture(cache):
@@ -88,10 +112,9 @@ def test_derived_entries_never_shadow_exact(cache):
     assert warm.outcomes[0].result == marked
 
 
-def test_stall_verification_falls_back_with_recorded_reasons(cache):
+def test_stall_verification_falls_back_with_recorded_reasons():
     points = build_space("stall_verification", trials=2)
-    result = run_sweep(points, cache=cache, incremental=True)
-    assert result.canonical() == _canonical(points)
+    _, _, result = assert_modes_match_fresh(points)
     # Statically derivable, dynamically refused: the one capture runs,
     # records the harness's non-blocking ops, and every point simulates.
     assert result.derived == 0
@@ -100,16 +123,13 @@ def test_stall_verification_falls_back_with_recorded_reasons(cache):
     reasons = "; ".join(result.fallback_reasons)
     assert "pop_nb" in reasons and "push_nb" in reasons
     assert all(o.fallback_reason for o in result.outcomes)
-    assert_accounting(result)
 
 
-def test_gals_overhead_is_analytically_derived(cache):
+def test_gals_overhead_is_analytically_derived():
     points = build_space("gals_overhead")
-    result = run_sweep(points, cache=cache, incremental=True)
-    assert result.canonical() == _canonical(points)
+    _, _, result = assert_modes_match_fresh(points)
     assert result.derived == len(points)
     assert result.captures == 0 and result.executed == 0
-    assert_accounting(result)
 
 
 def test_experiment_without_adapter_falls_back(cache):

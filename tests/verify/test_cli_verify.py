@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.verify.profiles import active_profile
 
 
 def test_verify_verb_reports_and_exits_zero(capsys):
@@ -53,9 +54,18 @@ def test_verify_exits_two_without_hypothesis(monkeypatch, capsys):
 def test_seeded_bug_shrinks_and_replays_byte_identically(tmp_path,
                                                           capsys):
     """The acceptance loop: --inject corrupt fails, shrinks to a
-    minimal counterexample, persists it, and replays it exactly."""
+    minimal counterexample, persists it, and replays it exactly.
+
+    Nearly all of the time is Hypothesis shrinking, twice, and how much
+    there is to shrink depends on the draw the seed starts from.  Every
+    tier makes every assertion below; ``dev`` starts from a draw whose
+    first counterexample is already small (~60 shrink executions per
+    run), ``ci`` / ``thorough`` from the larger one this test always
+    used (~140).
+    """
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", "--max-examples", "2", "--seed", "0",
+    seed = "3" if active_profile() == "dev" else "0"
+    args = ["verify", "--max-examples", "2", "--seed", seed,
             "--checks", "li", "--inject", "corrupt"]
     assert main([*args, "--json", str(first)]) == 1
     out = capsys.readouterr().out
