@@ -20,8 +20,9 @@ This package removes that cost without changing a single observable:
    capability table (:mod:`repro.kernel.capability`) refuses; anything
    else **falls back** to the threaded kernel, recording why.
 3. :class:`.engine.CompiledEngine` executes the schedule with a flat,
-   allocation-free dispatch loop: parked threads and idle channels are
-   skipped, a posedge costs four integer updates, and any construct
+   allocation-free dispatch loop: parked threads are skipped (idle
+   channels leave the clock under either backend), a posedge costs four
+   integer updates, and any construct
    outside the proof detaches back to the threaded loop mid-run with
    exact state restoration.
 

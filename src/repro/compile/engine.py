@@ -13,19 +13,21 @@ three elisions, each individually proven equivalent:
    threaded kernel ``yield gate`` is a plain one-posedge wait, so the
    only difference is *which* iterations of an idle polling loop run —
    iterations that by construction observe nothing and do nothing.
-2. **Idle channels.**  A channel core whose tick is a pure no-op (empty
-   queue and transit, no stall RNG to advance, no fault hook) stops
-   being ticked; the first ``do_push``/``set_stall`` reactivates it and
-   re-credits ``stats.cycles`` for the skipped span, whose occupancy
-   contribution is exactly zero.
+2. **Idle channels.**  Not the engine's own any more: an empty channel
+   core reports itself quiescent and the *clock* parks it, re-arms it
+   and credits the skipped span, for both executors (see
+   :meth:`repro.kernel.clock.Clock.on_edge`).  The engine walks the
+   clock's active list and adds the half that is its own — opening a
+   channel's wake gates after a tick that leaves data visible.
 3. **No per-cycle rescheduling.**  Pollers stay in a flat order list
    (slot position = threaded resume order); a posedge is four integer
    updates instead of heap traffic.
 
 Everything the elisions cannot prove equivalent **detaches**: the engine
 files every live thread back into the clock's wakeup bucket in slot
-order (preserving the threaded resume order), reactivates every skipped
-channel, and hands the very same run back to the threaded loop.  Detach
+order (preserving the threaded resume order) and hands the very same
+run back to the threaded loop; parked channels stay parked, the clock's
+list being the one both loops walk.  Detach
 triggers are cheap per-cycle guards: a stopped or paused clock, a timed
 event in the heap, a channel/method/thread registered mid-run.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+from ..design.lower import edge_callbacks
 from ..kernel.backend import record_run
 from ..kernel.capability import OBSERVABILITY, reason as capability_reason
 from ..kernel.simulator import (DeltaOverflow, Event, Gate, SimulationError,
@@ -63,12 +66,9 @@ class CompiledEngine:
 
     __slots__ = ("sim", "clock", "schedule", "_live", "_live_keys",
                  "_parked_map", "_key_lo", "_key_hi", "_scan_idx",
-                 "_ticks", "_active", "_active_keys", "_tick_index",
-                 "_cb_count", "_thread_count")
+                 "_channels", "_cb_count", "_thread_count")
 
     def __init__(self, sim, schedule):
-        from ..connections.channel import FastChannel
-
         self.sim = sim
         self.clock = schedule.clock
         self.schedule = schedule
@@ -88,50 +88,13 @@ class CompiledEngine:
         self._key_lo = 0
         self._key_hi = 0
         self._scan_idx = _NOT_SCANNING
-        # Tick nodes in registration order: (channel, None) for managed
-        # FastChannel cores, (None, fn) for callbacks that must run
-        # every cycle.  Rebuilt from clock._callbacks (not the schedule)
-        # so engine and clock can never disagree about order.
-        ticks = []
-        for cb in self.clock._callbacks:
-            owner = getattr(cb, "__self__", None)
-            if isinstance(owner, FastChannel) and cb.__name__ == "_tick":
-                ticks.append((owner, None))
-                owner._compiled = self
-            else:
-                ticks.append((None, cb))
-        self._ticks = ticks
-        # The per-cycle loop walks only the *active* subsequence of the
-        # tick list: a skipped channel costs nothing until reactivated.
-        # Deactivation deletes in place and reactivation bisect-inserts
-        # by registration index, so active ticks always run in exact
-        # registration order — unmanaged callbacks observe the same
-        # channel states they would under the threaded kernel.
-        self._active = [(idx, ch, fn) for idx, (ch, fn) in enumerate(ticks)
-                        if ch is None or ch._skip_from is None]
-        self._active_keys = [idx for idx, _ch, _fn in self._active]
-        self._tick_index = {id(ch): idx for idx, (ch, _fn) in enumerate(ticks)
-                            if ch is not None}
+        # Managed FastChannel per edge-callback slot (None for any other
+        # callback), classified from clock._callbacks — not the schedule
+        # — so engine and clock can never disagree about slots.
+        self._channels = [chan for _cb, chan, _name
+                          in edge_callbacks(self.clock)]
         self._cb_count = len(self.clock._callbacks)
         self._thread_count = len(sim._threads)
-
-    # ------------------------------------------------------------------
-    # channel hooks (called from FastChannel.do_push / set_stall)
-    # ------------------------------------------------------------------
-    def _channel_pushed(self, ch) -> None:
-        """Reactivate a skipped channel the moment state re-enters it."""
-        skip_from = ch._skip_from
-        if skip_from is not None:
-            ch._skip_from = None
-            # Every skipped tick would have added one cycle of zero
-            # occupancy: re-credit the cycle count, occupancy_sum += 0.
-            ch.stats.cycles += self.clock.cycles - skip_from
-            idx = self._tick_index[id(ch)]
-            pos = bisect_left(self._active_keys, idx)
-            self._active_keys.insert(pos, idx)
-            self._active.insert(pos, (idx, ch, None))
-
-    _channel_touched = _channel_pushed
 
     # ------------------------------------------------------------------
     # gate hook (called from Gate.open when parked threads wait there)
@@ -183,13 +146,6 @@ class CompiledEngine:
         self._live = []
         self._live_keys = []
         self._parked_map.clear()
-        for ch, _fn in self._ticks:
-            if ch is not None:
-                skip_from = ch._skip_from
-                if skip_from is not None:
-                    ch._skip_from = None
-                    ch.stats.cycles += clock.cycles - skip_from
-                ch._compiled = None
         sim._engine = None
         sim._backend_fallback = reason
         record_run("threaded", reason)
@@ -197,13 +153,12 @@ class CompiledEngine:
     def reset(self) -> None:
         """Return to the just-attached state (snapshot restore path).
 
-        Unlike :meth:`detach`, nothing is re-subscribed, no skipped
-        cycles are re-credited, and no fallback is recorded: the kernel
-        restore that calls this rewinds wakeup buckets and channel
-        stats through the snapshot base, so the engine only clears its
-        own dispatch state and resumes ticking every channel.  The
-        engine stays attached — the next run reuses the same lowered
-        schedule with no re-attach cost.
+        Unlike :meth:`detach`, nothing is re-subscribed and no fallback
+        is recorded: the kernel restore that calls this rewinds wakeup
+        buckets through the snapshot base (and every channel re-arms
+        itself as its state is restored), so the engine only clears its
+        own dispatch state.  The engine stays attached — the next run
+        reuses the same lowered schedule with no re-attach cost.
         """
         for entry in self._parked_map.values():
             gate = entry[3]
@@ -215,27 +170,7 @@ class CompiledEngine:
         self._key_lo = 0
         self._key_hi = 0
         self._scan_idx = _NOT_SCANNING
-        ticks = self._ticks
-        for ch, _fn in ticks:
-            if ch is not None:
-                ch._skip_from = None
-                ch._compiled = self
-        self._active = [(idx, ch, fn) for idx, (ch, fn) in enumerate(ticks)]
-        self._active_keys = list(range(len(ticks)))
         self._thread_count = len(self.sim._threads)
-
-    def _settle(self) -> None:
-        """Re-credit skipped cycles on still-idle channels at a run
-        boundary, so ``stats.cycles`` (hence ``mean_occupancy`` and
-        link utilization) reads byte-identical to the threaded kernel
-        whenever the simulation is observable."""
-        cycles = self.clock.cycles
-        for ch, _fn in self._ticks:
-            if ch is not None:
-                skip_from = ch._skip_from
-                if skip_from is not None and skip_from != cycles:
-                    ch.stats.cycles += cycles - skip_from
-                    ch._skip_from = cycles
 
     # ------------------------------------------------------------------
     # thread dispatch
@@ -304,8 +239,9 @@ class CompiledEngine:
         live = self._live
         keys = self._live_keys
         parked_map = self._parked_map
-        active = self._active
-        active_keys = self._active_keys
+        active = clock._active
+        parked_ticks = clock._parked
+        channels = self._channels
         queue = sim._queue
         wakeups = clock._wakeups
         callbacks = clock._callbacks
@@ -325,7 +261,6 @@ class CompiledEngine:
             next_edge = clock.next_edge
             if until is not None and next_edge > until:
                 sim.now = until
-                self._settle()
                 record_run("compiled")
                 return (True, steps)
             # Detach guards: constructs the schedule does not cover.
@@ -356,36 +291,34 @@ class CompiledEngine:
             clock.next_edge = next_edge + clock.period
             clock._seq = next(sim._seq)
 
-            # -- phase 2: channel ticks; only the active subsequence runs
-            # (a channel that goes idle here drops out of the walk until
-            # a push/set_stall re-inserts it at its registration slot)
+            # -- phase 2: edge callbacks.  Clock._fire_callbacks inlined
+            # over the clock's own active list (a channel that reports
+            # quiescent is parked until a push/set_stall re-arms it at
+            # its slot), plus the engine's half: a tick that leaves data
+            # visible opens the channel's wake gates.
             i = 0
             while i < len(active):
-                ch = active[i][1]
-                if ch is not None:
-                    ch._tick(clock)
-                    if ch._queue:
-                        if not ch._stalled:
-                            gates = ch._wake_gates
-                            if gates is not None:
-                                for gate in gates:
-                                    gate._open = True
-                                    waiters = gate._waiters
-                                    if waiters is not None:
-                                        gate._waiters = None
-                                        self._unpark(waiters[1])
-                        i += 1
-                    elif (not ch._transit
-                          and ch._stall_probability == 0.0
-                          and ch._faults is None):
-                        ch._skip_from = cycles
-                        del active[i]
-                        del active_keys[i]
-                    else:
-                        i += 1
-                else:
-                    active[i][2](clock)
-                    i += 1
+                clock._cursor = i
+                record = active[i]
+                quiescent = record[1](clock)
+                i = clock._cursor
+                if quiescent:
+                    record[2]._skip_from = cycles
+                    parked_ticks[record[0]] = record
+                    del active[i]
+                    continue
+                i += 1
+                ch = channels[record[0]]
+                if ch is not None and ch._queue and not ch._stalled:
+                    gates = ch._wake_gates
+                    if gates is not None:
+                        for gate in gates:
+                            gate._open = True
+                            waiters = gate._waiters
+                            if waiters is not None:
+                                gate._waiters = None
+                                self._unpark(waiters[1])
+            clock._cursor = -1
 
             # -- phase 3a: due sleepers resume first (chronologically the
             # earliest subscribers in this cycle's threaded bucket).
@@ -537,10 +470,8 @@ class CompiledEngine:
 
             steps += 1
             if max_steps is not None and steps >= max_steps:
-                self._settle()
                 record_run("compiled")
                 return (True, steps)
             if stop_clock is not None and stop_clock.cycles >= stop_cycles:
-                self._settle()
                 record_run("compiled")
                 return (True, steps)

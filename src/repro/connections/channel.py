@@ -124,7 +124,7 @@ class FastChannel:
         "_queue", "_transit", "_occ_start", "_pushed", "_popped",
         "_stall_probability", "_stall_rng", "_stalled", "stats",
         "telemetry", "_design_owner", "_faults",
-        "_wake_gates", "_compiled", "_skip_from",
+        "_wake_gates", "_slot", "_skip_from",
     )
 
     def __init__(
@@ -168,27 +168,27 @@ class FastChannel:
         # Fault-injection hook (see repro.faults.plan.ChannelFaults).
         # None by default: the hot path pays one attribute load.
         self._faults = None
-        # Compiled-backend hooks (see repro.compile.engine).  ``_wake_gates``
-        # are consumer Gates the engine opens when a tick leaves the queue
-        # non-empty; ``_compiled`` is the attached engine (None = threaded,
-        # one ``is None`` check on the push path); ``_skip_from`` is the
-        # cycle the engine stopped ticking this idle channel at (None =
-        # ticking normally), used to re-credit ``stats.cycles`` exactly.
+        # ``_wake_gates`` are consumer Gates the compiled engine opens
+        # when a tick leaves the queue non-empty (see repro.compile.engine).
         self._wake_gates = None
-        self._compiled = None
+        # Park state (see Clock.on_edge): ``_skip_from`` is the cycle of
+        # the last tick before the clock parked this empty channel, None
+        # while it ticks every edge — one ``is None`` test on the push
+        # path.  The clock stamps and clears it; ``_credit`` accounts the
+        # skipped ticks when ``_rearm`` (or a run exit) catches up.
         self._skip_from = None
         self.stats = ChannelStats()
         # Opt-in occupancy/stall telemetry (None when the hub is off).
         hub = getattr(sim, "telemetry", None)
         self.telemetry = hub.register_channel(self) if hub is not None else None
-        clock.on_edge(self._tick)
+        self._slot = clock.on_edge(self._tick)
 
     # ------------------------------------------------------------------
     # per-cycle update (runs before module threads at every posedge)
     # ------------------------------------------------------------------
-    def _tick(self, clock) -> None:
-        # Hot path: runs once per channel per posedge; keep attribute
-        # loads hoisted and branches cheap.
+    def _tick(self, clock) -> bool:
+        # Hot path: runs once per channel per un-parked posedge; keep
+        # attribute loads hoisted and branches cheap.
         queue = self._queue
         transit = self._transit
         if transit:
@@ -207,6 +207,42 @@ class FastChannel:
                 stats.stall_cycles += 1
         stats.cycles += 1
         stats.occupancy_sum += len(queue)
+        # Quiescent: while empty, later ticks only count cycles and draw
+        # stalls, which _credit reproduces in bulk — the clock parks us.
+        return not queue and not transit and self._faults is None
+
+    def _credit(self, n: int) -> None:
+        """Account ``n`` skipped ticks of this empty channel, exactly.
+
+        Each would have counted one cycle of zero occupancy and, with
+        stall injection on, drawn once from the stall RNG.  While the
+        queue is empty only the hit count and the last outcome of those
+        draws are observable, so drawing them late leaves the RNG
+        stream, every counter and every later pop bit-identical.
+        """
+        stats = self.stats
+        stats.cycles += n
+        probability = self._stall_probability
+        if probability > 0.0:
+            draw = self._stall_rng.random
+            hits = 0
+            for _ in range(n):
+                stalled = draw() < probability
+                hits += stalled
+            self._stalled = stalled
+            stats.stall_cycles += hits
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.cycles += n
+            hist = telemetry.occupancy_hist
+            hist[0] = hist.get(0, 0) + n
+
+    def _rearm(self) -> None:
+        """Resume ticking (state is about to re-enter a parked channel),
+        first catching up on the ticks skipped under the old state."""
+        skipped = self.clock._rearm(self._slot)
+        if skipped:
+            self._credit(skipped)
 
     # ------------------------------------------------------------------
     # port-side operations (called by In/Out ports inside module threads)
@@ -224,8 +260,8 @@ class FastChannel:
                 self.telemetry.on_push_rejected()
             return False
         self._pushed = True
-        if self._compiled is not None:
-            self._compiled._channel_pushed(self)
+        if self._skip_from is not None:
+            self._rearm()  # before the fault hook: a dropped push ticks too
         faults = self._faults
         if faults is not None:
             action, msg = faults.on_push(msg)
@@ -271,6 +307,8 @@ class FastChannel:
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"stall probability must be in [0,1], got {probability}")
+        if self._skip_from is not None:
+            self._rearm()  # skipped ticks drew from the old schedule
         self._stall_probability = probability
         if probability > 0.0:
             self._stall_rng = random.Random(seed)
@@ -278,10 +316,6 @@ class FastChannel:
             # Full reset: probability 0 restores the pristine state.
             self._stall_rng = None
             self._stalled = False
-        if self._compiled is not None:
-            # Stalled channels advance an RNG per tick, so the compiled
-            # engine must resume (and never again skip) their ticks.
-            self._compiled._channel_touched(self)
 
     # ------------------------------------------------------------------
     # snapshot state protocol (see repro.kernel.snapshot)
@@ -313,6 +347,11 @@ class FastChannel:
         }
 
     def _restore_state(self, state: dict) -> None:
+        if self._skip_from is not None:
+            # The restored state may not be an empty one.  No credit:
+            # the stats are overwritten below and the last run exit
+            # settled everything else.
+            self.clock._rearm(self._slot)
         self.capacity = state["capacity"]
         self.extra_latency = state["extra_latency"]
         self._queue.clear()

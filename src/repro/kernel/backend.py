@@ -9,7 +9,8 @@ Two execution backends share one modelling API (see
 * ``"compiled"`` — the graph-compiled dispatch loop in
   :mod:`repro.compile`: the elaborated design is lowered to a static
   node schedule and executed by a flat per-edge loop that parks idle
-  threads and skips idle channels.  Attaches only when a capability
+  threads (idle channels leave the clock under either backend).
+  Attaches only when a capability
   check proves the design uses supported constructs; otherwise the
   simulator silently runs threaded and records the reason.
 

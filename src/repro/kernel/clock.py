@@ -27,10 +27,19 @@ Sleeping threads are filed in per-clock *wakeup buckets* keyed by the
 absolute cycle number at which they resume (``cycles + n`` for a thread
 yielding ``n``), so a sleeping thread costs zero work per edge.  Both
 lanes share the buckets.
+
+Edge callbacks follow a *park / re-arm / credit* protocol shared by the
+threaded kernel and the compiled engine: a callback that returns true
+reports itself **quiescent** and leaves the list walked each posedge
+until its owner re-arms it (``FastChannel`` does, from ``do_push`` /
+``set_stall`` / ``_restore_state``); the owner's ``_credit(n)`` accounts
+the skipped edges exactly.  A clock whose walked list is empty is idle
+and can be bulk-advanced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Optional
 
 __all__ = ["Clock"]
@@ -53,6 +62,9 @@ class Clock:
         "_wakeups",
         "_next_wakeup",
         "_callbacks",
+        "_active",
+        "_parked",
+        "_cursor",
         "_pause_until",
         "_stopped",
         "paused_edges",
@@ -70,7 +82,16 @@ class Clock:
         #: Wakeup buckets: absolute cycle number -> threads resuming there.
         self._wakeups: dict[int, list] = {}
         self._next_wakeup: Optional[int] = None  # min key of _wakeups
-        self._callbacks: list[Callable[["Clock"], None]] = []
+        #: Every registered edge callback, registration order (what
+        #: lowering, the capability table and the engine's guards read).
+        self._callbacks: list[Callable[["Clock"], object]] = []
+        #: ``(slot, callback, owner)`` records: ``_active`` is the
+        #: slot-ordered subsequence walked each posedge, ``_parked`` maps
+        #: the slots that left it to their records, awaiting re-arm.
+        self._active: list[tuple] = []
+        self._parked: dict[int, tuple] = {}
+        #: Index into ``_active`` of the callback now running, else -1.
+        self._cursor = -1
         self._pause_until = 0
         self._stopped = False
         self.paused_edges = 0
@@ -99,15 +120,28 @@ class Clock:
         else:
             bucket.append(thread)
 
-    def on_edge(self, fn: Callable[["Clock"], None]) -> None:
+    def on_edge(self, fn: Callable[["Clock"], object]) -> int:
         """Register a callback invoked at every posedge, before threads.
 
         Used for per-cycle bookkeeping (channel cores, stall injectors,
         statistics) that must observe state ahead of thread wakeups.
-        A clock with callbacks executes every posedge individually and
-        is never bulk-skipped.
+        Returns the callback's registration slot.
+
+        A bound-method callback may return true to report its owner
+        **quiescent**: nothing it does is observable until the owner is
+        touched again.  The clock then *parks* it — stamps
+        ``owner._skip_from`` with the current cycle and stops calling it
+        — until the owner calls :meth:`_rearm` with its slot; the
+        skipped edges are settled through ``owner._credit(n)`` at
+        re-arm and at every run exit (:meth:`_settle`).  A clock with
+        no un-parked callback, wakeup or pause is idle and may be
+        bulk-advanced (:meth:`_next_time`).  Callbacks returning
+        ``None`` run at every posedge.
         """
+        slot = len(self._callbacks)
         self._callbacks.append(fn)
+        self._active.append((slot, fn, getattr(fn, "__self__", None)))
+        return slot
 
     # ------------------------------------------------------------------
     # edge machinery
@@ -123,6 +157,61 @@ class Clock:
         if self._next_wakeup == self.cycles:
             self._next_wakeup = min(self._wakeups) if self._wakeups else None
 
+    def _fire_callbacks(self) -> None:
+        """Run the active edge callbacks in slot order, parking the ones
+        that report quiescent.  ``_cursor`` is re-read after each call:
+        a re-arm behind it shifts the running callback one place up."""
+        active = self._active
+        i = 0
+        while i < len(active):
+            self._cursor = i
+            record = active[i]
+            quiescent = record[1](self)
+            i = self._cursor
+            if quiescent:
+                record[2]._skip_from = self.cycles
+                self._parked[record[0]] = record
+                del active[i]
+            else:
+                i += 1
+        self._cursor = -1
+
+    def _rearm(self, slot: int) -> int:
+        """Put parked callback ``slot`` back on the walked list and
+        return how many edges it skipped.
+
+        Called mid-walk, a slot *ahead* of the cursor still runs this
+        edge (which is then not a skipped one); a slot behind it would
+        already have run, so this edge counts as skipped and the cursor
+        moves up with the running callback.
+        """
+        record = self._parked.pop(slot)
+        active = self._active
+        pos = bisect_left(active, (slot,))
+        active.insert(pos, record)
+        owner = record[2]
+        skipped = self.cycles - owner._skip_from
+        owner._skip_from = None
+        cursor = self._cursor
+        if cursor >= 0:
+            if pos > cursor:
+                skipped -= 1
+            else:
+                self._cursor = cursor + 1
+        return skipped
+
+    def _settle(self) -> None:
+        """Credit every parked owner the edges skipped so far (run exit:
+        counters must read exact whenever the simulation is observable).
+        Owners stay parked."""
+        self._cursor = -1  # an exception may have cut a walk short
+        cycles = self.cycles
+        for _slot, _fn, owner in self._parked.values():
+            skipped = cycles - owner._skip_from
+            if skipped:
+                owner._skip_from = cycles
+                owner._credit(skipped)
+
     def _edge(self) -> None:
         """General-lane posedge: a timed event popped off the heap."""
         if self._stopped:
@@ -135,8 +224,8 @@ class Clock:
             self.sim.schedule(self._pause_until - self.sim.now, self._edge)
             return
         self.cycles += 1
-        for fn in self._callbacks:
-            fn(self)
+        if self._active:
+            self._fire_callbacks()
         self._wake_bucket()
         next_period = self.period
         if self.generator is not None:
@@ -159,24 +248,26 @@ class Clock:
             self._seq = next(sim._seq)
             return
         self.cycles += 1
-        for fn in self._callbacks:
-            fn(self)
+        if self._active:
+            self._fire_callbacks()
         if self._wakeups:
             self._wake_bucket()
         self.next_edge = sim.now + self.period
         self._seq = next(sim._seq)
 
     def _next_time(self) -> Optional[int]:
-        """Next timestamp at which this fast clock needs the simulator.
+        """Next timestamp at which this fast clock has work of its own.
 
         ``None`` means "never" (stopped, or idle with no pending wakeup
         — the simulator bulk-advances the cycle counter as time passes,
-        see :meth:`_advance_idle`).  A clock with edge callbacks, or a
-        pending pause to resolve, needs every posedge executed.
+        see :meth:`_advance_idle`).  A clock with an un-parked edge
+        callback, or a pending pause to resolve, needs every posedge
+        executed.  The simulator honours an answer past ``next_edge``
+        only where skipping is exact (see ``Simulator._run``).
         """
         if self._stopped:
             return None
-        if self._callbacks or self._pause_until > self.next_edge:
+        if self._active or self._pause_until > self.next_edge:
             return self.next_edge
         nw = self._next_wakeup
         if nw is None:
@@ -187,11 +278,17 @@ class Clock:
     def _advance_idle(self, last: int, kstats) -> None:
         """Bulk-advance every posedge with timestamp <= ``last``.
 
-        Only called for fast-lane clocks with no edge callbacks when no
-        wakeup bucket falls inside the range, so the skipped edges have
-        no observable work: the cycle counter, pause bookkeeping, and
-        (when telemetry is on) the per-edge event/timestep counters
-        advance exactly as if each edge had executed individually.
+        Only called for a fast-lane clock whose edge callbacks are all
+        parked, when no wakeup bucket falls inside the range and no
+        other fast clock is live, so each skipped edge would have been
+        a timestep of its own with no observable work: the cycle
+        counter, pause bookkeeping, and (when telemetry is on) the
+        per-edge event/timestep counters advance exactly as if each
+        edge had executed individually.  Parked callbacks are credited
+        later, from the cycle counter (:meth:`_rearm`, :meth:`_settle`).
+        The sequence stamp is renewed as the last skipped edge would
+        have renewed it: nothing else took a stamp since that edge, so
+        firing order at a later shared timestamp is the per-edge one.
         """
         n = 0
         while not self._stopped and self.next_edge <= last:
@@ -206,9 +303,11 @@ class Clock:
             self.cycles += k
             self.next_edge += k * self.period
             n += k
-        if kstats is not None and n:
-            kstats.events_fired += n
-            kstats.timesteps += n
+        if n:
+            self._seq = next(self.sim._seq)
+            if kstats is not None:
+                kstats.events_fired += n
+                kstats.timesteps += n
 
     # ------------------------------------------------------------------
     # GALS controls

@@ -32,8 +32,11 @@ Scheduler hot path (see ``docs/PERFORMANCE.md`` for the design):
   (``Signal._watchers``), so a commit wakes its methods without a dict
   lookup — and without the use-after-free hazard of an ``id()``-keyed
   side table;
-* an **idle-skip** bulk-advances callback-free clocks over edges where
-  no thread wakes, no method runs, and no timed event fires.
+* **quiescent edge callbacks leave the clock**: an empty channel's tick
+  is parked until a push re-arms it, and its skipped ticks are credited
+  exactly at re-arm and at every run exit (see ``Clock.on_edge``);
+* an **idle-skip** bulk-advances a lone clock whose callbacks are all
+  parked over edges where no thread wakes and no timed event fires.
 
 All fast paths are semantics-preserving: firing order is kept identical
 to the heap-scheduled kernel by stamping fast-lane edges with the same
@@ -495,17 +498,29 @@ class Simulator:
         check) or detaches mid-run (a dynamic construct appeared), the
         loop below continues with whatever step budget remains.
         """
-        if self._backend_requested == "compiled":
-            outcome = self._compiled_run(until, max_steps,
-                                         stop_clock, stop_cycles)
-            if outcome is not None:
-                done, executed = outcome
-                if done:
-                    return self.now
-                if max_steps is not None:
-                    max_steps -= executed
-                    if max_steps <= 0:
+        try:
+            if self._backend_requested == "compiled":
+                outcome = self._compiled_run(until, max_steps,
+                                             stop_clock, stop_cycles)
+                if outcome is not None:
+                    done, executed = outcome
+                    if done:
                         return self.now
+                    if max_steps is not None:
+                        max_steps -= executed
+                        if max_steps <= 0:
+                            return self.now
+            self._threaded_run(until, max_steps, stop_clock, stop_cycles)
+            return self.now
+        finally:
+            # Whichever executor ran and however it stopped (horizon,
+            # budget, exception): credit parked edge callbacks their
+            # skipped edges, so counters read exact between runs.
+            for clk in self._clocks:
+                clk._settle()
+
+    def _threaded_run(self, until, max_steps, stop_clock, stop_cycles):
+        """The threaded scheduler loop (see :meth:`_run`)."""
         steps = 0
         kstats = self.telemetry.kernel if self.telemetry is not None else None
         queue = self._queue
@@ -521,17 +536,30 @@ class Simulator:
                     f"budget (see repro.kernel.time_budget)"
                 )
             t = queue[0][0] if queue else None
+            live = 0
             for clk in fast:
-                ct = clk._next_time()
-                if ct is not None and (t is None or ct < t):
-                    t = ct
+                if not clk._stopped:
+                    live += 1
+                    lone = clk
+                    ne = clk.next_edge
+                    if t is None or ne < t:
+                        t = ne
+            if live == 1 and max_steps is None:
+                # Idle-skip: a lone clock may name a later edge than its
+                # next.  Exact because each edge it skips would have
+                # been a timestep of its own (no second skipper to share
+                # a timestamp or a sequence stamp with).  Two live fast
+                # clocks, or a step budget (which counts edges), execute
+                # every edge.
+                t = lone._next_time()
+                if queue and (t is None or queue[0][0] < t):
+                    t = queue[0][0]
             if t is None:
-                # No executable work left.  Idle periodic clocks still
-                # tick silently up to the requested horizon.
+                # No executable work left.  An idle periodic clock still
+                # ticks silently up to the requested horizon.
                 if until is not None:
-                    for clk in fast:
-                        if not clk._stopped:
-                            self.now = until
+                    if live:
+                        self.now = until
                     for clk in fast:
                         clk._advance_idle(until, kstats)
                 break
@@ -583,7 +611,6 @@ class Simulator:
                 break
             if stop_clock is not None and stop_clock.cycles >= stop_cycles:
                 break
-        return self.now
 
     def _delta_loop(self) -> None:
         dirty = self._dirty_signals

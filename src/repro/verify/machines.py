@@ -7,7 +7,8 @@ operations no directed test would write:
 * :class:`ChannelMachine` — a :func:`~repro.connections.Buffer` against
   a transparent-box mirror of its documented cycle semantics (one
   push/pop per cycle, one-cycle handshake plus ``extra_latency``
-  transit, stall gating, snapshot/restore);
+  transit, stall gating, snapshot/restore, and per-cycle counters that
+  stay exact across the idle spans the clock parks the channel for);
 * :class:`RouterMachine` — a :class:`~repro.noc.WHVCRouter` mesh node
   under random packet injection: XY routing correctness, per-packet
   flit order, wormhole contiguity per (output, VC), and loss-free
@@ -44,9 +45,10 @@ __all__ = ["ChannelMachine", "RouterMachine", "CacheMachine"]
 class ChannelMachine(RuleBasedStateMachine):
     """A Buffer channel vs an executable model of its cycle contract."""
 
-    @initialize(capacity=st.integers(1, 3), extra_latency=st.integers(0, 1))
-    def build(self, capacity, extra_latency):
-        self.sim = Simulator()
+    @initialize(capacity=st.integers(1, 3), extra_latency=st.integers(0, 1),
+                telemetry=st.booleans())
+    def build(self, capacity, extra_latency, telemetry):
+        self.sim = Simulator(telemetry=telemetry)
         self.clk = self.sim.add_clock("clk", period=10)
         self.chan = Buffer(self.sim, self.clk, capacity=capacity,
                            extra_latency=extra_latency, name="dut")
@@ -60,31 +62,51 @@ class ChannelMachine(RuleBasedStateMachine):
         self.popped = False
         self.stall_probability = 0.0
         self.stalled = False
+        # per-tick counters: the channel's own (rewound by a restore)
+        # and the hub's (never rewound), were every edge ticked
+        self.ticks = 0
+        self.stall_cycles = 0
+        self.hub_ticks = 0
+        self.hub_hist: dict = {}
         self.next_msg = 0
         self.snaps: dict = {}
-        self.sim.run_cycles(self.clk, 1)  # align: first tick has run
-        self._model_tick()
+        self._run(1)  # align: first tick has run
 
-    def _model_tick(self):
-        cycles = self.clk.cycles
-        while self.transit and self.transit[0][0] <= cycles:
+    def _run(self, n):
+        """``n`` posedges on the real channel, then on the model."""
+        start = self.clk.cycles
+        self.sim.run_cycles(self.clk, n)
+        for cycle in range(start + 1, start + n + 1):
+            self._model_tick(cycle)
+
+    def _model_tick(self, cycle):
+        while self.transit and self.transit[0][0] <= cycle:
             self.queue.append(self.transit.pop(0)[1])
+        self.hub_ticks += 1
+        occupancy = len(self.queue)
+        self.hub_hist[occupancy] = self.hub_hist.get(occupancy, 0) + 1
         self.occ_start = len(self.queue) + len(self.transit)
         self.pushed = False
         self.popped = False
         # only the deterministic stall probabilities are drawn (0 or 1),
         # so the RNG in the real channel cannot diverge from the model
         self.stalled = self.stall_probability >= 1.0
+        self.stall_cycles += self.stalled
+        self.ticks += 1
 
     def _model_state(self):
         return (list(self.queue), list(self.transit), self.occ_start,
                 self.pushed, self.popped, self.stall_probability,
-                self.stalled)
+                self.stalled, self.ticks, self.stall_cycles)
 
     @rule()
     def tick(self):
-        self.sim.run_cycles(self.clk, 1)
-        self._model_tick()
+        self._run(1)
+
+    @rule(n=st.integers(1, 64))
+    def idle(self, n):
+        """A span long enough for an empty channel to leave the clock."""
+        self._run(n)
 
     @rule()
     def push(self):
@@ -136,8 +158,8 @@ class ChannelMachine(RuleBasedStateMachine):
         real, model = self.snaps[tag]
         self.chan._restore_state(real)
         (self.queue, self.transit, self.occ_start, self.pushed,
-         self.popped, self.stall_probability, self.stalled) = (
-            list(model[0]), list(model[1])) + model[2:]
+         self.popped, self.stall_probability, self.stalled, self.ticks,
+         self.stall_cycles) = (list(model[0]), list(model[1])) + model[2:]
 
     @invariant()
     def mirrors_agree(self):
@@ -150,6 +172,12 @@ class ChannelMachine(RuleBasedStateMachine):
         assert self.chan._popped == self.popped
         assert self.chan._stalled == self.stalled
         assert len(self.queue) + len(self.transit) <= self.capacity
+        assert self.chan.stats.cycles == self.ticks
+        assert self.chan.stats.stall_cycles == self.stall_cycles
+        hub = self.chan.telemetry
+        if hub is not None:
+            assert hub.cycles == self.hub_ticks
+            assert hub.occupancy_hist == self.hub_hist
 
 
 class RouterMachine(RuleBasedStateMachine):

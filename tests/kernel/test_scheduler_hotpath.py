@@ -10,6 +10,7 @@ import gc
 
 import pytest
 
+from repro.connections import Buffer
 from repro.kernel import Signal, Simulator
 
 
@@ -214,3 +215,100 @@ def test_pause_applies_during_idle_skip():
     assert clk.cycles == 8
     assert clk.paused_edges == 1
     assert clk.total_pause_time == 25
+
+
+# ----------------------------------------------------------------------
+# idle-skip is exact beside a second event source
+# ----------------------------------------------------------------------
+# Each reproducer runs twice: with an idle Buffer on every clock (whose
+# tick parks at once; before parking existed it forced every edge to
+# execute) and with no channel at all.  An unrelated idle channel must
+# not change what the threads see.
+
+WITH_IDLE_CHANNEL = pytest.mark.parametrize(
+    "idle_channel", [True, False], ids=["idle-buffer", "no-channel"])
+
+
+def _idle_buffers(sim, idle_channel):
+    if idle_channel:
+        for clk in sim._clocks:
+            Buffer(sim, clk, name=f"idle_{clk.name}")
+
+
+@WITH_IDLE_CHANNEL
+def test_coincident_edges_resume_in_per_edge_order(idle_channel):
+    """Clock ``a`` (period 10) sleeps six cycles at a time, ``b``
+    (period 15) wakes every cycle.  Where their edges coincide ``b``
+    took its sequence stamp (t-15) before ``a`` took its own (t-10), so
+    ``b`` fires first — also when ``a``'s edges in between are skipped
+    (a stale stamp used to put ``a`` first)."""
+    sim = Simulator()
+    a = sim.add_clock("a", period=10)
+    b = sim.add_clock("b", period=15)
+    _idle_buffers(sim, idle_channel)
+    log = []
+
+    def every(n, tag):
+        while True:
+            yield n
+            log.append((sim.now, tag))
+
+    sim.add_thread(every(6, "a"), a, name="a")
+    sim.add_thread(every(1, "b"), b, name="b")
+    sim.run(until=200)
+    for t in (60, 120, 180):
+        assert [tag for at, tag in log if at == t] == ["b", "a"]
+
+
+@WITH_IDLE_CHANNEL
+def test_timed_event_on_a_skipped_edge_fires_in_per_edge_order(idle_channel):
+    """An event scheduled at t=0 for t=100 predates the stamp the clock
+    takes at t=90, so it fires before the edge at t=100 and sees ten
+    cycles — also when the edges at t=10..90 are skipped."""
+    sim = Simulator()
+    clk = sim.add_clock("clk", period=10)
+    _idle_buffers(sim, idle_channel)
+    seen = []
+
+    def body():
+        sim.schedule(100, lambda: seen.append(clk.cycles))
+        yield 50
+
+    sim.add_thread(body(), clk, name="t")
+    sim.run(until=300)
+    assert seen == [10]
+    assert clk.cycles == 31
+
+
+@WITH_IDLE_CHANNEL
+def test_step_budget_counts_skippable_edges(idle_channel):
+    """``max_steps`` means edges, executed or skippable: five steps end
+    at the fifth edge (t=40), not at the sleeper's wakeup."""
+    sim = Simulator()
+    clk = sim.add_clock("clk", period=10)
+    _idle_buffers(sim, idle_channel)
+
+    def sleeper():
+        yield 100
+
+    sim.add_thread(sleeper(), clk, name="s")
+    assert sim.run(max_steps=5) == 40
+    assert clk.cycles == 5
+    assert sim.run(until=2_000) == 2_000
+    assert clk.cycles == 201
+
+
+@WITH_IDLE_CHANNEL
+def test_idle_edges_count_one_timestep_each(idle_channel):
+    """Telemetry counts a skipped edge as the event and the timestep it
+    would have been; two live clocks execute every edge, so coinciding
+    idle edges are one timestep, as they are per edge."""
+    sim = Simulator(telemetry=True)
+    sim.add_clock("a", period=2)
+    sim.add_clock("b", period=3)
+    _idle_buffers(sim, idle_channel)
+    sim.run(until=11)
+    kernel = sim.telemetry.kernel
+    # a: t=0,2,...,10 (6 edges); b: t=0,3,6,9 (4); t=0 and t=6 shared.
+    assert kernel.events_fired == 10
+    assert kernel.timesteps == 8
