@@ -48,8 +48,10 @@ from bisect import bisect_left
 from ..design.lower import edge_callbacks
 from ..kernel.backend import record_run
 from ..kernel.capability import OBSERVABILITY, reason as capability_reason
-from ..kernel.simulator import (DeltaOverflow, Event, Gate, SimulationError,
-                                TimeBudgetExceeded, _TIME_BUDGET, _monotonic)
+from ..kernel.clock import BlockedPoll
+from ..kernel.simulator import (DeltaOverflow, Event, Gate, PortWait,
+                                SimulationError, TimeBudgetExceeded,
+                                _TIME_BUDGET, _monotonic)
 
 __all__ = ["CompiledEngine"]
 
@@ -73,7 +75,9 @@ class CompiledEngine:
         self.clock = schedule.clock
         self.schedule = schedule
         #: Dispatch slots: ``[key, thread, generator, state]`` where
-        #: state is None (polls every cycle) or a Gate.  ``_live`` holds
+        #: state is None (polls every cycle), a Gate, or the PortWait of
+        #: a blocked handshake (the scan polls the channel in the
+        #: thread's place).  ``_live`` holds
         #: only runnable pollers, sorted by slot key (prepends take
         #: decreasing keys, appends increasing ones, so key order IS the
         #: threaded resume order).  An entry whose gate stays closed is
@@ -95,6 +99,13 @@ class CompiledEngine:
                           in edge_callbacks(self.clock)]
         self._cb_count = len(self.clock._callbacks)
         self._thread_count = len(sim._threads)
+        # Blocked polls the threaded loop filed before this attach flow
+        # in as plain threads: their next resume repeats the refused
+        # attempt and yields the PortWait to *this* executor.
+        for waiters in self.clock._wakeups.values():
+            for i, proc in enumerate(waiters):
+                if proc.__class__ is BlockedPoll:
+                    waiters[i] = proc.thread
 
     # ------------------------------------------------------------------
     # gate hook (called from Gate.open when parked threads wait there)
@@ -139,7 +150,7 @@ class CompiledEngine:
         entries.sort(key=lambda e: e[0])
         for entry in entries:
             state = entry[3]
-            if state is not None:
+            if state.__class__ is Gate:
                 state._waiters = None  # the gate's parked registration
             if not entry[1].done:
                 subscribe(entry[1])
@@ -203,6 +214,9 @@ class CompiledEngine:
                     f"thread {thread.name!r} yielded non-positive wait "
                     f"{request}")
             self.clock._subscribe(thread, request)
+            return
+        if kind is PortWait:
+            emit([0, thread, gen, request])
             return
         if isinstance(request, Event):
             request._subscribe(thread)
@@ -351,7 +365,16 @@ class CompiledEngine:
                 entry = live[k]
                 state = entry[3]
                 if state is not None:
-                    if not state._open:
+                    if state.__class__ is PortWait:
+                        # A blocked handshake: poll the channel in the
+                        # thread's place; while it refuses, the slot
+                        # stays put and the generator is not resumed.
+                        if state.refuse():
+                            self._scan_idx = k + 1
+                            continue
+                    elif state._open:
+                        state._open = False
+                    else:
                         # Park: drop out of the scan entirely until the
                         # gate's open() re-inserts the slot at its key.
                         del live[k]
@@ -363,7 +386,6 @@ class CompiledEngine:
                             waiters[1].append(entry)
                         parked_map[id(entry)] = entry
                         continue        # cursor now points at the next slot
-                    state._open = False
                 try:
                     request = next(entry[2])
                 except StopIteration:
@@ -397,6 +419,10 @@ class CompiledEngine:
                     del live[k]
                     del keys[k]
                     clock._subscribe(entry[1], request)
+                    continue
+                if kind is PortWait:
+                    entry[3] = request
+                    self._scan_idx += 1
                     continue
                 if isinstance(request, Event):
                     k = self._scan_idx

@@ -45,6 +45,8 @@ import random
 from collections import deque
 from typing import Any, Optional
 
+from ..kernel.simulator import PortWait
+
 __all__ = [
     "FastChannel",
     "Combinational",
@@ -124,7 +126,7 @@ class FastChannel:
         "_queue", "_transit", "_occ_start", "_pushed", "_popped",
         "_stall_probability", "_stall_rng", "_stalled", "stats",
         "telemetry", "_design_owner", "_faults",
-        "_wake_gates", "_slot", "_skip_from",
+        "_wake_gates", "_slot", "_skip_from", "_pop_wait", "_push_wait",
     )
 
     def __init__(
@@ -177,6 +179,10 @@ class FastChannel:
         # path.  The clock stamps and clears it; ``_credit`` accounts the
         # skipped ticks when ``_rearm`` (or a run exit) catches up.
         self._skip_from = None
+        # What a blocked In.pop() / Out.push() yields (see PortWait): the
+        # executor polls through these instead of resuming the thread.
+        self._pop_wait = PortWait(self, self._refuse_pop, self._refused_pops)
+        self._push_wait = PortWait(self, self._refuse_push)
         self.stats = ChannelStats()
         # Opt-in occupancy/stall telemetry (None when the hub is off).
         hub = getattr(sim, "telemetry", None)
@@ -253,7 +259,7 @@ class FastChannel:
     def do_push(self, msg: Any) -> bool:
         stats = self.stats
         stats.push_attempts += 1
-        # inlined can_push()
+        # inlined can_push(); _refuse_push restates this refusal
         if self._pushed or self._occ_start + 1 > self.capacity:
             stats.push_rejections += 1
             if self.telemetry is not None:
@@ -282,13 +288,44 @@ class FastChannel:
     def do_pop(self) -> tuple[bool, Any]:
         stats = self.stats
         stats.pop_attempts += 1
-        # inlined can_pop()
+        # inlined can_pop(); _refuse_pop restates this refusal
         if self._popped or self._stalled or not self._queue:
             stats.pop_rejections += 1
             return False, None
         self._popped = True
         stats.transfers += 1
         return True, self._queue.popleft()
+
+    # -- the executor's side of a blocked handshake (see PortWait) -------
+    def _refuse_pop(self) -> bool:
+        """Would ``do_pop`` refuse now?  If so, count the refused attempt
+        it would have been; if not, touch nothing — the resumed thread
+        makes the attempt itself."""
+        if self._popped or self._stalled or not self._queue:
+            stats = self.stats
+            stats.pop_attempts += 1
+            stats.pop_rejections += 1
+            return True
+        return False
+
+    def _refused_pops(self, n: int) -> None:
+        """``n`` polls of a blocked pop while parked: all refused (the
+        queue stays empty until a re-arm), whatever the stall draws
+        ``_credit`` makes for the same edges turn out to be."""
+        stats = self.stats
+        stats.pop_attempts += n
+        stats.pop_rejections += n
+
+    def _refuse_push(self) -> bool:
+        """``_refuse_pop`` for ``do_push``."""
+        if self._pushed or self._occ_start + 1 > self.capacity:
+            stats = self.stats
+            stats.push_attempts += 1
+            stats.push_rejections += 1
+            if self.telemetry is not None:
+                self.telemetry.on_push_rejected()
+            return True
+        return False
 
     def peek(self) -> tuple[bool, Any]:
         """Non-destructive inspection of the head message."""

@@ -35,6 +35,17 @@ until its owner re-arms it (``FastChannel`` does, from ``do_push`` /
 ``set_stall`` / ``_restore_state``); the owner's ``_credit(n)`` accounts
 the skipped edges exactly.  A clock whose walked list is empty is idle
 and can be bulk-advanced.
+
+Blocked handshakes follow the same idea on the thread side.  A thread
+whose ``pop()`` / ``push()`` declared its wait (``PortWait``) is filed as
+a :class:`BlockedPoll`: at the thread's turn the stand-in asks the
+channel the question the generator would have asked and re-files itself
+in the same place while the answer is "refused" — the generator is not
+resumed.  A next-cycle bucket holding nothing but pops blocked on
+*parked* channels cannot change its own answers, so it is no work
+either: :meth:`Clock._next_time` looks past it and
+:meth:`Clock._advance_idle` carries it forward, crediting every skipped
+poll.
 """
 
 from __future__ import annotations
@@ -42,7 +53,55 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Optional
 
-__all__ = ["Clock"]
+__all__ = ["Clock", "BlockedPoll"]
+
+
+class BlockedPoll:
+    """A blocked thread's place in a wakeup bucket.
+
+    Filed instead of the thread when its ``pop()`` / ``push()`` yielded a
+    ``PortWait``.  Resuming the stand-in *answers the poll in place*:
+    ``wait.refuse()`` is the channel's own refusal test, with the
+    refusal's side effects; while it holds, the stand-in re-subscribes
+    exactly where the thread would have (same bucket, same position), and
+    the generator runs again only to make the attempt that succeeds.
+    Anything that would rather see the plain thread may unwrap
+    :attr:`thread` at any time — resuming the generator performs the
+    same refused attempt.
+    """
+
+    __slots__ = ("thread", "wait")
+
+    #: The delta loop skips finished processes; a blocked thread is not.
+    done = False
+
+    def __init__(self, thread):
+        self.thread = thread
+        #: The PortWait of the block in progress (one stand-in serves
+        #: all of its thread's blocks, one at a time).
+        self.wait = None
+
+    def _resume(self) -> None:
+        if self.wait.refuse():
+            self.thread.clock._subscribe(self)
+        else:
+            self.thread._resume()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"BlockedPoll({self.thread.name!r})"
+
+
+def _polls_stay_refused(bucket: list) -> bool:
+    """True for a non-empty bucket of pops blocked on parked channels:
+    a parked channel is empty until someone re-arms it, nobody in the
+    bucket will, so every poll is refused on every edge until then."""
+    for proc in bucket:
+        if proc.__class__ is not BlockedPoll:
+            return False
+        wait = proc.wait
+        if wait.credit is None or wait.channel._skip_from is None:
+            return False
+    return bool(bucket)
 
 
 class Clock:
@@ -255,15 +314,20 @@ class Clock:
         self.next_edge = sim.now + self.period
         self._seq = next(sim._seq)
 
-    def _next_time(self) -> Optional[int]:
+    def _next_time(self, target: int = 0) -> Optional[int]:
         """Next timestamp at which this fast clock has work of its own.
 
         ``None`` means "never" (stopped, or idle with no pending wakeup
         — the simulator bulk-advances the cycle counter as time passes,
         see :meth:`_advance_idle`).  A clock with an un-parked edge
         callback, or a pending pause to resolve, needs every posedge
-        executed.  The simulator honours an answer past ``next_edge``
-        only where skipping is exact (see ``Simulator._run``).
+        executed.  A next-cycle bucket of pops blocked on parked
+        channels is not a wakeup: every poll in it stays refused until
+        some later work re-arms a channel, so the answer is the bucket
+        after it (``target``, the cycle a ``run_cycles`` must stop at,
+        is always executed).  The simulator honours an answer past
+        ``next_edge`` only where skipping is exact (see
+        ``Simulator._run``).
         """
         if self._stopped:
             return None
@@ -272,6 +336,11 @@ class Clock:
         nw = self._next_wakeup
         if nw is None:
             return None
+        if nw == self.cycles + 1 and nw != target \
+                and _polls_stay_refused(self._wakeups[nw]):
+            nw = min((at for at in self._wakeups if at != nw), default=None)
+            if nw is None:
+                return None
         # Idle-skip: the next interesting edge is the wakeup bucket's.
         return self.next_edge + (nw - self.cycles - 1) * self.period
 
@@ -279,18 +348,27 @@ class Clock:
         """Bulk-advance every posedge with timestamp <= ``last``.
 
         Only called for a fast-lane clock whose edge callbacks are all
-        parked, when no wakeup bucket falls inside the range and no
-        other fast clock is live, so each skipped edge would have been
-        a timestep of its own with no observable work: the cycle
-        counter, pause bookkeeping, and (when telemetry is on) the
-        per-edge event/timestep counters advance exactly as if each
-        edge had executed individually.  Parked callbacks are credited
-        later, from the cycle counter (:meth:`_rearm`, :meth:`_settle`).
+        parked, when no wakeup bucket :meth:`_next_time` counts as work
+        falls inside the range and no other fast clock is live, so each
+        skipped edge would have been a timestep of its own with no
+        observable work: the cycle counter, pause bookkeeping, and (when
+        telemetry is on) the per-edge event/timestep counters advance
+        exactly as if each edge had executed individually.  Parked
+        callbacks are credited later, from the cycle counter
+        (:meth:`_rearm`, :meth:`_settle`).
         The sequence stamp is renewed as the last skipped edge would
         have renewed it: nothing else took a stamp since that edge, so
         firing order at a later shared timestamp is the per-edge one.
+
+        A bucket of blocked polls waiting at the first skipped cycle
+        (see :meth:`_next_time`) is carried to the cycle after the last:
+        each edge would have woken it, had every poll refused and
+        re-filed in the same order, in one delta cycle.  Sleepers
+        already filed at the landing cycle subscribed earlier than that
+        last re-filing, so the carried polls go behind them.
         """
         n = 0
+        first = self.cycles + 1
         while not self._stopped and self.next_edge <= last:
             if self._pause_until > self.next_edge:
                 # The edge at next_edge defers itself to the pause end.
@@ -308,6 +386,20 @@ class Clock:
             if kstats is not None:
                 kstats.events_fired += n
                 kstats.timesteps += n
+        ticked = self.cycles + 1 - first
+        polls = self._wakeups.pop(first, None) if ticked else None
+        if polls is not None:
+            landing = self._wakeups.setdefault(self.cycles + 1, polls)
+            if landing is not polls:
+                landing.extend(polls)
+            self._next_wakeup = self.cycles + 1
+            for poll in polls:
+                poll.wait.credit(ticked)
+            if kstats is not None:
+                kstats.thread_wakeups += ticked * len(polls)
+                kstats.delta_cycles += ticked
+                if not kstats.max_deltas_per_step:
+                    kstats.max_deltas_per_step = 1
 
     # ------------------------------------------------------------------
     # GALS controls

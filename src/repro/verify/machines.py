@@ -8,7 +8,10 @@ operations no directed test would write:
   a transparent-box mirror of its documented cycle semantics (one
   push/pop per cycle, one-cycle handshake plus ``extra_latency``
   transit, stall gating, snapshot/restore, and per-cycle counters that
-  stay exact across the idle spans the clock parks the channel for);
+  stay exact across the idle spans the clock parks the channel for —
+  optionally with a thread blocked in ``pop()`` and one blocked in
+  ``push()``, whose polls the executor answers without resuming them and
+  whose attempt/rejection counters the model counts edge by edge);
 * :class:`RouterMachine` — a :class:`~repro.noc.WHVCRouter` mesh node
   under random packet injection: XY routing correctness, per-packet
   flit order, wormhole contiguity per (output, VC), and loss-free
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from ..connections import Buffer
+from ..connections import Buffer, In, Out
 from ..kernel import Simulator
 from ..noc import Port, WHVCRouter, make_packet, xy_route
 from ..sweep.cache import ResultCache
@@ -46,14 +49,41 @@ class ChannelMachine(RuleBasedStateMachine):
     """A Buffer channel vs an executable model of its cycle contract."""
 
     @initialize(capacity=st.integers(1, 3), extra_latency=st.integers(0, 1),
-                telemetry=st.booleans())
-    def build(self, capacity, extra_latency, telemetry):
+                telemetry=st.booleans(), popper=st.booleans(),
+                pusher=st.booleans())
+    def build(self, capacity, extra_latency, telemetry, popper, pusher):
         self.sim = Simulator(telemetry=telemetry)
         self.clk = self.sim.add_clock("clk", period=10)
         self.chan = Buffer(self.sim, self.clk, capacity=capacity,
                            extra_latency=extra_latency, name="dut")
         self.capacity = capacity
         self.extra_latency = extra_latency
+        # Optional threads living in blocking port calls: the popper
+        # pops for ever, the pusher pushes ("t", 0), ("t", 1), … for
+        # ever, so each spends most edges blocked.  Popper first: bucket
+        # order is registration order and never changes.
+        self.popper = popper
+        self.pusher = pusher
+        self.thread_got: list = []
+        self.thread_sent = 0          # the real pusher's progress
+        if popper:
+            self.sim.add_thread(self._popper, self.clk, name="popper")
+        if pusher:
+            self.sim.add_thread(self._pusher, self.clk, name="pusher")
+        # model of the threads: what the popper received, which value
+        # the pusher is on (neither is channel state: a channel restore
+        # rewinds neither)
+        self.model_got: list = []
+        self.model_sent = 0
+        # the four handshake counters (channel stats: a restore rewinds
+        # them) and the hub's backpressure pair (never rewound)
+        self.push_attempts = 0
+        self.push_rejections = 0
+        self.pop_attempts = 0
+        self.pop_rejections = 0
+        self.transfers = 0
+        self.hub_push_failed = False
+        self.hub_backpressure = 0
         # model state mirrors FastChannel._tick/do_push/do_pop exactly
         self.queue: list = []
         self.transit: list = []
@@ -72,12 +102,56 @@ class ChannelMachine(RuleBasedStateMachine):
         self.snaps: dict = {}
         self._run(1)  # align: first tick has run
 
+    def _popper(self):
+        port = In(self.chan, name="popper")
+        while True:
+            self.thread_got.append((yield from port.pop()))
+
+    def _pusher(self):
+        port = Out(self.chan, name="pusher")
+        while True:
+            yield from port.push(("t", self.thread_sent))
+            self.thread_sent += 1
+
     def _run(self, n):
-        """``n`` posedges on the real channel, then on the model."""
+        """``n`` posedges on the real channel, then on the model: each
+        edge ticks the channel, then resumes the popper, then the
+        pusher.  A thread attempts until refused: a ``pop()`` that
+        succeeds is followed by the next ``pop()`` in the same resume,
+        which ``_popped`` refuses (likewise ``push()``), and only a
+        refusal waits for the next edge."""
         start = self.clk.cycles
         self.sim.run_cycles(self.clk, n)
         for cycle in range(start + 1, start + n + 1):
             self._model_tick(cycle)
+            while self.popper:
+                ok, value = self._model_pop()
+                if not ok:
+                    break
+                self.model_got.append(value)
+            while self.pusher and self._model_push(("t", self.model_sent),
+                                                   cycle):
+                self.model_sent += 1
+
+    def _model_push(self, msg, cycle) -> bool:
+        self.push_attempts += 1
+        if self.pushed or self.occ_start + 1 > self.capacity:
+            self.push_rejections += 1
+            self.hub_push_failed = True
+            return False
+        self.pushed = True
+        self.transit.append((cycle + 1 + self.extra_latency, msg))
+        self.occ_start += 1
+        return True
+
+    def _model_pop(self):
+        self.pop_attempts += 1
+        if self.popped or self.stalled or not self.queue:
+            self.pop_rejections += 1
+            return False, None
+        self.popped = True
+        self.transfers += 1
+        return True, self.queue.pop(0)
 
     def _model_tick(self, cycle):
         while self.transit and self.transit[0][0] <= cycle:
@@ -85,6 +159,9 @@ class ChannelMachine(RuleBasedStateMachine):
         self.hub_ticks += 1
         occupancy = len(self.queue)
         self.hub_hist[occupancy] = self.hub_hist.get(occupancy, 0) + 1
+        if self.hub_push_failed:
+            self.hub_backpressure += 1
+            self.hub_push_failed = False
         self.occ_start = len(self.queue) + len(self.transit)
         self.pushed = False
         self.popped = False
@@ -97,7 +174,9 @@ class ChannelMachine(RuleBasedStateMachine):
     def _model_state(self):
         return (list(self.queue), list(self.transit), self.occ_start,
                 self.pushed, self.popped, self.stall_probability,
-                self.stalled, self.ticks, self.stall_cycles)
+                self.stalled, self.ticks, self.stall_cycles,
+                self.push_attempts, self.push_rejections,
+                self.pop_attempts, self.pop_rejections, self.transfers)
 
     @rule()
     def tick(self):
@@ -112,24 +191,13 @@ class ChannelMachine(RuleBasedStateMachine):
     def push(self):
         msg = self.next_msg
         self.next_msg += 1
-        expect = (not self.pushed
-                  and self.occ_start + 1 <= self.capacity)
+        expect = self._model_push(msg, self.clk.cycles)
         assert self.chan.do_push(msg) == expect
-        if expect:
-            self.pushed = True
-            self.transit.append(
-                (self.clk.cycles + 1 + self.extra_latency, msg))
-            self.occ_start += 1
 
     @rule()
     def pop(self):
-        expect = (not self.popped and not self.stalled
-                  and bool(self.queue))
-        ok, value = self.chan.do_pop()
-        assert ok == expect
-        if expect:
-            self.popped = True
-            assert value == self.queue.pop(0)
+        expect = self._model_pop()
+        assert self.chan.do_pop() == expect
 
     @rule()
     def peek(self):
@@ -159,7 +227,9 @@ class ChannelMachine(RuleBasedStateMachine):
         self.chan._restore_state(real)
         (self.queue, self.transit, self.occ_start, self.pushed,
          self.popped, self.stall_probability, self.stalled, self.ticks,
-         self.stall_cycles) = (list(model[0]), list(model[1])) + model[2:]
+         self.stall_cycles, self.push_attempts, self.push_rejections,
+         self.pop_attempts, self.pop_rejections, self.transfers) \
+            = (list(model[0]), list(model[1])) + model[2:]
 
     @invariant()
     def mirrors_agree(self):
@@ -172,12 +242,22 @@ class ChannelMachine(RuleBasedStateMachine):
         assert self.chan._popped == self.popped
         assert self.chan._stalled == self.stalled
         assert len(self.queue) + len(self.transit) <= self.capacity
-        assert self.chan.stats.cycles == self.ticks
-        assert self.chan.stats.stall_cycles == self.stall_cycles
+        stats = self.chan.stats
+        assert stats.cycles == self.ticks
+        assert stats.stall_cycles == self.stall_cycles
+        assert (stats.push_attempts, stats.push_rejections) \
+            == (self.push_attempts, self.push_rejections)
+        assert (stats.pop_attempts, stats.pop_rejections) \
+            == (self.pop_attempts, self.pop_rejections)
+        assert stats.transfers == self.transfers
+        assert self.thread_got == self.model_got
+        assert self.thread_sent == self.model_sent
         hub = self.chan.telemetry
         if hub is not None:
             assert hub.cycles == self.hub_ticks
             assert hub.occupancy_hist == self.hub_hist
+            assert hub.backpressure_cycles == self.hub_backpressure
+            assert hub._had_push_failure == self.hub_push_failed
 
 
 class RouterMachine(RuleBasedStateMachine):

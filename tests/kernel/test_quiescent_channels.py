@@ -544,3 +544,345 @@ def test_duck_typed_clock_never_parks():
     assert chan.do_push(1)
     chan._restore_state(chan._snapshot_state())
     assert chan.occupancy == 1
+
+
+# ----------------------------------------------------------------------
+# (f) blocked handshakes: polls answered in place, idle buckets carried
+# ----------------------------------------------------------------------
+def _blocked_bench(backend, *, consumers=1, n=4, gap=9, capacity=2,
+                   sleeper=None):
+    """A producer pushing ``n`` messages ``gap`` cycles apart into one
+    channel that ``consumers`` threads pop from with blocking ``pop()``;
+    after the last message every consumer stays blocked for good."""
+    from repro.connections import In, Out
+
+    sim = Simulator(backend=backend)
+    clk = sim.add_clock("clk", period=10)
+    chan = Buffer(sim, clk, capacity=capacity, name="c")
+    log = []
+    src = Out(chan, name="src")
+
+    def producer():
+        for i in range(n):
+            yield from src.push(i)
+            yield gap
+
+    def consumer(port, tag):
+        while True:
+            msg = yield from port.pop()
+            log.append((tag, msg, clk.cycles))
+
+    sim.add_thread(producer, clk, name="tx")
+    for k in range(consumers):
+        port = In(chan, name=f"dst{k}")
+        sim.add_thread(lambda port=port, k=k: consumer(port, k), clk,
+                       name=f"rx{k}")
+    if sleeper is not None:
+        def sleeps():
+            while True:
+                yield sleeper
+                log.append(("sleeper", clk.cycles))
+
+        sim.add_thread(sleeps, clk, name="zz")
+    return sim, clk, chan, log
+
+
+@TELEMETRY
+@BACKENDS
+@pytest.mark.parametrize("probability", [0.0, 0.3, 1.0])
+def test_blocked_dut_of_a_stall_point_matches(probability, backend,
+                                              telemetry):
+    params = {"stall_probability": probability, "trial": 0,
+              "n_msgs": 30, "bug": True}
+
+    def scenario():
+        with use_backend(backend):
+            return stall_verification.run_sweep_point(params, 100)
+
+    assert_parks_exactly(scenario, telemetry=telemetry)
+
+
+@TELEMETRY
+@BACKENDS
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_push_blocked_li_stages_match(capacity, backend, telemetry):
+    params = {"stages": 3, "n_msgs": 25, "capacity": capacity,
+              "stall_probability": 0.4, "period": 10, "trial": 0}
+
+    def scenario():
+        with use_backend(backend):
+            return li_latency.run_point(params, 501)
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert observed["simulators"][0]["channels"][0][1][3] > 0  # push_rejections
+
+
+@TELEMETRY
+@BACKENDS
+def test_two_consumers_blocked_on_one_channel_match(backend, telemetry):
+    """Back-to-back pushes keep data visible while both consumers poll.
+    Bucket order is stable and a channel pops once per cycle, so the
+    first consumer takes every message; the second one's polls are
+    refused by ``_popped`` with data in the queue — the branch of the
+    answer that is not "empty" — and counted as the reference counts
+    them (the fingerprint compares ``pop_rejections``)."""
+    def scenario():
+        sim, clk, _chan, log = _blocked_bench(backend, consumers=2, n=6,
+                                              gap=1, capacity=4)
+        sim.run(until=3_000)
+        return log
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert [(tag, msg) for tag, msg, _cycle in observed["result"]] \
+        == [(0, i) for i in range(6)]
+
+
+@TELEMETRY
+@BACKENDS
+@pytest.mark.parametrize("until", [1_000, 1_047, 1_050, 1_120],
+                         ids=["inside", "between-edges", "on-the-wakeup",
+                              "past-it"])
+def test_sleeper_landing_in_a_skipped_span_matches(until, backend,
+                                                   telemetry):
+    """``yield 7`` beside two blocked consumers: the span ends inside a
+    sleep, exactly on the sleeper's edge, or after it — and the carried
+    polls always file behind the sleeper."""
+    def scenario():
+        sim, clk, _chan, log = _blocked_bench(backend, consumers=2,
+                                              sleeper=7)
+        sim.run(until=until)
+        sim.run(until=until + 400)
+        return log
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    wakes = [entry[1] for entry in observed["result"]
+             if entry[0] == "sleeper"]
+    assert wakes == list(range(8, wakes[-1] + 1, 7)) and len(wakes) > 10
+
+
+def test_carried_bucket_files_behind_the_sleeper():
+    def kinds(bucket):
+        return [type(p).__name__ for p in bucket]
+
+    sim, clk, _chan, _log = _blocked_bench("threaded", consumers=2, n=1,
+                                           sleeper=7)
+    sim.run_cycles(clk, 30)       # traffic over, both consumers blocked
+    wake = next(at for at, b in clk._wakeups.items() if "Thread" in kinds(b))
+    assert wake - clk.cycles >= 3, "need a span to skip before the sleeper"
+    # Stop mid-sleep: the polls wait alone at the next cycle, carried
+    # there over edges nobody executed.
+    sim.run_cycles(clk, wake - clk.cycles - 2)
+    assert kinds(clk._wakeups[clk.cycles + 1]) == ["BlockedPoll"] * 2
+    assert kinds(clk._wakeups[wake]) == ["Thread"]
+    # One more edge lands them on the sleeper's cycle: behind it, as
+    # their own re-filing at that edge would have put them.
+    sim.run_cycles(clk, 1)
+    assert clk.cycles + 1 == wake
+    assert kinds(clk._wakeups[wake]) == ["Thread", "BlockedPoll",
+                                         "BlockedPoll"]
+
+
+@TELEMETRY
+@BACKENDS
+def test_pause_inside_a_skipped_span_matches(backend, telemetry):
+    def scenario():
+        sim, clk, _chan, log = _blocked_bench(backend, sleeper=40)
+        sim.run(until=700)
+        clk.pause_until(sim.now + 137)   # from outside, mid-span
+        sim.run(until=2_000)
+        return log
+
+    assert_parks_exactly(scenario, telemetry=telemetry)
+
+
+@TELEMETRY
+@BACKENDS
+def test_run_cycles_target_inside_a_skipped_span_matches(backend, telemetry):
+    def scenario():
+        sim, clk, chan, _log = _blocked_bench(backend, consumers=2)
+        seen = []
+        for cycles in (60, 1, 1, 25, 300, 1):
+            sim.run_cycles(clk, cycles)
+            seen.append((sim.now, clk.cycles, chan.stats.pop_rejections))
+        return seen
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert observed["result"][-1][1] == 388
+
+
+def _second_run_scenario(backend, between):
+    """Everything blocks, the run ends, ``between(chan)`` touches the
+    channel from outside, a second run follows."""
+    def scenario():
+        sim, clk, chan, log = _blocked_bench(backend, consumers=2)
+        sim.run(until=2_000)
+        between(chan)
+        sim.run(until=3_000)
+        return log, chan.stats.pop_attempts, chan.stats.pop_rejections
+
+    return scenario
+
+
+@TELEMETRY
+@BACKENDS
+@pytest.mark.parametrize("between", [
+    lambda chan: chan.do_push("external"),
+    lambda chan: chan.set_stall(0.5, seed=9),
+    lambda chan: (chan.set_stall(1.0, seed=1), chan.do_push("stalled")),
+], ids=["do_push", "set_stall", "stalled-push"])
+def test_external_touch_wakes_a_carried_bucket(between, backend, telemetry):
+    assert_parks_exactly(_second_run_scenario(backend, between),
+                         telemetry=telemetry)
+
+
+@TELEMETRY
+@BACKENDS
+def test_raised_capacity_wakes_a_blocked_pusher(backend, telemetry):
+    def scenario():
+        from repro.connections import Out
+
+        sim = Simulator(backend=backend)
+        clk = sim.add_clock("clk", period=10)
+        chan = Buffer(sim, clk, capacity=1, name="c")
+        src = Out(chan, name="src")
+        pushed = []
+
+        def producer():
+            for i in range(4):
+                yield from src.push(i)
+                pushed.append((i, clk.cycles))
+
+        sim.add_thread(producer, clk, name="tx")
+        sim.run(until=500)        # nobody pops: blocked on the 2nd push
+        chan.capacity = 3
+        sim.run(until=1_000)
+        return pushed, chan.stats.push_attempts, chan.stats.push_rejections
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert [i for i, _cycle in observed["result"][0]] == [0, 1, 2]
+
+
+@BACKENDS
+def test_snapshot_restore_rerun_with_blocked_threads_matches(backend):
+    def scenario():
+        sim, clk, chan, log = _blocked_bench(backend, consumers=2)
+        sim.on_restore(log.clear)
+        snap = sim.snapshot()
+        sim.run(until=2_000)
+        first = (list(log), chan.stats.pop_rejections, sim.now)
+        mid = sim.snapshot()
+        sim.run(until=2_500)
+        sim.restore(mid)
+        assert (list(log), chan.stats.pop_rejections, sim.now) == first
+        sim.restore(snap)
+        sim.run(until=2_000)
+        assert (list(log), chan.stats.pop_rejections, sim.now) == first
+        sim.run(until=2_700)
+        return log
+
+    assert_parks_exactly(scenario)
+
+
+def test_engine_attaches_and_detaches_around_blocked_threads():
+    """Stand-ins filed by the threaded loop flow into a late-attaching
+    engine as plain threads; a mid-run detach files them back."""
+    backends = []
+
+    def scenario():
+        sim, clk, chan, log = _blocked_bench("threaded", consumers=2, n=6,
+                                             gap=30)
+
+        def spoiler():
+            yield 120
+            sim.schedule(5, lambda: None)  # a timed event: engine detaches
+
+        sim.add_thread(spoiler, clk, name="spoiler")
+        sim.run_cycles(clk, 50)            # threaded: BlockedPolls filed
+        sim._backend_requested = "compiled"  # what try_attach would see
+        sim.run_cycles(clk, 40)
+        backends.append(sim.backend)
+        sim.run_cycles(clk, 200)
+        backends.append(sim.backend)
+        return log, chan.stats.pop_attempts
+
+    assert_parks_exactly(scenario)
+    assert backends == ["compiled", "threaded"] * 2
+
+
+@pytest.mark.parametrize("stages, capacity", [(2, 1), (3, 2)])
+def test_capture_window_polls_every_edge(stages, capacity):
+    """Watched runs do not declare: the recorder sees every attempt, so
+    op scripts (first-attempt and success cycles) equal the reference's
+    and the run executes exactly the reference's generator resumes."""
+    from repro.kernel.simulator import Thread
+    from repro.trace import capture
+
+    def scenario():
+        sim, _state, chans = li_latency.build_li_pipeline(
+            stages=stages, n_msgs=12, capacity=capacity,
+            stall_probability=0.0, stall_seed=0)
+        resumes = [0]
+        resume = Thread._resume
+
+        def counting(self):
+            resumes[0] += 1
+            resume(self)
+
+        with patch.object(Thread, "_resume", counting), \
+                capture(sim) as session:
+            # Inside the window (cycle 0), so the recorder sees the seed:
+            # a stall set at construction makes any trace ineligible.
+            chans[-1].set_stall(0.3, seed=4)
+            sim.run(until=8_000)
+        assert session.trace["eligible"], session.trace["reasons"]
+        return session.trace, resumes[0]
+
+    assert_parks_exactly(scenario)
+
+
+@TELEMETRY
+def test_watchdog_run_polls_and_diagnoses_as_the_reference(telemetry):
+    from repro.faults import HangError, Watchdog
+
+    def scenario():
+        sim, clk, chan, log = _blocked_bench("threaded", consumers=2)
+        Watchdog(sim, clk, window=200)
+        with pytest.raises(HangError) as hang:
+            sim.run(until=100_000)
+        return hang.value.diagnosis.to_records(), log
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    head = observed["result"][0][0]
+    assert head["kind"] == "deadlock"
+    assert sorted(r["thread"] for r in observed["result"][0]
+                  if r["type"] == "hang.thread") == ["rx0", "rx1"]
+
+
+def test_oracle_catches_an_answer_that_forgets_pop_rejections():
+    def forgetful(self):
+        if self._popped or self._stalled or not self._queue:
+            self.stats.pop_attempts += 1
+            return True
+        return False
+
+    scenario = _second_run_scenario("threaded", lambda chan: None)
+    # channels bind the answer at construction: build under the patch
+    with patch.object(FastChannel, "_refuse_pop", forgetful):
+        with pytest.raises(AssertionError, match="every-edge reference"):
+            assert_parks_exactly(scenario)
+
+
+def test_oracle_catches_an_idle_credit_that_forgets_delta_cycles():
+    advance = Clock._advance_idle
+
+    def forgetful(self, last, kstats):
+        deltas = kstats.delta_cycles if kstats is not None else 0
+        advance(self, last, kstats)
+        if kstats is not None:
+            kstats.delta_cycles = deltas
+
+    scenario = _second_run_scenario("threaded", lambda chan: None)
+    with patch.object(Clock, "_advance_idle", forgetful):
+        assert_parks_exactly(scenario)  # invisible without a hub
+        with pytest.raises(AssertionError, match="every-edge reference"):
+            assert_parks_exactly(scenario, telemetry=True)

@@ -196,3 +196,39 @@ def test_subgenerator_composition_with_yield_from():
     sim.add_thread(body(), clk, name="t")
     sim.run(until=100)
     assert log == [30]
+
+
+@pytest.mark.parametrize("backend", ["threaded", "compiled"])
+def test_run_until_behind_now_never_rewinds_time(backend):
+    """``run(until=T)`` with ``T < now`` used to set ``now = T`` while the
+    clock kept its cycle count and next edge — under both executors."""
+    from repro.connections import Buffer
+
+    sim = Simulator(backend=backend)
+    clk = sim.add_clock("clk", period=10)
+    chan = Buffer(sim, clk, name="c")   # a per-edge callback: compiled attaches
+    ticks = []
+
+    def body():
+        while True:
+            ticks.append(clk.cycles)
+            yield
+
+    sim.add_thread(body, clk, name="t")
+    assert sim.run(until=1000) == 1000
+    assert sim.backend == backend
+    state = (sim.now, clk.cycles, clk.next_edge, len(ticks),
+             chan.stats.cycles)
+    assert state == (1000, 101, 1010, 101, 101)
+
+    assert sim.run(until=500) == 1000          # behind now: nothing runs
+    assert (sim.now, clk.cycles, clk.next_edge, len(ticks),
+            chan.stats.cycles) == state
+    assert sim.run(until=1000) == 1000         # at now: nothing left to run
+    assert (sim.now, clk.cycles, clk.next_edge, len(ticks),
+            chan.stats.cycles) == state
+    # the call is still recorded, so snapshot replay sees the same history
+    assert sim._history[-2:] == [("run", 500, None), ("run", 1000, None)]
+
+    assert sim.run(until=1020) == 1020         # and time moves on from now
+    assert (clk.cycles, clk.next_edge) == (103, 1030)

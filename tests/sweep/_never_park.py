@@ -1,13 +1,16 @@
-"""The oracle for quiescent-channel parking: every edge executed.
+"""The oracle for quiescent-channel parking: every edge executed, every
+blocked thread resumed.
 
-The kernel parks an empty channel's tick, bulk-advances an idle clock
-and settles the skipped edges later (``Clock.on_edge``,
-``FastChannel._credit``).  The reference it must equal is the same
-kernel with both elisions off, which exists only here, as two patches:
-a ``FastChannel._tick`` wrapper that swallows the quiescence verdict (so
-no clock ever parks a channel) and a ``Clock._next_time`` that never
-looks past ``next_edge`` (so no edge is ever skipped).  There is no such
-switch in ``src/``.
+The kernel parks an empty channel's tick, bulk-advances an idle clock,
+settles the skipped edges later (``Clock.on_edge``,
+``FastChannel._credit``) and answers a blocked ``pop()`` / ``push()``
+poll without resuming the thread (``PortWait``).  The reference it must
+equal is the same kernel with all three elisions off, which exists only
+here, as three patches: a ``FastChannel._tick`` wrapper that swallows
+the quiescence verdict (so no clock ever parks a channel), a
+``Clock._next_time`` that never looks past ``next_edge`` (so no edge is
+ever skipped), and blocking port methods that yield bare ``None`` (so
+every poll is the generator's own).  There is no such switch in ``src/``.
 
 ``assert_parks_exactly(scenario)`` runs ``scenario()`` under both and
 compares, byte for byte, its result record and a fingerprint of every
@@ -23,10 +26,26 @@ from unittest.mock import patch
 
 from repro import observe
 from repro.connections.channel import ChannelStats, FastChannel
+from repro.connections.ports import In, Out
 from repro.design.lower import edge_callbacks
 from repro.kernel import Simulator
 from repro.kernel.clock import Clock
 from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, canonical_json
+
+def _never_declares(blocking):
+    """``blocking`` (``In.pop`` / ``Out.push``) waiting with a bare
+    ``yield``, whatever the real method yields."""
+    def method(self, *args):
+        attempts = blocking(self, *args)
+        while True:
+            try:
+                next(attempts)
+            except StopIteration as done:
+                return done.value
+            yield
+
+    return method
+
 
 @contextmanager
 def never_park():
@@ -36,11 +55,21 @@ def never_park():
     def _tick(self, clock):  # lowering knows channel ticks by this name
         tick(self, clock)
 
-    def every_edge(self):
+    def every_edge(self, target=0):
         return None if self._stopped else self.next_edge
 
     with patch.object(FastChannel, "_tick", _tick), \
-            patch.object(Clock, "_next_time", every_edge):
+            patch.object(Clock, "_next_time", every_edge), \
+            never_declare():
+        yield
+
+
+@contextmanager
+def never_declare():
+    """The third patch alone: blocked ports wait with a bare ``yield``,
+    so every poll is a generator resume (channels still park)."""
+    with patch.object(In, "pop", _never_declares(In.pop)), \
+            patch.object(Out, "push", _never_declares(Out.push)):
         yield
 
 
