@@ -1,9 +1,9 @@
 """Pytest bootstrap: make ``repro`` importable from the source tree.
 
-Lets ``pytest tests/`` and ``pytest benchmarks/`` run straight from a
-checkout even when the package has not been pip-installed (e.g. offline
-environments where pip's isolated build cannot fetch setuptools/wheel —
-use ``python setup.py develop`` there, or rely on this hook).
+Lets ``pytest tests/`` run straight from a checkout even when the
+package has not been pip-installed (e.g. offline environments where
+pip's isolated build cannot fetch setuptools/wheel — use ``python
+setup.py develop`` there, or rely on this hook).
 """
 
 import pathlib

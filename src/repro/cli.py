@@ -14,7 +14,7 @@ Usage::
     python -m repro productivity
     python -m repro run <experiment> [-p KEY=VALUE]...
     python -m repro describe <experiment>
-    python -m repro bench [--subset quick|full] [--baseline BENCH_kernel.json]
+    python -m repro bench [bench/run.py arguments]
     python -m repro sweep <experiment> [--jobs N] [--no-cache] [--cache-dir D]
     python -m repro faults <harness|all> [--cases N] [--seed S]
                                          [--shrink [greedy|hypothesis]]
@@ -336,27 +336,24 @@ def _cmd_lint(args) -> int:
     return 1 if findings else 0
 
 
-def _cmd_bench(args) -> int:
-    """Quick local benchmark loop: wraps ``tools/bench_compare.py``."""
+def _cmd_bench(argv: List[str]) -> int:
+    """Run ``bench/run.py`` with ``argv``, then the speed-ratio gate
+    (``tools/bench_compare.py``) over what it wrote."""
     import pathlib
     import subprocess
 
     root = pathlib.Path(__file__).resolve().parents[2]
-    script = root / "tools" / "bench_compare.py"
-    if not script.exists():
-        print("bench: tools/bench_compare.py not found "
-              "(run from a repository checkout)", file=sys.stderr)
-        return 2
-    if args.baseline:
-        cmd = [sys.executable, str(script), "check",
-               "--baseline", args.baseline, "--subset", args.subset,
-               "--threshold", str(args.threshold), "-o", args.output]
-    else:
-        cmd = [sys.executable, str(script), "run",
-               "--subset", args.subset, "-o", args.output]
-    if args.only:
-        cmd += ["--only", args.only]
-    return subprocess.run(cmd, cwd=root).returncode
+    for script, args in (("bench/run.py", argv),
+                         ("tools/bench_compare.py", [])):
+        if not (root / script).exists():
+            print(f"bench: {script} not found "
+                  "(run from a repository checkout)", file=sys.stderr)
+            return 2
+        code = subprocess.run([sys.executable, str(root / script), *args],
+                              cwd=root).returncode
+        if code:
+            return code
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -538,23 +535,10 @@ def _build_parser() -> argparse.ArgumentParser:
     desc_p.add_argument("experiment", choices=runnable,
                         help="which experiment to describe")
 
-    bench = sub.add_parser(
+    sub.add_parser(
         "bench",
-        help="run kernel benchmarks; optionally gate vs a baseline JSON")
-    bench.add_argument("--subset", choices=("quick", "full"), default="quick",
-                       help="which benches to run (default: quick)")
-    bench.add_argument("--only", metavar="NAME", default=None,
-                       help="only run benchmark files whose name contains "
-                            "NAME (e.g. --only sweep)")
-    bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="compare against this BENCH_kernel.json and "
-                            "fail on >threshold wall-time regression or "
-                            "any kernel-counter drift")
-    bench.add_argument("--threshold", type=float, default=0.10,
-                       help="wall-time regression threshold (default 0.10)")
-    bench.add_argument("-o", "--output", metavar="PATH",
-                       default="BENCH_kernel.json",
-                       help="where to write the snapshot")
+        help="run bench/run.py with the arguments that follow, then the "
+             "speed-ratio gate over its results")
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -684,14 +668,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     Returns the process exit code (0 on success).
     """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # `bench` has no flags of its own: what follows it is bench/run.py's.
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "bench":
+        return _cmd_bench(rest)
+    if rest:
+        parser.error("unrecognized arguments: " + " ".join(rest))
 
     if args.command in (None, "list"):
         return _cmd_list()
     if args.command == "describe":
         return _cmd_describe(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "faults":

@@ -13,7 +13,8 @@
 ===========================  ==========================================
 
 The flow-level analyses (12-hour turnaround, 2K-20K gates/day) live in
-:mod:`repro.flow` and their benches under ``benchmarks/``.
+:mod:`repro.flow`.  The paper's claims about all of them are pinned in
+``tests/experiments/test_experiments.py`` and ``tests/flow/``.
 """
 
 from .._lazy import lazy_exports

@@ -15,7 +15,8 @@ engine:
 
 Everything is zero-cost when off: without a watchdog or fault plan the
 kernel and channels pay at most one ``is None`` test on their hot paths
-(the ``python -m repro bench`` gate enforces this).
+(a costlier one shows in the benchmark's ``soc_threaded`` ``wall_s`` and
+``kernel.us_per_cycle.fast``, which every change is compared on).
 """
 
 from .._lazy import lazy_exports

@@ -29,6 +29,7 @@ from .soc_workloads import (
     dot_product_workload,
     figure6_workloads,
     gemm_workload,
+    heavy_scale_workload,
     kmeans_workload,
     memcpy_workload,
     reduction_workload,
@@ -40,7 +41,8 @@ __all__ = [
     "conv2d_ref", "dot_ref", "gemm_ref", "kmeans_min_distances_ref",
     "mask32", "relu_ref", "scale_ref", "sum_ref",
     "SocWorkload",
-    "vector_scale_workload", "memcpy_workload", "reduction_workload",
+    "vector_scale_workload", "heavy_scale_workload", "memcpy_workload",
+    "reduction_workload",
     "dot_product_workload", "conv2d_workload", "conv2d_fp16_workload", "kmeans_workload",
     "gemm_workload", "figure6_workloads", "run_workload",
 ]

@@ -33,6 +33,7 @@ from .reference import (
 __all__ = [
     "SocWorkload",
     "vector_scale_workload",
+    "heavy_scale_workload",
     "memcpy_workload",
     "reduction_workload",
     "dot_product_workload",
@@ -94,6 +95,36 @@ def vector_scale_workload(*, n_pes: int = 16, n_per_pe: int = 64,
     return SocWorkload("vector_scale", commands, preload_left=data,
                        check=check,
                        description=f"{n_pes} PEs x {n_per_pe} words, x{factor}")
+
+
+def heavy_scale_workload(n_pes: int, *, total_words: int = 1024,
+                         chain: int = 24) -> SocWorkload:
+    """``total_words`` split over ``n_pes``: LOAD, a ``chain``-command
+    in-place SCALE sequence, STORE — compute-bound per PE, and
+    ``chain + 3`` serially dispatched commands per PE."""
+    n_per_pe = total_words // n_pes
+    data = list(range(total_words))
+    out_base = total_words
+    commands = []
+    for pe in range(n_pes):
+        base = pe * n_per_pe
+        commands.append(_send(pe, Cmd.LOAD, GMEM_LEFT, base, 0, n_per_pe))
+        commands += [_send(pe, Cmd.COMPUTE, Kernel.SCALE, 0, 0, 0, n_per_pe, 3)
+                     for _ in range(chain)]
+        commands += [
+            _send(pe, Cmd.STORE, GMEM_LEFT, out_base + base, 0, n_per_pe),
+            _send(pe, Cmd.NOTIFY, CONTROLLER, pe),
+        ]
+    commands.append(("wait", n_pes))
+    expected = scale_ref(data, pow(3, chain, 1 << 32))
+
+    def check(soc) -> bool:
+        return soc.gmem_left.dump(out_base, total_words) == expected
+
+    return SocWorkload(f"heavy_scale_{n_pes}", commands, preload_left=data,
+                       check=check,
+                       description=f"{n_pes} PEs x {n_per_pe} words, "
+                                   f"x3 {chain} times")
 
 
 # ----------------------------------------------------------------------

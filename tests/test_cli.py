@@ -257,3 +257,36 @@ def test_stats_cache_prints_cache_block(tmp_path, capsys):
 def test_stats_without_experiment_or_cache_rejected():
     with pytest.raises(SystemExit):
         main(["stats"])
+
+
+def test_list_ends_with_the_pinned_bench_line(capsys):
+    # bench/expected.json pins the sha256 of this output (stdout.list).
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "  bench                "
+        "run kernel benchmarks (see tools/bench_compare.py)\n")
+
+
+def test_bench_parser_has_no_flags_of_its_own():
+    from repro.cli import _build_parser
+
+    bench = _build_parser()._subparsers._group_actions[0].choices["bench"]
+    assert [a.dest for a in bench._actions] == ["help"]
+
+
+def test_bench_passes_argv_to_the_harness_then_runs_the_gate(monkeypatch):
+    import subprocess
+    import types
+
+    calls = []
+
+    def fake_run(cmd, **kw):
+        calls.append(cmd[1:])
+        return types.SimpleNamespace(returncode=0)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert main(["bench", "--workload", "cli_verbs", "--trace", "1"]) == 0
+    (harness, *argv), (gate,) = calls
+    assert harness.endswith("bench/run.py")
+    assert argv == ["--workload", "cli_verbs", "--trace", "1"]
+    assert gate.endswith("tools/bench_compare.py")

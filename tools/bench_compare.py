@@ -1,374 +1,79 @@
 #!/usr/bin/env python3
-"""Benchmark-regression harness for the simulation kernel.
+"""Speed-ratio gate over one ``bench/run.py`` run.
 
-Runs the ``benchmarks/`` suite (pytest-benchmark), captures per-bench
-wall times plus deterministic kernel telemetry counters, and emits a
-compact ``BENCH_kernel.json``.  A second invocation compares two such
-files and fails on regression:
+    python3 bench/run.py --workload soc_threaded --workload soc_compiled ...
+    python tools/bench_compare.py [RESULT_DIR]
 
-* **wall time** — fail when a bench slows down by more than the
-  threshold (default 10 %).  Times are normalized by a fixed pure-Python
-  calibration loop measured at run time, so baselines recorded on one
-  machine remain meaningful on another.  Benches whose baseline time is
-  below a small floor (:data:`MIN_GATED_SECONDS`) are reported but never
-  gated — sub-millisecond timings are dominated by scheduler noise.
-* **kernel counters** — fail on *any* difference.  The counters
-  (events fired, timesteps, delta cycles, thread wakeups, signal
-  commits) and the probes' simulated finish times are deterministic, so
-  they double as a cycle-exactness oracle for scheduler changes.
-
-Usage::
-
-    python tools/bench_compare.py run  [-o BENCH_kernel.json] [--subset quick|full]
-    python tools/bench_compare.py compare BASELINE CURRENT [--threshold 0.10]
-    python tools/bench_compare.py check --baseline BASELINE [--subset quick]
-                                  [-o BENCH_kernel.json] [--threshold 0.10]
-
-``check`` = ``run`` + ``compare`` in one go (the CI entry point).
-The quick local loop is ``python -m repro bench``, which wraps this
-script.
+Reads ``result_<workload>_trace0.json`` (default directory: ``bench/out``)
+and checks, per pair below, that the slow workload's ``wall_s`` divided by
+the fast one's is at least the floor.  Prints the ratios as a markdown
+table.  Exits 1 when a ratio is under its floor or a result it read has
+``"correct": false``; a pair with a missing side is reported as skipped,
+never as passed.  It times nothing itself: both sides of a ratio come from
+one run of the one harness, so machine speed cancels.
 """
 
 from __future__ import annotations
 
-import argparse
-import datetime
 import json
 import pathlib
-import subprocess
 import sys
-import tempfile
-import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCHEMA = "bench_kernel/1"
 
-#: Baseline wall time below which a bench is too fast to gate on.
-#: Sub-20ms runs are dominated by process-level noise — allocator and
-#: address-space layout luck makes the *same* build time bimodally
-#: (observed up to 1.8x between back-to-back runs, stable within each
-#: process), so gating them would only produce flakes.  They are still
-#: measured and summarized.
-MIN_GATED_SECONDS = 0.02
-
-#: Bench subsets: ``quick`` is the CI/regression loop, ``full`` the
-#: complete suite used for the checked-in speedup artifact.
-SUBSETS = {
-    "quick": [
-        "benchmarks/test_bench_channels.py",
-        "benchmarks/test_bench_gals_overhead.py",
-    ],
-    "full": ["benchmarks"],
-}
+#: (slow workload, fast workload, median ratio, floor).  Medians are of
+#: ten ``python3 bench/run.py`` runs at the commit that introduced the
+#: gate (docs/PERFORMANCE.md, "The speed-ratio gate"); floors are about
+#: half of them, so the gate catches a lost mechanism, not a noisy run.
+GATES = (
+    ("soc_threaded", "soc_compiled", 3.3, 1.6),
+    ("sweep_fresh", "sweep_warm", 1.9, 0.95),
+    ("sweep_fresh", "sweep_incremental", 2.5, 1.25),
+    ("sweep_fresh", "sweep_cached", 27.0, 13.0),
+)
 
 
-# ----------------------------------------------------------------------
-# measurement
-# ----------------------------------------------------------------------
-def calibrate() -> float:
-    """Seconds for a fixed pure-Python spin — a machine-speed yardstick."""
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        x = 0
-        for i in range(2_000_000):
-            x += i
-        best = min(best, time.perf_counter() - t0)
-    return best
+def load(directory: pathlib.Path, workload: str) -> dict | None:
+    path = directory / f"result_{workload}_trace0.json"
+    return json.loads(path.read_text()) if path.exists() else None
 
 
-def select_files(subset: str, only: str | None) -> list[str]:
-    """The benchmark files to run: a subset, optionally name-filtered.
-
-    With ``only`` the whole ``benchmarks/`` directory is searched (not
-    just the subset) so e.g. ``--only sweep`` can run a bench that is
-    not part of the quick CI loop without re-running the full suite.
-    """
-    if not only:
-        return SUBSETS[subset]
-    matches = sorted(p for p in (ROOT / "benchmarks").glob("test_bench_*.py")
-                     if only in p.stem)
-    if not matches:
-        raise SystemExit(f"--only {only!r} matches no benchmarks/test_bench_*"
-                         ".py file")
-    return [str(p.relative_to(ROOT)) for p in matches]
-
-
-def run_benches(subset: str, only: str | None = None) -> dict:
-    """Run the pytest-benchmark suite; return {bench name: stats}."""
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    cmd = [
-        sys.executable, "-m", "pytest", *select_files(subset, only), "-q",
-        # The speedup-table test renders the checked-in snapshot pair; it
-        # is not a timing bench and would self-compare during a snapshot
-        # regeneration, so keep it out of the sweep.
-        "--ignore", str(ROOT / "benchmarks" / "test_bench_kernel_speedup.py"),
-        # Most benches run a single round (rounds=1 pedantic); without
-        # this, a cyclic-garbage collection triggered by a *previous*
-        # test lands inside someone's only measured round and reads as a
-        # 2-3x regression.
-        "--benchmark-disable-gc",
-        "--benchmark-json", tmp_path,
-    ]
-    env_path = str(ROOT / "src")
-    import os
-    env = dict(os.environ)
-    env["PYTHONPATH"] = env_path + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(cmd, cwd=ROOT, env=env)
-    if proc.returncode != 0:
-        raise SystemExit(f"benchmark suite failed (exit {proc.returncode})")
-    with open(tmp_path) as fh:
-        raw = json.load(fh)
-    pathlib.Path(tmp_path).unlink(missing_ok=True)
-    benches = {}
-    for bench in raw.get("benchmarks", []):
-        stats = bench["stats"]
-        benches[bench["fullname"]] = {
-            "mean": stats["mean"],
-            "min": stats["min"],
-            "rounds": stats["rounds"],
-        }
-    return benches
-
-
-def _kernel_counters(session) -> dict:
-    counters = dict(session.report(label="probe").kernel)
-    counters.pop("proc_seconds", None)  # wall time, not deterministic
-    return counters
-
-
-def probe_channels() -> dict:
-    from repro import observe
-    from repro.connections import Buffer, In, Out
-    from repro.kernel import Simulator
-
-    with observe.capture() as session:
-        sim = Simulator()
-        clk = sim.add_clock("clk", period=10)
-        chan = Buffer(sim, clk, capacity=4)
-        out, inp = Out(chan), In(chan)
-        got = []
-
-        def producer():
-            for k in range(200):
-                yield from out.push(k)
-
-        def consumer():
-            for _ in range(200):
-                got.append((yield from inp.pop()))
-                yield 2
-
-        sim.add_thread(producer(), clk, name="p")
-        sim.add_thread(consumer(), clk, name="c")
-        end = sim.run(until=100_000)
-    assert got == list(range(200))
-    return {"finish_time": end, **_kernel_counters(session)}
-
-
-def probe_mesh() -> dict:
-    from repro import observe
-    from repro.kernel import Simulator
-    from repro.noc import Mesh
-
-    with observe.capture() as session:
-        sim = Simulator()
-        clk = sim.add_clock("clk", period=10)
-        mesh = Mesh(sim, clk, width=3, height=3, router="whvc")
-        for src in range(9):
-            mesh.ni(src).send((src + 4) % 9, [f"m{src}f{j}" for j in range(5)])
-        while (sum(ni.messages_received for ni in mesh.nis) < 9
-               and sim.now < 2_000_000):
-            sim.run(max_steps=100)
-        assert sum(ni.messages_received for ni in mesh.nis) == 9
-        drain = max(ni.last_arrival_time or 0 for ni in mesh.nis)
-    return {
-        "finish_time": drain,
-        "flits_forwarded": sum(r.flits_forwarded for r in mesh.routers),
-        **_kernel_counters(session),
-    }
-
-
-def probe_soc() -> dict:
-    from repro import observe
-    from repro.workloads import run_workload, vector_scale_workload
-
-    with observe.capture() as session:
-        soc = run_workload(vector_scale_workload(n_pes=2, n_per_pe=32))
-    return {"finish_time": soc.finish_time, **_kernel_counters(session)}
-
-
-PROBES = {
-    "channels": probe_channels,
-    "mesh": probe_mesh,
-    "soc": probe_soc,
-}
-
-
-def run_all(subset: str, only: str | None = None) -> dict:
-    sys.path.insert(0, str(ROOT / "src"))
-    # Sample the yardstick before and after the sweep and keep the best:
-    # a transient load spike at a single sample would overstate machine
-    # slowness and skew every normalized comparison.
-    cal = calibrate()
-    benches = run_benches(subset, only)
-    cal = min(cal, calibrate())
-    result = {
-        "schema": SCHEMA,
-        "created": datetime.date.today().isoformat(),
-        "subset": subset,
-        "calibration_seconds": cal,
-        "benches": benches,
-        "kstats": {name: fn() for name, fn in PROBES.items()},
-    }
-    if only:
-        result["only"] = only
-    return result
-
-
-# ----------------------------------------------------------------------
-# comparison
-# ----------------------------------------------------------------------
-def compare(base: dict, cur: dict, threshold: float) -> list[str]:
-    """Return a list of regression messages (empty = pass)."""
-    problems = []
-    base_cal = base.get("calibration_seconds")
-    cur_cal = cur.get("calibration_seconds")
-    normalize = bool(base_cal and cur_cal)
-    shared = sorted(set(base.get("benches", {})) & set(cur.get("benches", {})))
-    for name in shared:
-        b = base["benches"][name]["min"]
-        c = cur["benches"][name]["min"]
-        if b < MIN_GATED_SECONDS:
-            continue  # too fast to time reliably; summary still shows it
-        if normalize:
-            ratio = (c / cur_cal) / (b / base_cal)
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        raise SystemExit(__doc__)
+    directory = pathlib.Path(argv[0]) if argv else ROOT / "bench" / "out"
+    failures = []
+    print("### Speed ratios (`wall_s`, slow ÷ fast)\n\n"
+          "| slow | fast | ratio | floor | median | verdict |\n"
+          "|---|---|---:|---:|---:|---|")
+    for slow, fast, median, floor in GATES:
+        results = {name: load(directory, name) for name in (slow, fast)}
+        missing = [name for name, result in results.items() if result is None]
+        if missing:
+            print(f"| `{slow}` | `{fast}` | — | {floor:g}× | {median:g}× | "
+                  f"skipped (no result for {', '.join(missing)}) |")
+            continue
+        walls = {name: result["metrics"]["wall_s"]["value"]
+                 for name, result in results.items()}
+        ratio = walls[slow] / walls[fast]
+        wrong = [name for name, result in results.items()
+                 if not result["correct"]]
+        if wrong:
+            verdict = f"FAILED: {', '.join(wrong)} not correct"
+        elif ratio < floor:
+            verdict = (f"FAILED: {slow} {walls[slow]:.4g} s / {fast} "
+                       f"{walls[fast]:.4g} s = {ratio:.2f}× is under "
+                       f"{floor:g}×")
         else:
-            ratio = c / b
-        if ratio > 1.0 + threshold:
-            problems.append(
-                f"WALL  {name}: {ratio:.2f}x slower "
-                f"(baseline {b:.4f}s, current {c:.4f}s, "
-                f"threshold {1 + threshold:.2f}x)")
-    for probe in sorted(set(base.get("kstats", {})) & set(cur.get("kstats", {}))):
-        bk, ck = base["kstats"][probe], cur["kstats"][probe]
-        for key in sorted(set(bk) & set(ck)):
-            if bk[key] != ck[key]:
-                problems.append(
-                    f"KSTAT {probe}.{key}: baseline {bk[key]} != "
-                    f"current {ck[key]} (must be identical)")
-    return problems
-
-
-def summarize(base: dict, cur: dict) -> str:
-    lines = []
-    base_cal = base.get("calibration_seconds")
-    cur_cal = cur.get("calibration_seconds")
-    normalize = bool(base_cal and cur_cal)
-    for name in sorted(set(base.get("benches", {})) & set(cur.get("benches", {}))):
-        b = base["benches"][name]["min"]
-        c = cur["benches"][name]["min"]
-        ratio = (c / cur_cal) / (b / base_cal) if normalize else c / b
-        speedup = 1.0 / ratio
-        lines.append(f"  {name}: {b:.4f}s -> {c:.4f}s  ({speedup:.2f}x)")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run benches, write a JSON snapshot")
-    p_run.add_argument("-o", "--output", default="BENCH_kernel.json")
-    p_run.add_argument("--subset", choices=sorted(SUBSETS), default="full")
-    p_run.add_argument("--only", default=None, metavar="NAME",
-                       help="only run benchmark files whose name contains "
-                            "NAME (searched over all of benchmarks/)")
-    p_run.add_argument(
-        "--merge", action="store_true",
-        help="merge with an existing output file, keeping per-bench "
-             "minima (a multi-process min is a better wall-time "
-             "estimator than any single run; kstats must be identical)")
-
-    p_cmp = sub.add_parser("compare", help="compare two snapshots")
-    p_cmp.add_argument("baseline")
-    p_cmp.add_argument("current")
-    p_cmp.add_argument("--threshold", type=float, default=0.10)
-
-    p_chk = sub.add_parser("check", help="run + compare against a baseline")
-    p_chk.add_argument("--baseline", required=True)
-    p_chk.add_argument("-o", "--output", default="BENCH_kernel.json")
-    p_chk.add_argument("--subset", choices=sorted(SUBSETS), default="quick")
-    p_chk.add_argument("--only", default=None, metavar="NAME",
-                       help="only run benchmark files whose name contains "
-                            "NAME (searched over all of benchmarks/)")
-    p_chk.add_argument("--threshold", type=float, default=0.10)
-
-    args = parser.parse_args(argv)
-
-    if args.command == "run":
-        result = run_all(args.subset, args.only)
-        out_path = pathlib.Path(args.output)
-        if args.merge and out_path.exists():
-            prev = json.loads(out_path.read_text())
-            mismatches = compare({"kstats": prev.get("kstats", {})},
-                                 {"kstats": result["kstats"]}, 0.0)
-            if mismatches:
-                for m in mismatches:
-                    print(m)
-                raise SystemExit("--merge refused: kernel counters differ "
-                                 "from the existing snapshot")
-            for name, stats in prev.get("benches", {}).items():
-                cur = result["benches"].get(name)
-                if cur is None or stats["min"] < cur["min"]:
-                    result["benches"][name] = stats
-            result["calibration_seconds"] = min(
-                result["calibration_seconds"],
-                prev.get("calibration_seconds") or float("inf"))
-        out_path.write_text(json.dumps(result, indent=1,
-                                       sort_keys=True) + "\n")
-        print(f"wrote {args.output}: {len(result['benches'])} benches, "
-              f"{len(result['kstats'])} kstat probes")
-        return 0
-
-    if args.command == "compare":
-        base = json.loads(pathlib.Path(args.baseline).read_text())
-        cur = json.loads(pathlib.Path(args.current).read_text())
-        print(summarize(base, cur))
-        problems = compare(base, cur, args.threshold)
-        for p in problems:
-            print(p)
-        print("PASS" if not problems else f"FAIL: {len(problems)} regressions")
-        return 1 if problems else 0
-
-    # check
-    result = run_all(args.subset, args.only)
-    base = json.loads(pathlib.Path(args.baseline).read_text())
-    problems = compare(base, result, args.threshold)
-    if any(p.startswith("WALL") for p in problems):
-        # One retry before declaring a wall-time regression: keep the
-        # per-bench best of both runs.  A real regression reproduces in
-        # both processes; layout-luck noise usually does not.
-        print("wall-time regression on first run; retrying once...")
-        retry = run_all(args.subset, args.only)
-        for name, stats in retry["benches"].items():
-            cur = result["benches"].get(name)
-            if cur is None or stats["min"] < cur["min"]:
-                result["benches"][name] = stats
-        result["calibration_seconds"] = min(result["calibration_seconds"],
-                                            retry["calibration_seconds"])
-        problems = compare(base, result, args.threshold)
-    pathlib.Path(args.output).write_text(json.dumps(result, indent=1,
-                                                    sort_keys=True) + "\n")
-    print(summarize(base, result))
-    for p in problems:
-        print(p)
-    print("PASS" if not problems else f"FAIL: {len(problems)} regressions")
-    return 1 if problems else 0
+            verdict = "ok"
+        if verdict != "ok":
+            failures.append(f"{slow}/{fast} {verdict}")
+        print(f"| `{slow}` | `{fast}` | {ratio:.2f}× | {floor:g}× | "
+              f"{median:g}× | {verdict} |")
+    for failure in failures:
+        print(f"bench gate: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the documentation stays truthful.
 
-Four checks over the repo's markdown docs and example scripts:
+Five checks over the repo's markdown docs and example scripts:
 
 1. **Runnable snippets** — every fenced ``python`` code block in
    ``docs/*.md`` is executed (with ``src/`` on ``sys.path``) and must
@@ -9,9 +9,14 @@ Four checks over the repo's markdown docs and example scripts:
 2. **Link/heading lint** — every relative markdown link in the checked
    files (including ``README.md``) must point at a file that exists;
    intra-document ``#fragment`` links must match a heading.
-3. **Executable examples** — scripts in ``EXEC_EXAMPLES`` are run as
+3. **Repository paths** — a backticked token shaped like a checked-in
+   file path (``tests/gals/test_gals.py``, optionally ``::test_name``)
+   must name a file that exists, so a citation of a deleted file fails
+   here instead of going stale.  Globs, ``<placeholders>`` and the
+   generated ``bench/out/`` are not citations.
+4. **Executable examples** — scripts in ``EXEC_EXAMPLES`` are run as
    ``__main__`` (fast ones only; the slow demos stay out of the loop).
-4. **Rendered capability table** — the block between the
+5. **Rendered capability table** — the block between the
    ``capability-table`` markers in each of ``CAPABILITY_DOCS`` must equal
    what :func:`render_capability_table` produces from
    ``repro.kernel.capability.TABLE``; ``--render`` rewrites stale blocks
@@ -19,7 +24,7 @@ Four checks over the repo's markdown docs and example scripts:
 
 Usage::
 
-    python tools/check_docs.py            # check docs/*.md + README.md
+    python tools/check_docs.py            # docs/*.md + the root docs
     python tools/check_docs.py FILE...    # check specific files
     python tools/check_docs.py --render   # regenerate the rendered blocks
 
@@ -51,6 +56,9 @@ CAPABILITY_END = "<!-- capability-table:end -->"
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+PATH_RE = re.compile(
+    r"`((?:src|tests|tools|bench|docs|examples|benchmarks)/[\w./-]+"
+    r"\.(?:py|md|json|txt|yml))(?:::[^`]*)?`")
 
 
 def python_blocks(text: str):
@@ -101,6 +109,13 @@ def check_links(path: Path, text: str) -> list:
             if fragment not in frag_headings:
                 errors.append(f"{path.name}: dangling anchor -> {target}")
     return errors
+
+
+def check_paths(path: Path, text: str) -> list:
+    return [f"{path.name}: cites missing file -> {target}"
+            for target in sorted(set(PATH_RE.findall(text)))
+            if not target.startswith("bench/out/")
+            and not (REPO / target).exists()]
 
 
 def run_block(path: Path, line: int, source: str) -> str | None:
@@ -167,7 +182,9 @@ def main(argv: list) -> int:
     if argv:
         files = [Path(a).resolve() for a in argv]
     else:
-        files = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+        files = sorted((REPO / "docs").glob("*.md")) + [
+            REPO / name
+            for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
 
     errors, ran = [], 0
     for path in files:
@@ -179,6 +196,7 @@ def main(argv: list) -> int:
                 errors.append(err)
         text = path.read_text()
         errors.extend(check_links(path, text))
+        errors.extend(check_paths(path, text))
         if path.parent in EXEC_DIRS:
             for line, source in python_blocks(text):
                 err = run_block(path, line, source)
