@@ -78,8 +78,8 @@ class AxiInterconnect:
             self.ranges: List[AddressRange] = []
             self.transactions = 0
             self.decode_errors = 0
-            # Idle-wait point for the compiled backend: reopened when any
-            # master's aw/ar delivers (plain one-cycle wait threaded).
+            # Idle-wait point: the loop parks here under either executor
+            # and is reopened when any master's aw/ar delivers.
             self._gate = Gate()
             sim.add_thread(self._run(), clock, name="ctl")
 
@@ -112,6 +112,9 @@ class AxiInterconnect:
                 m_port.bind(chan)
                 end = fabric_end(chan, name=f"m{idx}.{tag}")
                 lst.append(end)
+        # A parked fabric must wake to watch (and declare) the new
+        # master's request channels.
+        self._gate.open()
         return idx
 
     def connect_slave(self, slave: _SlaveBase, range_: AddressRange) -> int:
@@ -156,6 +159,7 @@ class AxiInterconnect:
                 for ports in (self._m_aw[watched:], self._m_ar[watched:]):
                     for port in ports:
                         port._channel.add_wake_gate(gate)
+                        gate.idle_pops(port._channel)
                 watched = len(self._m_aw)
             progressed = False
             for m in range(len(self._m_aw)):

@@ -37,8 +37,8 @@ class _SlaveBase:
             self.r: Out = Out(name="r")
             self.reads_served = 0
             self.writes_served = 0
-            # Idle-wait point for the compiled backend: reopened when a
-            # request lands on aw or ar (plain one-cycle wait threaded).
+            # Idle-wait point: the loop parks here under either executor
+            # and is reopened when a request lands on aw or ar.
             self._gate = Gate()
             sim.add_thread(self._run(), clock, name="ctl")
 
@@ -51,6 +51,7 @@ class _SlaveBase:
         if parkable:
             for hook in hooks:
                 hook(gate)
+            gate.idle_pops(self.aw._channel, self.ar._channel)
         while True:
             progressed = False
             ok, aw = self.aw.pop_nb()

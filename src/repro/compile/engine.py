@@ -6,22 +6,22 @@ thread, a ``_tick`` call for every channel — this engine executes the
 static node schedule produced by :func:`repro.design.lower.lower` with
 three elisions, each individually proven equivalent:
 
-1. **Parked threads.**  A thread that yields its :class:`~repro.kernel.
-   Gate` keeps its scheduling *slot* but is not resumed until the gate
-   opens (a message handler calls ``gate.open()``, or the engine opens
-   it when a watched channel's tick leaves data visible).  Under the
-   threaded kernel ``yield gate`` is a plain one-posedge wait, so the
-   only difference is *which* iterations of an idle polling loop run —
-   iterations that by construction observe nothing and do nothing.
-2. **Idle channels.**  Not the engine's own any more: an empty channel
-   core reports itself quiescent and the *clock* parks it, re-arms it
-   and credits the skipped span, for both executors (see
-   :meth:`repro.kernel.clock.Clock.on_edge`).  The engine walks the
-   clock's active list and adds the half that is its own — opening a
-   channel's wake gates after a tick that leaves data visible.
-3. **No per-cycle rescheduling.**  Pollers stay in a flat order list
-   (slot position = threaded resume order); a posedge is four integer
-   updates instead of heap traffic.
+1. **Parked threads** — shared with the threaded kernel.  A thread that
+   yields a shut :class:`~repro.kernel.Gate` keeps its scheduling
+   *slot* but leaves the live list until the gate opens (a message
+   handler calls ``gate.open()``, or a watched channel's tick leaves
+   data visible); the polls it skipped are credited through the gate
+   (``Gate._skipped``).  The threaded kernel parks the same threads by
+   the same rule (``Clock._gate_wait``).
+2. **Idle channels** — shared too: an empty channel core reports itself
+   quiescent and the *clock* parks it, re-arms it and credits the
+   skipped span, for both executors (see
+   :meth:`repro.kernel.clock.Clock.on_edge`); a tick that leaves data
+   visible opens the channel's wake gates itself.
+3. **No per-cycle rescheduling** — the engine's own.  Pollers stay in a
+   flat order list (slot position = threaded resume order); a posedge
+   is four integer updates instead of heap traffic, and a resumed
+   poller is one ``next()`` with no bucket filing.
 
 Everything the elisions cannot prove equivalent **detaches**: the engine
 files every live thread back into the clock's wakeup bucket in slot
@@ -45,10 +45,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..design.lower import edge_callbacks
 from ..kernel.backend import record_run
 from ..kernel.capability import OBSERVABILITY, reason as capability_reason
-from ..kernel.clock import BlockedPoll
+from ..kernel.clock import BlockedPoll, stays_refused
 from ..kernel.simulator import (DeltaOverflow, Event, Gate, PortWait,
                                 SimulationError, TimeBudgetExceeded,
                                 _TIME_BUDGET, _monotonic)
@@ -68,14 +67,15 @@ class CompiledEngine:
 
     __slots__ = ("sim", "clock", "schedule", "_live", "_live_keys",
                  "_parked_map", "_key_lo", "_key_hi", "_scan_idx",
-                 "_channels", "_cb_count", "_thread_count")
+                 "_cb_count", "_thread_count")
 
     def __init__(self, sim, schedule):
         self.sim = sim
         self.clock = schedule.clock
         self.schedule = schedule
-        #: Dispatch slots: ``[key, thread, generator, state]`` where
-        #: state is None (polls every cycle), a Gate, or the PortWait of
+        #: Dispatch slots: ``[key, thread, generator, state, since]``
+        #: (``since``: a parked slot's last poll cycle) where state is
+        #: None (polls every cycle), a shut Gate, or the PortWait of
         #: a blocked handshake (the scan polls the channel in the
         #: thread's place).  ``_live`` holds
         #: only runnable pollers, sorted by slot key (prepends take
@@ -92,16 +92,14 @@ class CompiledEngine:
         self._key_lo = 0
         self._key_hi = 0
         self._scan_idx = _NOT_SCANNING
-        # Managed FastChannel per edge-callback slot (None for any other
-        # callback), classified from clock._callbacks — not the schedule
-        # — so engine and clock can never disagree about slots.
-        self._channels = [chan for _cb, chan, _name
-                          in edge_callbacks(self.clock)]
         self._cb_count = len(self.clock._callbacks)
         self._thread_count = len(sim._threads)
-        # Blocked polls the threaded loop filed before this attach flow
-        # in as plain threads: their next resume repeats the refused
-        # attempt and yields the PortWait to *this* executor.
+        # Threads the threaded loop parked on gates are filed back at
+        # their slots (their next resume is the poll the gate stood
+        # for), and blocked polls it filed flow in as plain threads:
+        # their next resume repeats the refused attempt and yields the
+        # PortWait to *this* executor.
+        self.clock._release()
         for waiters in self.clock._wakeups.values():
             for i, proc in enumerate(waiters):
                 if proc.__class__ is BlockedPoll:
@@ -111,26 +109,38 @@ class CompiledEngine:
     # gate hook (called from Gate.open when parked threads wait there)
     # ------------------------------------------------------------------
     def _unpark(self, entries) -> None:
-        """Re-insert parked entries at their slot keys.
+        """Re-insert parked entries at their slot keys, crediting the
+        polls they skipped.
 
         Mid-scan semantics mirror the threaded kernel exactly: a thread
         whose slot lies *behind* the scan cursor polled earlier this
         cycle (before the opener ran) and so resumes next cycle — the
         cursor bump keeps it un-scanned; a slot *ahead* of the cursor is
         reached later this same cycle, just as the threaded bucket would
-        reach the still-subscribed poller after the opener.
+        reach the still-subscribed poller after the opener.  While the
+        edge's callbacks and due sleepers run the cursor is -1 (every
+        slot is ahead); between cycles it is ``_NOT_SCANNING``.
         """
         live = self._live
         keys = self._live_keys
         parked_map = self._parked_map
+        sim = self.sim
+        cycles = self.clock.cycles
         for entry in entries:
             del parked_map[id(entry)]
+            gate = entry[3]
+            entry[3] = None  # the opening is this resume's cause
             key = entry[0]
             pos = bisect_left(keys, key)
             keys.insert(pos, key)
             live.insert(pos, entry)
-            if pos <= self._scan_idx:
-                self._scan_idx += 1
+            scan = self._scan_idx
+            if pos <= scan:
+                if scan != _NOT_SCANNING:
+                    self._scan_idx = scan + 1
+                gate._skipped(sim, cycles - entry[4])
+            else:
+                gate._skipped(sim, cycles - entry[4] - 1)
 
     # ------------------------------------------------------------------
     # detach: hand the simulation back to the threaded kernel
@@ -146,14 +156,21 @@ class CompiledEngine:
         sim = self.sim
         clock = self.clock
         subscribe = clock._subscribe
+        cycles = clock.cycles
+        for entry in self._parked_map.values():
+            gate = entry[3]
+            gate._waiters = None  # re-filed as a poller below
+            gate._skipped(sim, cycles - entry[4])
         entries = self._live + list(self._parked_map.values())
         entries.sort(key=lambda e: e[0])
         for entry in entries:
-            state = entry[3]
-            if state.__class__ is Gate:
-                state._waiters = None  # the gate's parked registration
             if not entry[1].done:
                 subscribe(entry[1])
+        # The threaded kernel re-derives slot keys from bucket order at
+        # the next wake (Clock._key_sleepers).
+        for waiters in clock._wakeups.values():
+            for thread in waiters:
+                thread._key = None
         self._live = []
         self._live_keys = []
         self._parked_map.clear()
@@ -183,6 +200,29 @@ class CompiledEngine:
         self._scan_idx = _NOT_SCANNING
         self._thread_count = len(self.sim._threads)
 
+    def _settle(self) -> None:
+        """Run exit: credit parked slots the polls skipped so far."""
+        self._scan_idx = _NOT_SCANNING  # an exception may cut a cycle
+        sim = self.sim
+        cycles = self.clock.cycles
+        for entry in self._parked_map.values():
+            if cycles > entry[4]:
+                entry[3]._skipped(sim, cycles - entry[4])
+                entry[4] = cycles
+
+    def _idle(self) -> bool:
+        """No live slot can act: each would park at its turn (a shut
+        gate) or be refused by a parked channel (``Clock._next_time``
+        looks past the same polls)."""
+        for entry in self._live:
+            state = entry[3]
+            if state.__class__ is Gate:
+                if state._open:
+                    return False
+            elif state.__class__ is not PortWait or not stays_refused(state):
+                return False
+        return True
+
     # ------------------------------------------------------------------
     # thread dispatch
     # ------------------------------------------------------------------
@@ -199,15 +239,19 @@ class CompiledEngine:
             sim._thread_finished(thread)
             return
         if request is None:
-            emit([0, thread, gen, None])
+            emit([0, thread, gen, None, 0])
             return
         kind = type(request)
         if kind is Gate:
-            emit([0, thread, gen, request])
+            if request._open:  # opened since its last wait: a poll
+                request._open = False
+                emit([0, thread, gen, None, 0])
+            else:
+                emit([0, thread, gen, request, 0])
             return
         if kind is int:
             if request == 1:
-                emit([0, thread, gen, None])
+                emit([0, thread, gen, None, 0])
                 return
             if request <= 0:
                 raise SimulationError(
@@ -216,14 +260,15 @@ class CompiledEngine:
             self.clock._subscribe(thread, request)
             return
         if kind is PortWait:
-            emit([0, thread, gen, request])
+            emit([0, thread, gen, request, 0])
             return
         if isinstance(request, Event):
+            self.clock._stop_parking()  # see Thread._resume
             request._subscribe(thread)
             return
         if isinstance(request, int):  # bool/IntEnum yields
             if int(request) == 1:
-                emit([0, thread, gen, None])
+                emit([0, thread, gen, None, 0])
             else:
                 self.clock._subscribe(thread, int(request))
             return
@@ -255,7 +300,6 @@ class CompiledEngine:
         parked_map = self._parked_map
         active = clock._active
         parked_ticks = clock._parked
-        channels = self._channels
         queue = sim._queue
         wakeups = clock._wakeups
         callbacks = clock._callbacks
@@ -298,18 +342,27 @@ class CompiledEngine:
                 self.detach(capability_reason(key, "compiled",
                                               name=clock.name))
                 return (False, steps)
+            if (until is None and max_steps is None and not active
+                    and not wakeups and self._idle()):
+                # The threaded loop's no-work test: nothing left can
+                # act, so the run ends at the last executed edge.
+                record_run("compiled")
+                return (True, steps)
 
             # -- phase 1: the clock edge (four updates, no heap traffic)
             sim.now = next_edge
             clock.cycles = cycles = clock.cycles + 1
             clock.next_edge = next_edge + clock.period
             clock._seq = next(sim._seq)
+            # Until the live scan starts every slot is ahead: a gate
+            # opened by a tick or a due sleeper resumes this cycle.
+            self._scan_idx = -1
 
             # -- phase 2: edge callbacks.  Clock._fire_callbacks inlined
             # over the clock's own active list (a channel that reports
             # quiescent is parked until a push/set_stall re-arms it at
-            # its slot), plus the engine's half: a tick that leaves data
-            # visible opens the channel's wake gates.
+            # its slot; a tick that leaves data visible opens its wake
+            # gates itself).
             i = 0
             while i < len(active):
                 clock._cursor = i
@@ -320,18 +373,8 @@ class CompiledEngine:
                     record[2]._skip_from = cycles
                     parked_ticks[record[0]] = record
                     del active[i]
-                    continue
-                i += 1
-                ch = channels[record[0]]
-                if ch is not None and ch._queue and not ch._stalled:
-                    gates = ch._wake_gates
-                    if gates is not None:
-                        for gate in gates:
-                            gate._open = True
-                            waiters = gate._waiters
-                            if waiters is not None:
-                                gate._waiters = None
-                                self._unpark(waiters[1])
+                else:
+                    i += 1
             clock._cursor = -1
 
             # -- phase 3a: due sleepers resume first (chronologically the
@@ -379,6 +422,7 @@ class CompiledEngine:
                         # gate's open() re-inserts the slot at its key.
                         del live[k]
                         del keys[k]
+                        entry[4] = cycles - 1  # this poll is skipped
                         waiters = state._waiters
                         if waiters is None:
                             state._waiters = (self, [entry])
@@ -402,7 +446,11 @@ class CompiledEngine:
                     continue
                 kind = type(request)
                 if kind is Gate:
-                    entry[3] = request
+                    if request._open:  # opened since its last wait
+                        request._open = False
+                        entry[3] = None
+                    else:
+                        entry[3] = request
                     self._scan_idx += 1
                     continue
                 if kind is int:
@@ -428,6 +476,7 @@ class CompiledEngine:
                     k = self._scan_idx
                     del live[k]
                     del keys[k]
+                    clock._stop_parking()  # see Thread._resume
                     request._subscribe(entry[1])
                     continue
                 if isinstance(request, int):  # bool/IntEnum yields

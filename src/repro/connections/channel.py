@@ -170,8 +170,8 @@ class FastChannel:
         # Fault-injection hook (see repro.faults.plan.ChannelFaults).
         # None by default: the hot path pays one attribute load.
         self._faults = None
-        # ``_wake_gates`` are consumer Gates the compiled engine opens
-        # when a tick leaves the queue non-empty (see repro.compile.engine).
+        # ``_wake_gates``: consumer Gates this channel's tick opens when it
+        # leaves data visible (see add_wake_gate).
         self._wake_gates = None
         # Park state (see Clock.on_edge): ``_skip_from`` is the cycle of
         # the last tick before the clock parked this empty channel, None
@@ -213,9 +213,21 @@ class FastChannel:
                 stats.stall_cycles += 1
         stats.cycles += 1
         stats.occupancy_sum += len(queue)
+        if queue:
+            # Data a pop would see: wake the consumers parked on it.
+            gates = self._wake_gates
+            if gates is not None and not self._stalled:
+                for gate in gates:
+                    # Gate.open() inlined for the common case: nobody
+                    # parked, so the next wait polls once.
+                    if gate._waiters is None:
+                        gate._open = True
+                    else:
+                        gate.open()
+            return False
         # Quiescent: while empty, later ticks only count cycles and draw
         # stalls, which _credit reproduces in bulk — the clock parks us.
-        return not queue and not transit and self._faults is None
+        return not transit and self._faults is None
 
     def _credit(self, n: int) -> None:
         """Account ``n`` skipped ticks of this empty channel, exactly.
@@ -421,10 +433,11 @@ class FastChannel:
     def add_wake_gate(self, gate) -> None:
         """Register a consumer's :class:`~repro.kernel.Gate`.
 
-        The compiled engine opens registered gates whenever a tick
-        leaves the queue non-empty — exactly when a polling consumer
-        would first observe the message.  Inert under the threaded
-        kernel (nothing reads the gates).
+        Every tick that leaves the queue non-empty and unstalled opens
+        the registered gates — exactly when a polling consumer would
+        first observe the message — so a consumer parked on its gate
+        wakes at the cycle its poll would have found the data, under
+        either executor.
         """
         if self._wake_gates is None:
             self._wake_gates = [gate]

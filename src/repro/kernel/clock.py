@@ -46,14 +46,32 @@ resumed.  A next-cycle bucket holding nothing but pops blocked on
 either: :meth:`Clock._next_time` looks past it and
 :meth:`Clock._advance_idle` carries it forward, crediting every skipped
 poll.
+
+Idle gate owners leave the buckets altogether.  A thread that yields a
+shut :class:`~repro.kernel.Gate` is *parked* (:meth:`Clock._gate_wait`):
+filed nowhere, it costs nothing per edge and does not keep its clock
+awake.  ``Gate.open()`` files it back (:meth:`Clock._unpark`) at the slot
+its per-edge poll would have held — into this cycle's run while that
+slot is still ahead of whoever opened the gate, else into the next
+cycle's bucket.  Slots are *keys* (``Thread._key``), by the compiled
+engine's rule (``docs/COMPILED_BACKEND.md``): pollers keep theirs from
+cycle to cycle, due sleepers take fresh keys ahead of all, threads
+registered between runs behind all, so key order is bucket order.  The
+polls a parked thread skipped are credited through its gate at unpark
+and at every run exit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
 __all__ = ["Clock", "BlockedPoll"]
+
+#: Slot-key bounds: a due sleeper (no key yet) sorts first, another
+#: clock's process last (see Clock._order).
+_FIRST = float("-inf")
+_LAST = float("inf")
 
 
 class BlockedPoll:
@@ -87,19 +105,34 @@ class BlockedPoll:
         else:
             self.thread._resume()
 
+    @property
+    def _key(self):
+        """The blocked thread's slot key (see :meth:`Clock._unpark`)."""
+        return self.thread._key
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BlockedPoll({self.thread.name!r})"
 
 
+def _owner(proc):
+    """The thread behind a bucket or runnable entry."""
+    return proc.thread if proc.__class__ is BlockedPoll else proc
+
+
+def stays_refused(wait) -> bool:
+    """True for a ``PortWait`` that is a pop blocked on a parked channel:
+    a parked channel is empty until someone re-arms it, so the poll is
+    refused on every edge until then.  The one test both executors use
+    to look past blocked polls (:meth:`Clock._next_time`,
+    ``CompiledEngine._idle``)."""
+    return wait.credit is not None and wait.channel._skip_from is not None
+
+
 def _polls_stay_refused(bucket: list) -> bool:
-    """True for a non-empty bucket of pops blocked on parked channels:
-    a parked channel is empty until someone re-arms it, nobody in the
-    bucket will, so every poll is refused on every edge until then."""
+    """True for a non-empty bucket of pops blocked on parked channels
+    (nobody in the bucket re-arms a channel, see :func:`stays_refused`)."""
     for proc in bucket:
-        if proc.__class__ is not BlockedPoll:
-            return False
-        wait = proc.wait
-        if wait.credit is None or wait.channel._skip_from is None:
+        if proc.__class__ is not BlockedPoll or not stays_refused(proc.wait):
             return False
     return bool(bucket)
 
@@ -128,6 +161,13 @@ class Clock:
         "_stopped",
         "paused_edges",
         "total_pause_time",
+        "_gated",
+        "_parks",
+        "_key_lo",
+        "_key_hi",
+        "_woke",
+        "_woke_at",
+        "_woke_now",
     )
 
     def __init__(self, sim, name: str, period: int, *, start: int = 0, generator=None):
@@ -155,6 +195,21 @@ class Clock:
         self._stopped = False
         self.paused_edges = 0
         self.total_pause_time = 0
+        #: Threads parked on a shut Gate: ``id(thread) -> [thread, gate,
+        #: cycle of its last poll]`` (see :meth:`_gate_wait`).
+        self._gated: dict = {}
+        #: False once a shape slot keys cannot order appeared (an Event
+        #: wait, a thread registered mid-run): gates then poll.
+        self._parks = True
+        #: Due sleepers take keys below ``_key_lo``, threads registered
+        #: between runs above ``_key_hi``.
+        self._key_lo = 0
+        self._key_hi = 0
+        #: While threads are parked: the runnable list this edge queued
+        #: its bucket into, where in it, and at what time.
+        self._woke = None
+        self._woke_at = 0
+        self._woke_now = -1
         if generator is None:
             # Fast lane: the simulator polls next_edge, no heap events.
             self.next_edge = sim.now + start
@@ -210,6 +265,8 @@ class Clock:
         waiters = self._wakeups.pop(self.cycles, None)
         if waiters is None:
             return
+        if waiters and waiters[0]._key is None:
+            self._key_sleepers(waiters)
         make_runnable = self.sim._make_runnable
         for thread in waiters:
             make_runnable(thread)
@@ -262,14 +319,20 @@ class Clock:
     def _settle(self) -> None:
         """Credit every parked owner the edges skipped so far (run exit:
         counters must read exact whenever the simulation is observable).
-        Owners stay parked."""
+        Owners stay parked; so do gate threads, credited the same way."""
         self._cursor = -1  # an exception may have cut a walk short
+        self._woke = None  # a run boundary ends every edge's deltas
         cycles = self.cycles
         for _slot, _fn, owner in self._parked.values():
             skipped = cycles - owner._skip_from
             if skipped:
                 owner._skip_from = cycles
                 owner._credit(skipped)
+        for record in self._gated.values():
+            skipped = cycles - record[2]
+            if skipped:
+                record[2] = cycles
+                record[1]._skipped(self.sim, skipped)
 
     def _edge(self) -> None:
         """General-lane posedge: a timed event popped off the heap."""
@@ -285,6 +348,8 @@ class Clock:
         self.cycles += 1
         if self._active:
             self._fire_callbacks()
+        if self._gated:
+            self._mark_edge()
         self._wake_bucket()
         next_period = self.period
         if self.generator is not None:
@@ -309,6 +374,8 @@ class Clock:
         self.cycles += 1
         if self._active:
             self._fire_callbacks()
+        if self._gated:
+            self._mark_edge()
         if self._wakeups:
             self._wake_bucket()
         self.next_edge = sim.now + self.period
@@ -400,6 +467,159 @@ class Clock:
                 kstats.delta_cycles += ticked
                 if not kstats.max_deltas_per_step:
                     kstats.max_deltas_per_step = 1
+        elif self._gated and ticked and kstats is not None:
+            # Parked gate threads would have polled at each skipped edge
+            # (their wakeups are credited at unpark / run exit).
+            kstats.delta_cycles += ticked
+            if not kstats.max_deltas_per_step:
+                kstats.max_deltas_per_step = 1
+
+    # ------------------------------------------------------------------
+    # gate parking (see repro.kernel.Gate)
+    # ------------------------------------------------------------------
+    def _append_key(self) -> int:
+        """A slot key behind every key handed out so far."""
+        self._key_hi += 1
+        return self._key_hi
+
+    def _key_sleepers(self, bucket: list) -> None:
+        """Give the due sleepers heading ``bucket`` slot keys ahead of
+        every other, in bucket order: they subscribed before any
+        poller's last re-filing, so they resume first this cycle."""
+        n = 0
+        for proc in bucket:
+            if proc._key is not None:
+                break
+            n += 1
+        key = self._key_lo = self._key_lo - n
+        for proc in bucket[:n]:
+            _owner(proc)._key = key
+            key += 1
+
+    def _order(self, proc):
+        """Sort key of a bucket or runnable entry among this clock's
+        slots: due sleepers first, then by slot key, others last."""
+        owner = _owner(proc)
+        if getattr(owner, "clock", None) is not self:
+            return _LAST
+        key = owner._key
+        return _FIRST if key is None else key
+
+    def _mark_edge(self) -> None:
+        """An edge with gate threads parked: note where this edge's
+        bucket goes in the runnable list (:meth:`_resume_now`), and that
+        their polls owe a delta cycle if nothing else runs (telemetry)."""
+        sim = self.sim
+        sim._owed = True
+        runnable = self._woke = sim._runnable
+        self._woke_at = len(runnable)
+        self._woke_now = sim.now
+
+    def _gate_wait(self, thread, gate) -> None:
+        """``thread`` yielded ``gate``: park it, unless the gate opened
+        since its last wait (then this wait is an ordinary poll) or its
+        slot cannot be kept exactly — a clock that stopped parking,
+        combinational methods (they run in deltas no key orders), a
+        watchdog or trace capture (they must see every attempt), a gate
+        another clock's thread is parked on."""
+        sim = self.sim
+        if gate._open:
+            gate._open = False
+        elif (self._parks and thread._key is not None
+                and sim.watchdog is None and not sim._method_count):
+            waiters = gate._waiters
+            if waiters is None:
+                gate._waiters = (self, [thread])
+            elif waiters[0] is self:
+                waiters[1].append(thread)
+            else:
+                self._subscribe(thread)
+                return
+            self._gated[id(thread)] = [thread, gate, self.cycles]
+            return
+        self._subscribe(thread)
+
+    def _unpark(self, threads) -> None:
+        """``Gate.open()`` hook: file parked ``threads`` back at their
+        slots and credit the polls they skipped."""
+        sim = self.sim
+        cycles = self.cycles
+        for thread in threads:
+            _thread, gate, since = self._gated.pop(id(thread))
+            if self._resume_now(thread):
+                gate._skipped(sim, cycles - since - 1)
+            else:
+                self._refile(thread, cycles + 1)
+                gate._skipped(sim, cycles - since)
+
+    def _resume_now(self, thread) -> bool:
+        """File an unparked ``thread`` into the current cycle if its slot
+        there is still ahead of whoever opened its gate; True if so.
+
+        Opened by this clock's own edge callback: the bucket of this edge
+        is not woken yet.  Opened while this edge's bucket waits in the
+        runnable list (another clock's coincident edge) or runs in the
+        current delta: the slot is in that block at its key, ahead of a
+        running opener of the same block only if the opener's key is
+        lower.  Anything else comes after this cycle's poll.
+        """
+        if self._cursor >= 0:
+            self._refile(thread, self.cycles)
+            return True
+        sim = self.sim
+        opener = sim._current
+        procs = sim._runnable if opener is None else sim._delta
+        if procs is not self._woke or sim.now != self._woke_now:
+            return False
+        lo = self._woke_at
+        if opener is not None:
+            try:
+                at = procs.index(opener)
+            except ValueError:  # the instrumented loop exposes the thread
+                at = procs.index(opener._poll)
+            if at >= lo:
+                owner = _owner(opener)
+                if getattr(owner, "clock", None) is not self:
+                    return False      # the block ran before the opener
+                key = owner._key
+                if key is not None and key > thread._key:
+                    return False      # the slot came before the opener
+                lo = at + 1
+        pos = bisect_right(procs, thread._key, lo, key=self._order)
+        procs.insert(pos, thread)
+        if opener is None:
+            sim._runnable_set.add(id(thread))
+        for clock in sim._clocks:
+            if clock is not self and clock._woke is procs \
+                    and clock._woke_at >= pos:
+                clock._woke_at += 1
+        return True
+
+    def _refile(self, thread, at: int) -> None:
+        """Insert ``thread`` into the bucket of cycle ``at`` at its slot."""
+        bucket = self._wakeups.get(at)
+        if bucket is None:
+            self._wakeups[at] = [thread]
+            if self._next_wakeup is None or at < self._next_wakeup:
+                self._next_wakeup = at
+        else:
+            bucket.insert(bisect_right(bucket, thread._key, key=self._order),
+                          thread)
+
+    def _release(self) -> None:
+        """Unpark every thread parked on this clock, as if each gate had
+        opened now (engine attach, :meth:`_stop_parking`)."""
+        gated = self._gated
+        while gated:
+            gate = next(iter(gated.values()))[1]
+            waiters, gate._waiters = gate._waiters, None
+            self._unpark(waiters[1])
+
+    def _stop_parking(self) -> None:
+        """A thread re-entered the buckets at a place no slot key
+        records: this clock's gates poll from now on."""
+        self._parks = False
+        self._release()
 
     # ------------------------------------------------------------------
     # GALS controls

@@ -39,6 +39,10 @@ Scheduler hot path (see ``docs/PERFORMANCE.md`` for the design):
   ``pop()`` / ``push()`` declares its wait (:class:`PortWait`) and the
   executor asks the channel the thread's question at the thread's turn,
   resuming the generator only for the attempt that succeeds;
+* **idle gate owners leave the buckets**: a thread that yields a shut
+  :class:`Gate` is parked off its clock until :meth:`Gate.open` files
+  it back at the slot its per-edge poll would have held; the polls it
+  skipped are credited at unpark and at every run exit;
 * an **idle-skip** bulk-advances a lone clock whose callbacks are all
   parked over edges where no thread wakes — pops blocked on parked
   channels do not count as waking — and no timed event fires.
@@ -160,35 +164,70 @@ class Event:
 class Gate:
     """A declared idle-wait point for a thread's polling loop.
 
-    Under the threaded kernel ``yield gate`` is *exactly* ``yield``: the
-    thread waits one posedge and re-checks its condition, so components
-    that adopt gates simulate byte-identically to bare polling.  The
-    compiled backend (:mod:`repro.compile`) instead *parks* a thread that
-    yields its gate — the thread keeps its scheduling slot but is not
-    resumed again until :meth:`open` is called (by a message handler, or
-    by the engine when a watched channel delivers data).  A spurious
-    :meth:`open` only costs one extra poll iteration, never correctness,
-    because the waiting loop re-checks its condition on every resume.
+    To the thread ``yield gate`` means ``yield``: wait one posedge and
+    re-check the condition.  To the executor it says the iteration about
+    to repeat is idle until :meth:`open` is called (by a message handler,
+    or by a watched channel's tick leaving data visible, see
+    ``FastChannel.add_wake_gate``).  So both executors *park* the thread:
+    it leaves the wakeup buckets (the compiled engine's live list), costs
+    nothing per edge, and :meth:`open` files it back at exactly the slot
+    its per-edge poll would have held (``Clock._unpark``,
+    ``CompiledEngine._unpark``).  A spurious :meth:`open` only costs one
+    extra poll iteration, never correctness, because the waiting loop
+    re-checks its condition on every resume.  The one side effect an
+    idle iteration may have, refused pops, is declared with
+    :meth:`idle_pops` and credited for every edge the thread skipped.
     """
 
-    __slots__ = ("_open", "_waiters")
+    __slots__ = ("_open", "_waiters", "_credits")
 
     def __init__(self) -> None:
+        #: Opened while nobody was parked here: the next ``yield gate``
+        #: polls once instead of parking.
         self._open = False
-        # Compiled-engine handoff: ``(engine, [entries])`` while threads
-        # are parked here, else None.  The threaded kernel never sets it.
+        #: ``(executor, [parked entries])`` while threads are parked
+        #: here, else None; ``executor._unpark(entries)`` files them back.
         self._waiters = None
+        #: ``credit(n)`` callables, one per refused pop an idle
+        #: iteration makes (see :meth:`idle_pops`), or None.
+        self._credits = None
 
     def open(self) -> None:
-        """Wake the parked owner (no-op under the threaded kernel)."""
-        self._open = True
+        """Wake the parked owner (or, if none, let its next wait poll)."""
         waiters = self._waiters
-        if waiters is not None:
+        if waiters is None:
+            self._open = True
+        else:
             self._waiters = None
             waiters[0]._unpark(waiters[1])
 
+    def idle_pops(self, *channels) -> None:
+        """Declare that one idle iteration of the owner's loop makes one
+        refused pop on each of ``channels`` (``do_pop`` / ``pop_nb`` on
+        an empty channel).  Each channel is asked ``_refused_pops(n)``
+        for the ``n`` polls a parked thread skipped."""
+        credits = self._credits
+        if credits is None:
+            credits = self._credits = []
+        for channel in channels:
+            credit = channel._refused_pops
+            if credit not in credits:
+                credits.append(credit)
+
+    def _skipped(self, sim, n: int) -> None:
+        """Credit ``n`` polls a thread parked here did not make: its
+        declared refusals and, under telemetry, its wakeups."""
+        if n > 0:
+            credits = self._credits
+            if credits is not None:
+                for credit in credits:
+                    credit(n)
+            hub = sim.telemetry
+            if hub is not None:
+                hub.kernel.thread_wakeups += n
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gate(open={self._open})"
+        return f"Gate(open={self._open}, parked={self._waiters is not None})"
 
 
 class PortWait:
@@ -230,7 +269,8 @@ class Thread:
 
     * ``None`` — wait one posedge of the thread's clock,
     * a positive ``int`` n — wait n posedges,
-    * a :class:`Gate` — wait one posedge (a parkable idle marker),
+    * a :class:`Gate` — wait one posedge; a shut gate parks the thread
+      until :meth:`Gate.open` (see :class:`Gate`),
     * a :class:`PortWait` — wait one posedge *and retry a blocked
       ``pop()`` / ``push()``*: the executor makes the retry itself and
       does not resume the generator while the channel refuses (only the
@@ -247,7 +287,8 @@ class Thread:
     snapshot-ineligible (generators cannot be copied).
     """
 
-    __slots__ = ("sim", "gen", "clock", "name", "done", "factory", "_poll")
+    __slots__ = ("sim", "gen", "clock", "name", "done", "factory", "_poll",
+                 "_key")
 
     def __init__(self, sim: "Simulator", gen: Generator, clock, name: str,
                  factory: Optional[Callable[[], Generator]] = None):
@@ -261,6 +302,9 @@ class Thread:
         #: reused: most blocks end at their first poll, so a stand-in
         #: per block would cost more than the resumes it saves.
         self._poll = None
+        #: Slot among its clock's pollers (see ``Clock._unpark``): None
+        #: while the thread sleeps or before its clock first wakes it.
+        self._key = None
 
     def _resume(self) -> None:
         """Advance the generator to its next wait point."""
@@ -270,10 +314,11 @@ class Thread:
             self.done = True
             self.sim._thread_finished(self)
             return
-        if request is None or type(request) is Gate:
-            # A Gate is the threaded kernel's plain one-posedge wait; only
-            # the compiled engine gives it parking semantics.
+        if request is None:
             self.clock._subscribe(self)
+            return
+        if type(request) is Gate:
+            self.clock._gate_wait(self, request)
             return
         if type(request) is int:
             if request <= 0:
@@ -284,6 +329,8 @@ class Thread:
                 raise SimulationError(
                     f"thread {self.name!r} has no clock but yielded a cycle wait"
                 )
+            if request > 1:
+                self._key = None  # a sleeper leaves the pollers' order
             self.clock._subscribe(self, request)
         elif type(request) is PortWait:
             clock = self.clock
@@ -297,8 +344,15 @@ class Thread:
                 # Polling another domain's channel: a plain wait.
                 clock._subscribe(self)
         elif isinstance(request, Event):
+            clock = self.clock
+            if clock is not None and clock._parks:
+                # An event wake re-enters the buckets at a place no slot
+                # key records: this clock's gates poll from now on.
+                clock._stop_parking()
             request._subscribe(self)
         elif isinstance(request, int):  # bool/IntEnum yields
+            if int(request) > 1:
+                self._key = None
             self.clock._subscribe(self, int(request))
         else:
             raise SimulationError(
@@ -380,8 +434,15 @@ class Simulator:
         #: one routes the delta loop through the instrumented variant so
         #: blocking ports can identify the running thread.
         self.watchdog = None
-        #: Thread currently being resumed (instrumented delta loop only).
+        #: Thread currently being resumed and the delta list it sits in
+        #: (``Clock._unpark`` places a gate's thread relative to it).
         self._current: Optional[Thread] = None
+        self._delta: list = []
+        #: True inside run() / run_cycles().
+        self._running = False
+        #: Set by an edge that left gate threads parked: under telemetry
+        #: their polls owe a delta cycle if nothing else runs then.
+        self._owed = False
         #: Design hierarchy under construction (see repro.design).  All
         #: registration is construction-time; the scheduler never reads it.
         self.design = Hierarchy(self)
@@ -451,6 +512,12 @@ class Simulator:
         self._threads.append(thread)
         self.design.register_thread(thread, name)
         if clock is not None:
+            if self._running:
+                # Registered by running code: its place among parked
+                # gate threads' slots is unknown, so they poll again.
+                clock._stop_parking()
+            else:
+                thread._key = clock._append_key()
             clock._subscribe(thread)
         else:
             # Unclocked threads start in the first delta of time zero.
@@ -468,6 +535,9 @@ class Simulator:
         """
         method = Method(fn, name)
         self._method_count += 1
+        # Methods run in deltas no slot key orders: gates poll from now.
+        for clk in self._clocks:
+            clk._release()
         for sig in sensitive:
             if sig._watchers is None:
                 sig._watchers = [method]
@@ -569,6 +639,8 @@ class Simulator:
         check) or detaches mid-run (a dynamic construct appeared), the
         loop below continues with whatever step budget remains.
         """
+        self._running = True
+        self._owed = False
         try:
             if self._backend_requested == "compiled":
                 outcome = self._compiled_run(until, max_steps,
@@ -585,10 +657,15 @@ class Simulator:
             return self.now
         finally:
             # Whichever executor ran and however it stopped (horizon,
-            # budget, exception): credit parked edge callbacks their
-            # skipped edges, so counters read exact between runs.
+            # budget, exception): credit parked edge callbacks and gate
+            # threads their skipped edges, so counters read exact
+            # between runs.
+            self._running = False
+            self._current = None
             for clk in self._clocks:
                 clk._settle()
+            if self._engine is not None:
+                self._engine._settle()
 
     def _threaded_run(self, until, max_steps, stop_clock, stop_cycles):
         """The threaded scheduler loop (see :meth:`_run`)."""
@@ -664,6 +741,8 @@ class Simulator:
                     kstats.events_fired += len(due)
                 for _, fn in due:
                     fn()
+                if kstats is not None and self._owed:
+                    self._owed_delta(kstats)
                 self._delta_loop()
             # Fire every remaining timed event at this timestamp,
             # interleaving delta loops so that zero-delay notifications
@@ -674,6 +753,8 @@ class Simulator:
                     if kstats is not None:
                         kstats.events_fired += 1
                     fn()
+                if kstats is not None and self._owed:
+                    self._owed_delta(kstats)
                 self._delta_loop()
             steps += 1
             if kstats is not None:
@@ -682,6 +763,16 @@ class Simulator:
                 break
             if stop_clock is not None and stop_clock.cycles >= stop_cycles:
                 break
+
+    def _owed_delta(self, kstats) -> None:
+        """Telemetry: the edges just fired left gate threads parked; had
+        they polled, their polls would have run a delta cycle of their
+        own if nothing else is runnable now."""
+        self._owed = False
+        if not self._runnable and not self._dirty_signals:
+            kstats.delta_cycles += 1
+            if not kstats.max_deltas_per_step:
+                kstats.max_deltas_per_step = 1
 
     def _delta_loop(self) -> None:
         dirty = self._dirty_signals
@@ -704,13 +795,16 @@ class Simulator:
                 current = self._runnable
                 self._runnable = runnable = []
                 self._runnable_set.clear()
+                self._delta = current
                 append = runnable.append
                 for proc in current:
                     if proc.__class__ is Method:
                         proc._queued = False
                         proc.fn()
                     elif not proc.done:
+                        self._current = proc
                         proc._resume()
+                self._current = None
                 # Update phase: commit signal writes, wake sensitive
                 # methods.  No process runs here, so nothing appends to
                 # ``dirty`` while it is iterated; clear it in place to
@@ -741,6 +835,7 @@ class Simulator:
                 )
             current, self._runnable = self._runnable, []
             self._runnable_set.clear()
+            self._delta = current
             for proc in current:
                 if proc.__class__ is BlockedPoll:
                     # BlockedPoll._resume, with the poll counted as the

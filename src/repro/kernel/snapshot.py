@@ -159,7 +159,8 @@ def _base_state(sim) -> dict:
                     for sig in signals],
         "events": [(ev, list(ev._waiters)) for ev in events],
         "channels": channels,
-        "threads": [(thread, thread.done) for thread in sim._threads],
+        "threads": [(thread, thread.done, thread._key)
+                    for thread in sim._threads],
     }
 
 
@@ -174,6 +175,9 @@ def _clock_state(clk) -> dict:
         "paused_edges": clk.paused_edges,
         "total_pause_time": clk.total_pause_time,
         "next_wakeup": clk._next_wakeup,
+        "parks": clk._parks,
+        "key_lo": clk._key_lo,
+        "key_hi": clk._key_hi,
         "wakeups": {at: list(waiters)
                     for at, waiters in clk._wakeups.items()},
     }
@@ -215,6 +219,18 @@ def _restore_base(sim, base: dict) -> None:
         clk.paused_edges = state["paused_edges"]
         clk.total_pause_time = state["total_pause_time"]
         clk._next_wakeup = state["next_wakeup"]
+        # Parked gate threads are re-created below: forget them, and
+        # rewind the slot keys they and their clock carried.  (A gate
+        # left open with nobody parked only makes its owner's first wait
+        # a real poll instead of a credited one: the counts are equal.)
+        for _thread, gate, _since in clk._gated.values():
+            gate._waiters = None
+            gate._open = False
+        clk._gated.clear()
+        clk._woke = None
+        clk._parks = state["parks"]
+        clk._key_lo = state["key_lo"]
+        clk._key_hi = state["key_hi"]
         clk._wakeups.clear()
         for at, waiters in state["wakeups"].items():
             clk._wakeups[at] = list(waiters)
@@ -226,6 +242,7 @@ def _restore_base(sim, base: dict) -> None:
         ev._waiters = list(waiters)
     for chan, state in base["channels"]:
         chan._restore_state(state)
-    for thread, done in base["threads"]:
+    for thread, done, key in base["threads"]:
         thread.gen = thread.factory()
         thread.done = done
+        thread._key = key

@@ -41,9 +41,9 @@ class NetworkInterface:
         self._rx_partial: dict = {}
         self.received: list[tuple[int, list]] = []  # (src, payloads)
         self.handler: Optional[Callable[[int, list], None]] = None
-        # Idle-wait point for the compiled backend: opened by send() and
-        # by the eject channel delivering a flit.  Plain one-cycle wait
-        # under the threaded kernel (see repro.kernel.Gate).
+        # Idle-wait point: the loop parks here under either executor and
+        # is opened by send() and by the eject channel delivering a flit
+        # (see repro.kernel.Gate).
         self._gate = Gate()
         with component_scope(sim, f"ni{node}", kind="NetworkInterface",
                              obj=self, clock=clock):
@@ -69,6 +69,7 @@ class NetworkInterface:
         parkable = hook is not None
         if parkable:
             hook(gate)
+            gate.idle_pops(self.eject_port._channel)  # the idle eject pop
         # Ports are bound at mesh construction, before the first posedge;
         # bound channel methods resolve any channel-kind override once.
         tx = self._tx

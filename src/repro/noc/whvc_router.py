@@ -87,8 +87,8 @@ class WHVCRouter:
             #: Cycles a granted wormhole could not advance (downstream full
             #: or the next flit not yet arrived) — link-level backpressure.
             self.output_stall_cycles = 0
-            # Idle-wait point for the compiled backend (plain one-cycle
-            # wait threaded); reopened by arrivals on any input link.
+            # Idle-wait point: the loop parks here under either executor
+            # and is reopened by arrivals on any input link.
             self._gate = Gate()
             sim.add_thread(self._run(), clock, name="ctl")
 

@@ -46,8 +46,8 @@ class MmioAxiBridge:
             self.status = _IDLE
             self._pending: Optional[int] = None  # 1 = read, 2 = write
             self.transactions = 0
-            # Idle-wait point for the compiled backend: reopened by a
-            # CMD doorbell write (plain one-cycle wait threaded).
+            # Idle-wait point: the loop parks here under either executor
+            # and is reopened by a CMD doorbell write.
             self._gate = Gate()
             sim.add_thread(self._run(), clock, name="ctl")
 

@@ -41,8 +41,8 @@ class GlobalMemory:
             self._inbox: deque = deque()
             self.reads_served = 0
             self.writes_served = 0
-            # Idle-wait point for the compiled backend: every message
-            # arrival reopens it (plain one-cycle wait threaded).
+            # Idle-wait point: the loop parks here under either executor
+            # and every message arrival reopens it.
             self._gate = Gate()
             ni.handler = self._on_message
             sim.add_thread(self._run(), clock, name="ctl")

@@ -58,8 +58,8 @@ class ProcessingElement:
             self._next_tag = 0
             self.commands_executed = 0
             self.elements_processed = 0
-            # Idle-wait point for the compiled backend: every message
-            # arrival reopens it (plain one-cycle wait threaded).
+            # Idle-wait point: the loop parks here under either executor
+            # and every message arrival reopens it.
             self._gate = Gate()
             ni.handler = self._on_message
             sim.add_thread(self._run(), clock, name="ctl")

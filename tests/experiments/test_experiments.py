@@ -256,8 +256,8 @@ def _turnaround_hours():
 @functools.cache
 def _pe_scaling():
     """Cycles of 1024 words split over 1-16 PEs, one SCALE command per PE
-    (light) and a 24-command chain per PE (heavy).  Compiled backend: a
-    quarter of the threaded wall time for the same cycle counts
+    (light) and a 24-command chain per PE (heavy).  Compiled backend:
+    less wall time than threaded for the same cycle counts
     (``test_heavy_scale_cycles_identical_across_backends``)."""
     with use_backend("compiled"):
         light = {n: run_workload(vector_scale_workload(

@@ -30,6 +30,7 @@ from repro.connections.ports import In, Out
 from repro.design.lower import edge_callbacks
 from repro.kernel import Simulator
 from repro.kernel.clock import Clock
+from repro.kernel.simulator import Gate
 from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, canonical_json
 
 def _never_declares(blocking):
@@ -60,7 +61,7 @@ def never_park():
 
     with patch.object(FastChannel, "_tick", _tick), \
             patch.object(Clock, "_next_time", every_edge), \
-            never_declare():
+            never_declare(), never_gate():
         yield
 
 
@@ -70,6 +71,31 @@ def never_declare():
     so every poll is a generator resume (channels still park)."""
     with patch.object(In, "pop", _never_declares(In.pop)), \
             patch.object(Out, "push", _never_declares(Out.push)):
+        yield
+
+
+def _ungated(gen):
+    """``gen`` with every ``Gate`` it yields turned into a bare poll."""
+    for request in gen:
+        yield None if type(request) is Gate else request
+
+
+@contextmanager
+def never_gate():
+    """The fourth patch alone: threads registered inside the block wait
+    on their gates with a bare ``yield``, so every idle iteration of a
+    gate owner's loop runs, under either executor."""
+    add_thread = Simulator.add_thread
+
+    def add_ungated(self, gen, clock, *, name="thread"):
+        if callable(gen):
+            factory = gen
+            gen = lambda: _ungated(factory())  # noqa: E731
+        else:
+            gen = _ungated(gen)
+        return add_thread(self, gen, clock, name=name)
+
+    with patch.object(Simulator, "add_thread", add_ungated):
         yield
 
 

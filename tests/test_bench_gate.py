@@ -10,7 +10,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 GATE = REPO / "tools" / "bench_compare.py"
 
 #: ``wall_s`` per workload with every pair well above its floor.
-HEALTHY = {"soc_threaded": 0.83, "soc_compiled": 0.25, "sweep_fresh": 0.27,
+HEALTHY = {"soc_threaded": 0.32, "soc_compiled": 0.25, "sweep_fresh": 0.27,
            "sweep_warm": 0.14, "sweep_incremental": 0.11,
            "sweep_cached": 0.011}
 
@@ -31,14 +31,14 @@ def test_all_pairs_above_their_floors(tmp_path):
     rows = [line for line in proc.stdout.splitlines()
             if line.startswith("| `")]
     assert len(rows) == 4 and all(row.endswith("| ok |") for row in rows)
-    assert "| 3.32× | 1.6× |" in rows[0]
+    assert "| 1.28× | 0.65× |" in rows[0]
 
 
 def test_ratio_under_its_floor_fails_naming_pair_and_values(tmp_path):
-    proc = run_gate(tmp_path, {**HEALTHY, "soc_compiled": 0.8})
+    proc = run_gate(tmp_path, {**HEALTHY, "soc_compiled": 0.64})
     assert proc.returncode == 1
     assert "soc_threaded/soc_compiled" in proc.stderr
-    assert "0.83" in proc.stderr and "0.8 s" in proc.stderr
+    assert "0.32" in proc.stderr and "0.64 s" in proc.stderr
     assert proc.stdout.count("| ok |") == 3
 
 

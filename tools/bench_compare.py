@@ -22,11 +22,11 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: (slow workload, fast workload, median ratio, floor).  Medians are of
-#: ten ``python3 bench/run.py`` runs at the commit that introduced the
-#: gate (docs/PERFORMANCE.md, "The speed-ratio gate"); floors are about
-#: half of them, so the gate catches a lost mechanism, not a noisy run.
+#: ten ``python3 bench/run.py`` runs (docs/PERFORMANCE.md, "The
+#: speed-ratio gate"); floors are about half of them, so the gate
+#: catches a lost mechanism, not a noisy run.
 GATES = (
-    ("soc_threaded", "soc_compiled", 3.3, 1.6),
+    ("soc_threaded", "soc_compiled", 1.3, 0.65),
     ("sweep_fresh", "sweep_warm", 1.9, 0.95),
     ("sweep_fresh", "sweep_incremental", 2.5, 1.25),
     ("sweep_fresh", "sweep_cached", 27.0, 13.0),
