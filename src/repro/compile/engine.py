@@ -7,12 +7,13 @@ static node schedule produced by :func:`repro.design.lower.lower` with
 three elisions, each individually proven equivalent:
 
 1. **Parked threads** — shared with the threaded kernel.  A thread that
-   yields a shut :class:`~repro.kernel.Gate` keeps its scheduling
-   *slot* but leaves the live list until the gate opens (a message
-   handler calls ``gate.open()``, or a watched channel's tick leaves
-   data visible); the polls it skipped are credited through the gate
-   (``Gate._skipped``).  The threaded kernel parks the same threads by
-   the same rule (``Clock._gate_wait``).
+   yields a shut :class:`~repro.kernel.Gate` (a gate owner's idle loop,
+   or a ``pop()`` blocked on a parked channel) keeps its scheduling
+   *slot* but leaves the live list at the yield until the gate opens (a
+   message handler calls ``gate.open()``, or a watched channel's tick
+   leaves data visible); the polls it skipped are credited through the
+   gate (``Gate._skipped``).  The threaded kernel parks the same threads
+   by the same rule (``Clock._gate_wait``).
 2. **Idle channels** — shared too: an empty channel core reports itself
    quiescent and the *clock* parks it, re-arms it and credits the
    skipped span, for both executors (see
@@ -47,14 +48,12 @@ from bisect import bisect_left
 
 from ..kernel.backend import record_run
 from ..kernel.capability import OBSERVABILITY, reason as capability_reason
-from ..kernel.clock import BlockedPoll, stays_refused
-from ..kernel.simulator import (DeltaOverflow, Event, Gate, PortWait,
-                                SimulationError, TimeBudgetExceeded,
-                                _TIME_BUDGET, _monotonic)
+from ..kernel.simulator import (DeltaOverflow, Event, Gate, SimulationError,
+                                TimeBudgetExceeded, _TIME_BUDGET, _monotonic)
 
 __all__ = ["CompiledEngine"]
 
-#: _scan_idx value outside the order scan: any unpark inserts "ahead".
+#: _scan_idx value outside the order scan: any unpark resumes next cycle.
 _NOT_SCANNING = 1 << 60
 
 
@@ -73,19 +72,16 @@ class CompiledEngine:
         self.sim = sim
         self.clock = schedule.clock
         self.schedule = schedule
-        #: Dispatch slots: ``[key, thread, generator, state, since]``
-        #: (``since``: a parked slot's last poll cycle) where state is
-        #: None (polls every cycle), a shut Gate, or the PortWait of
-        #: a blocked handshake (the scan polls the channel in the
-        #: thread's place).  ``_live`` holds
-        #: only runnable pollers, sorted by slot key (prepends take
-        #: decreasing keys, appends increasing ones, so key order IS the
-        #: threaded resume order).  An entry whose gate stays closed is
-        #: *removed* from the scan and registered on the gate; the
-        #: gate's ``open()`` bisect-inserts it back at its key — parked
-        #: threads cost nothing per cycle, not even a skip test.  Starts
-        #: empty: threads flow in from the wakeup buckets, which is what
-        #: makes attach valid at any run boundary.
+        #: Dispatch slots: ``[key, thread, generator, gate, since]``
+        #: (``gate``/``since``: a parked slot's gate and last poll
+        #: cycle).  ``_live`` holds only runnable pollers, sorted by slot
+        #: key (prepends take decreasing keys, appends increasing ones,
+        #: so key order IS the threaded resume order).  An entry that
+        #: yields a shut gate is *removed* from the scan and registered
+        #: on the gate; the gate's ``open()`` bisect-inserts it back at
+        #: its key — parked threads cost nothing per cycle, not even a
+        #: skip test.  Starts empty: threads flow in from the wakeup
+        #: buckets, which is what makes attach valid at any run boundary.
         self._live: list = []
         self._live_keys: list = []
         self._parked_map: dict = {}
@@ -95,15 +91,8 @@ class CompiledEngine:
         self._cb_count = len(self.clock._callbacks)
         self._thread_count = len(sim._threads)
         # Threads the threaded loop parked on gates are filed back at
-        # their slots (their next resume is the poll the gate stood
-        # for), and blocked polls it filed flow in as plain threads:
-        # their next resume repeats the refused attempt and yields the
-        # PortWait to *this* executor.
+        # their slots (their next resume is the poll the gate stood for).
         self.clock._release()
-        for waiters in self.clock._wakeups.values():
-            for i, proc in enumerate(waiters):
-                if proc.__class__ is BlockedPoll:
-                    waiters[i] = proc.thread
 
     # ------------------------------------------------------------------
     # gate hook (called from Gate.open when parked threads wait there)
@@ -118,8 +107,8 @@ class CompiledEngine:
         cursor bump keeps it un-scanned; a slot *ahead* of the cursor is
         reached later this same cycle, just as the threaded bucket would
         reach the still-subscribed poller after the opener.  While the
-        edge's callbacks and due sleepers run the cursor is -1 (every
-        slot is ahead); between cycles it is ``_NOT_SCANNING``.
+        edge's callbacks run the cursor is -1 (every slot is ahead);
+        between cycles it is ``_NOT_SCANNING``.
         """
         live = self._live
         keys = self._live_keys
@@ -129,7 +118,7 @@ class CompiledEngine:
         for entry in entries:
             del parked_map[id(entry)]
             gate = entry[3]
-            entry[3] = None  # the opening is this resume's cause
+            entry[3] = None
             key = entry[0]
             pos = bisect_left(keys, key)
             keys.insert(pos, key)
@@ -189,9 +178,7 @@ class CompiledEngine:
         reuses the same lowered schedule with no re-attach cost.
         """
         for entry in self._parked_map.values():
-            gate = entry[3]
-            if gate is not None:
-                gate._waiters = None
+            entry[3]._waiters = None
         self._live.clear()
         self._live_keys.clear()
         self._parked_map.clear()
@@ -209,71 +196,6 @@ class CompiledEngine:
             if cycles > entry[4]:
                 entry[3]._skipped(sim, cycles - entry[4])
                 entry[4] = cycles
-
-    def _idle(self) -> bool:
-        """No live slot can act: each would park at its turn (a shut
-        gate) or be refused by a parked channel (``Clock._next_time``
-        looks past the same polls)."""
-        for entry in self._live:
-            state = entry[3]
-            if state.__class__ is Gate:
-                if state._open:
-                    return False
-            elif state.__class__ is not PortWait or not stays_refused(state):
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # thread dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, thread, emit) -> None:
-        """Resume a thread entering the live list (due sleeper or
-        event-woken); ``emit`` places its new slot (prepend vs append)
-        and assigns the slot key (the 0 here is a placeholder)."""
-        sim = self.sim
-        gen = thread.gen
-        try:
-            request = next(gen)
-        except StopIteration:
-            thread.done = True
-            sim._thread_finished(thread)
-            return
-        if request is None:
-            emit([0, thread, gen, None, 0])
-            return
-        kind = type(request)
-        if kind is Gate:
-            if request._open:  # opened since its last wait: a poll
-                request._open = False
-                emit([0, thread, gen, None, 0])
-            else:
-                emit([0, thread, gen, request, 0])
-            return
-        if kind is int:
-            if request == 1:
-                emit([0, thread, gen, None, 0])
-                return
-            if request <= 0:
-                raise SimulationError(
-                    f"thread {thread.name!r} yielded non-positive wait "
-                    f"{request}")
-            self.clock._subscribe(thread, request)
-            return
-        if kind is PortWait:
-            emit([0, thread, gen, request, 0])
-            return
-        if isinstance(request, Event):
-            self.clock._stop_parking()  # see Thread._resume
-            request._subscribe(thread)
-            return
-        if isinstance(request, int):  # bool/IntEnum yields
-            if int(request) == 1:
-                emit([0, thread, gen, None, 0])
-            else:
-                self.clock._subscribe(thread, int(request))
-            return
-        raise SimulationError(
-            f"thread {thread.name!r} yielded unsupported value {request!r}")
 
     # ------------------------------------------------------------------
     # the dispatch loop
@@ -343,7 +265,7 @@ class CompiledEngine:
                                               name=clock.name))
                 return (False, steps)
             if (until is None and max_steps is None and not active
-                    and not wakeups and self._idle()):
+                    and not wakeups and not live):
                 # The threaded loop's no-work test: nothing left can
                 # act, so the run ends at the last executed edge.
                 record_run("compiled")
@@ -355,7 +277,7 @@ class CompiledEngine:
             clock.next_edge = next_edge + clock.period
             clock._seq = next(sim._seq)
             # Until the live scan starts every slot is ahead: a gate
-            # opened by a tick or a due sleeper resumes this cycle.
+            # opened by a tick resumes this cycle.
             self._scan_idx = -1
 
             # -- phase 2: edge callbacks.  Clock._fire_callbacks inlined
@@ -377,171 +299,125 @@ class CompiledEngine:
                     i += 1
             clock._cursor = -1
 
-            # -- phase 3a: due sleepers resume first (chronologically the
-            # earliest subscribers in this cycle's threaded bucket).
-            # Their new slots are *prepended* — but only after the live
-            # scan below, so this cycle resumes them exactly once.
-            front = None
+            # -- phase 3: due sleepers take fresh slots ahead of every
+            # poller (chronologically the earliest subscribers in this
+            # cycle's threaded bucket), so the scan resumes them first.
             if wakeups:
                 waiters = wakeups.pop(cycles, None)
                 if waiters is not None:
                     if clock._next_wakeup == cycles:
                         clock._next_wakeup = (min(wakeups) if wakeups
                                               else None)
-                    if waiters:
-                        front = []
-                        emit = front.append
-                        for thread in waiters:
-                            if not thread.done:
-                                self._dispatch(thread, emit)
+                    front = [thread for thread in waiters if not thread.done]
+                    if front:
+                        key = self._key_lo = self._key_lo - len(front)
+                        keys[0:0] = range(key, key + len(front))
+                        live[0:0] = [[key + i, thread, thread.gen, None, 0]
+                                     for i, thread in enumerate(front)]
 
-            # -- phase 3b: the live scan (slot-key order = resume order).
-            # ``self._scan_idx`` is the cursor; resumed code may open a
-            # gate, and ``_unpark`` bumps the cursor when it inserts a
-            # slot at or behind it — so the cursor is re-read after every
-            # ``next()`` and every removal happens at the re-read index.
+            # -- the live scan (slot-key order = resume order), then one
+            # more scan per extra delta: threads an event made runnable
+            # re-enter at the END of the live list (threaded
+            # re-subscription in a later delta lands after every
+            # poller).  ``self._scan_idx`` is the cursor; resumed code
+            # may open a gate, and ``_unpark`` bumps the cursor when it
+            # inserts a slot at or behind it — so the cursor is re-read
+            # after every ``next()`` and every removal happens at the
+            # re-read index.
             self._scan_idx = 0
+            deltas = 1
             while True:
-                k = self._scan_idx
-                if k >= len(live):
-                    break
-                entry = live[k]
-                state = entry[3]
-                if state is not None:
-                    if state.__class__ is PortWait:
-                        # A blocked handshake: poll the channel in the
-                        # thread's place; while it refuses, the slot
-                        # stays put and the generator is not resumed.
-                        if state.refuse():
-                            self._scan_idx = k + 1
-                            continue
-                    elif state._open:
-                        state._open = False
-                    else:
-                        # Park: drop out of the scan entirely until the
-                        # gate's open() re-inserts the slot at its key.
+                while True:
+                    k = self._scan_idx
+                    if k >= len(live):
+                        break
+                    entry = live[k]
+                    try:
+                        request = next(entry[2])
+                    except StopIteration:
+                        thread = entry[1]
+                        thread.done = True
+                        sim._thread_finished(thread)
+                        k = self._scan_idx
                         del live[k]
                         del keys[k]
-                        entry[4] = cycles - 1  # this poll is skipped
-                        waiters = state._waiters
+                        continue
+                    if request is None:
+                        self._scan_idx += 1
+                        continue
+                    kind = type(request)
+                    if kind is Gate:
+                        if request._open:  # opened since its last wait
+                            request._open = False
+                            self._scan_idx += 1
+                            continue
+                        # Park at the yield, as Clock._gate_wait does:
+                        # out of the scan until the gate's open()
+                        # re-inserts the slot at its key.
+                        k = self._scan_idx
+                        del live[k]
+                        del keys[k]
+                        entry[3] = request
+                        entry[4] = cycles
+                        waiters = request._waiters
                         if waiters is None:
-                            state._waiters = (self, [entry])
+                            request._waiters = (self, [entry])
                         else:
                             waiters[1].append(entry)
                         parked_map[id(entry)] = entry
-                        continue        # cursor now points at the next slot
-                try:
-                    request = next(entry[2])
-                except StopIteration:
-                    thread = entry[1]
-                    thread.done = True
-                    sim._thread_finished(thread)
-                    k = self._scan_idx
-                    del live[k]
-                    del keys[k]
-                    continue
-                if request is None:
-                    entry[3] = None
-                    self._scan_idx += 1
-                    continue
-                kind = type(request)
-                if kind is Gate:
-                    if request._open:  # opened since its last wait
-                        request._open = False
-                        entry[3] = None
-                    else:
-                        entry[3] = request
-                    self._scan_idx += 1
-                    continue
-                if kind is int:
+                        continue
+                    if kind is not int:
+                        if isinstance(request, Event):
+                            k = self._scan_idx
+                            del live[k]
+                            del keys[k]
+                            clock._stop_parking()  # see Thread._resume
+                            request._subscribe(entry[1])
+                            continue
+                        if not isinstance(request, int):
+                            raise SimulationError(
+                                f"thread {entry[1].name!r} yielded "
+                                f"unsupported value {request!r}")
+                        request = int(request)  # bool/IntEnum yields
+                    elif request <= 0:
+                        raise SimulationError(
+                            f"thread {entry[1].name!r} yielded "
+                            f"non-positive wait {request}")
                     if request == 1:
-                        entry[3] = None
                         self._scan_idx += 1
                         continue
-                    if request <= 0:
-                        self._scan_idx = _NOT_SCANNING
-                        raise SimulationError(
-                            f"thread {entry[1].name!r} yielded non-positive "
-                            f"wait {request}")
                     k = self._scan_idx
                     del live[k]
                     del keys[k]
                     clock._subscribe(entry[1], request)
-                    continue
-                if kind is PortWait:
-                    entry[3] = request
-                    self._scan_idx += 1
-                    continue
-                if isinstance(request, Event):
-                    k = self._scan_idx
-                    del live[k]
-                    del keys[k]
-                    clock._stop_parking()  # see Thread._resume
-                    request._subscribe(entry[1])
-                    continue
-                if isinstance(request, int):  # bool/IntEnum yields
-                    if int(request) == 1:
-                        entry[3] = None
-                        self._scan_idx += 1
-                        continue
-                    k = self._scan_idx
-                    del live[k]
-                    del keys[k]
-                    clock._subscribe(entry[1], int(request))
-                    continue
-                self._scan_idx = _NOT_SCANNING
-                raise SimulationError(
-                    f"thread {entry[1].name!r} yielded unsupported value "
-                    f"{request!r}")
-            self._scan_idx = _NOT_SCANNING
 
-            if front:
-                key_lo = self._key_lo - len(front)
-                self._key_lo = key_lo
-                new_keys = []
-                for entry in front:
-                    entry[0] = key_lo
-                    new_keys.append(key_lo)
-                    key_lo += 1
-                keys[0:0] = new_keys
-                live[0:0] = front
-
-            # -- phase 4: extra deltas (event notifications made threads
-            # runnable; they re-enter at the END of the live list —
-            # threaded re-subscription in a later delta lands after
-            # every poller)
-            if sim._runnable or dirty:
-                deltas = 1
-                max_deltas = sim.MAX_DELTAS_PER_STEP
-
-                def emit(entry):
-                    key = self._key_hi + 1
+                if not (sim._runnable or dirty):
+                    break
+                if dirty:
+                    # Update phase (no methods exist: commit only).
+                    for sig in dirty:
+                        sig._dirty = False
+                        nxt = sig._next
+                        if nxt != sig._value:
+                            sig._value = nxt
+                    dirty.clear()
+                runnable = sim._runnable
+                if runnable:
+                    deltas += 1
+                    if deltas > sim.MAX_DELTAS_PER_STEP:
+                        raise DeltaOverflow(
+                            f"timestep at t={sim.now} did not converge "
+                            f"after {sim.MAX_DELTAS_PER_STEP} delta cycles")
+                    sim._runnable = []
+                    sim._runnable_set.clear()
+                    key = self._key_hi
+                    for thread in runnable:
+                        if not thread.done:
+                            key += 1
+                            keys.append(key)
+                            live.append([key, thread, thread.gen, None, 0])
                     self._key_hi = key
-                    entry[0] = key
-                    keys.append(key)
-                    live.append(entry)
-
-                while sim._runnable or dirty:
-                    if dirty:
-                        # Update phase (no methods exist: commit only).
-                        for sig in dirty:
-                            sig._dirty = False
-                            nxt = sig._next
-                            if nxt != sig._value:
-                                sig._value = nxt
-                        dirty.clear()
-                    runnable = sim._runnable
-                    if runnable:
-                        deltas += 1
-                        if deltas > max_deltas:
-                            raise DeltaOverflow(
-                                f"timestep at t={sim.now} did not converge "
-                                f"after {max_deltas} delta cycles")
-                        sim._runnable = []
-                        sim._runnable_set.clear()
-                        for proc in runnable:
-                            if not proc.done:
-                                self._dispatch(proc, emit)
+            self._scan_idx = _NOT_SCANNING
 
             steps += 1
             if max_steps is not None and steps >= max_steps:

@@ -45,7 +45,7 @@ import random
 from collections import deque
 from typing import Any, Optional
 
-from ..kernel.simulator import PortWait
+from ..kernel.simulator import Gate
 
 __all__ = [
     "FastChannel",
@@ -126,7 +126,7 @@ class FastChannel:
         "_queue", "_transit", "_occ_start", "_pushed", "_popped",
         "_stall_probability", "_stall_rng", "_stalled", "stats",
         "telemetry", "_design_owner", "_faults",
-        "_wake_gates", "_slot", "_skip_from", "_pop_wait", "_push_wait",
+        "_wake_gates", "_slot", "_skip_from", "_pop_gate",
     )
 
     def __init__(
@@ -170,19 +170,19 @@ class FastChannel:
         # Fault-injection hook (see repro.faults.plan.ChannelFaults).
         # None by default: the hot path pays one attribute load.
         self._faults = None
-        # ``_wake_gates``: consumer Gates this channel's tick opens when it
-        # leaves data visible (see add_wake_gate).
-        self._wake_gates = None
+        # What a pop blocked on this channel while parked waits on (see
+        # In.pop): the first of the consumer Gates this channel's tick
+        # opens when it leaves data visible (see add_wake_gate); its
+        # skipped polls are refused pops.
+        self._pop_gate = Gate()
+        self._pop_gate.idle_pops(self)
+        self._wake_gates = [self._pop_gate]
         # Park state (see Clock.on_edge): ``_skip_from`` is the cycle of
         # the last tick before the clock parked this empty channel, None
         # while it ticks every edge — one ``is None`` test on the push
         # path.  The clock stamps and clears it; ``_credit`` accounts the
         # skipped ticks when ``_rearm`` (or a run exit) catches up.
         self._skip_from = None
-        # What a blocked In.pop() / Out.push() yields (see PortWait): the
-        # executor polls through these instead of resuming the thread.
-        self._pop_wait = PortWait(self, self._refuse_pop, self._refused_pops)
-        self._push_wait = PortWait(self, self._refuse_push)
         self.stats = ChannelStats()
         # Opt-in occupancy/stall telemetry (None when the hub is off).
         hub = getattr(sim, "telemetry", None)
@@ -215,9 +215,8 @@ class FastChannel:
         stats.occupancy_sum += len(queue)
         if queue:
             # Data a pop would see: wake the consumers parked on it.
-            gates = self._wake_gates
-            if gates is not None and not self._stalled:
-                for gate in gates:
+            if not self._stalled:
+                for gate in self._wake_gates:
                     # Gate.open() inlined for the common case: nobody
                     # parked, so the next wait polls once.
                     if gate._waiters is None:
@@ -271,7 +270,7 @@ class FastChannel:
     def do_push(self, msg: Any) -> bool:
         stats = self.stats
         stats.push_attempts += 1
-        # inlined can_push(); _refuse_push restates this refusal
+        # inlined can_push()
         if self._pushed or self._occ_start + 1 > self.capacity:
             stats.push_rejections += 1
             if self.telemetry is not None:
@@ -300,7 +299,7 @@ class FastChannel:
     def do_pop(self) -> tuple[bool, Any]:
         stats = self.stats
         stats.pop_attempts += 1
-        # inlined can_pop(); _refuse_pop restates this refusal
+        # inlined can_pop()
         if self._popped or self._stalled or not self._queue:
             stats.pop_rejections += 1
             return False, None
@@ -308,36 +307,13 @@ class FastChannel:
         stats.transfers += 1
         return True, self._queue.popleft()
 
-    # -- the executor's side of a blocked handshake (see PortWait) -------
-    def _refuse_pop(self) -> bool:
-        """Would ``do_pop`` refuse now?  If so, count the refused attempt
-        it would have been; if not, touch nothing — the resumed thread
-        makes the attempt itself."""
-        if self._popped or self._stalled or not self._queue:
-            stats = self.stats
-            stats.pop_attempts += 1
-            stats.pop_rejections += 1
-            return True
-        return False
-
     def _refused_pops(self, n: int) -> None:
-        """``n`` polls of a blocked pop while parked: all refused (the
-        queue stays empty until a re-arm), whatever the stall draws
-        ``_credit`` makes for the same edges turn out to be."""
+        """``n`` polls a consumer parked on a gate of this channel skipped
+        (see ``Gate.idle_pops``): all refused, since the gate opens at
+        the first tick that leaves data a pop would see."""
         stats = self.stats
         stats.pop_attempts += n
         stats.pop_rejections += n
-
-    def _refuse_push(self) -> bool:
-        """``_refuse_pop`` for ``do_push``."""
-        if self._pushed or self._occ_start + 1 > self.capacity:
-            stats = self.stats
-            stats.push_attempts += 1
-            stats.push_rejections += 1
-            if self.telemetry is not None:
-                self.telemetry.on_push_rejected()
-            return True
-        return False
 
     def peek(self) -> tuple[bool, Any]:
         """Non-destructive inspection of the head message."""
@@ -434,14 +410,12 @@ class FastChannel:
         """Register a consumer's :class:`~repro.kernel.Gate`.
 
         Every tick that leaves the queue non-empty and unstalled opens
-        the registered gates — exactly when a polling consumer would
-        first observe the message — so a consumer parked on its gate
-        wakes at the cycle its poll would have found the data, under
-        either executor.
+        the registered gates (the channel's own pop gate first) —
+        exactly when a polling consumer would first observe the message
+        — so a consumer parked on its gate wakes at the cycle its poll
+        would have found the data, under either executor.
         """
-        if self._wake_gates is None:
-            self._wake_gates = [gate]
-        elif gate not in self._wake_gates:
+        if gate not in self._wake_gates:
             self._wake_gates.append(gate)
 
     # ------------------------------------------------------------------

@@ -20,17 +20,16 @@ Blocking operations are generators: they retry once per clock cycle until
 they succeed, so they must be invoked with ``yield from`` inside a
 clocked thread.
 
-A blocked operation *declares* its wait.  After the first refused
-attempt on a plain :class:`~repro.connections.channel.FastChannel`
-(exact type, and no watchdog or trace-capture recorder on the
-simulator) the retry loop yields the channel's
-:class:`~repro.kernel.simulator.PortWait` instead of bare ``None``.  It
-means the same to the thread — one posedge, then retry — but lets the
-executor make the retries: it asks the channel at the thread's turn,
-counts each refused attempt exactly as ``do_pop`` / ``do_push`` would,
-and resumes the generator only for the attempt that succeeds (see
-``docs/PERFORMANCE.md``, lane 6).  ``pop_nb`` / ``push_nb`` loops, other
-channel kinds and watched runs wait with a bare ``yield`` as before.
+A ``pop()`` blocked on an idle channel *declares* its wait.  While a
+plain :class:`~repro.connections.channel.FastChannel` (exact type) is
+parked — empty, nothing in transit — the retry loop yields the channel's
+pop :class:`~repro.kernel.Gate` instead of bare ``None``.  It means the
+same to the thread — one posedge, then retry — but lets the executor
+park the thread until the channel's tick leaves data visible, crediting
+each skipped retry as the refused pop it would have been (see
+``docs/PERFORMANCE.md``, lane 6).  A short block — data already in
+transit — polls with a bare ``yield``, as does a blocked ``push()``,
+which waits for a consumer rather than for the channel.
 """
 
 from __future__ import annotations
@@ -127,10 +126,8 @@ class Out(_Port[T]):
         watchdog = getattr(getattr(channel, "sim", None), "watchdog", None)
         token = watchdog.on_block(self, channel, "push") \
             if watchdog is not None else None
-        wait = channel._push_wait \
-            if watchdog is None and type(channel) is FastChannel else None
         while True:
-            yield wait
+            yield
             if channel.do_push(msg):
                 if token is not None:
                     watchdog.on_unblock(token)
@@ -162,10 +159,10 @@ class In(_Port[T]):
         watchdog = getattr(getattr(channel, "sim", None), "watchdog", None)
         token = watchdog.on_block(self, channel, "pop") \
             if watchdog is not None else None
-        wait = channel._pop_wait \
-            if watchdog is None and type(channel) is FastChannel else None
+        gate = channel._pop_gate if type(channel) is FastChannel else None
         while True:
-            yield wait
+            yield gate if gate is not None and channel._skip_from is not None \
+                else None
             ok, msg = channel.do_pop()
             if ok:
                 if token is not None:

@@ -36,29 +36,20 @@ until its owner re-arms it (``FastChannel`` does, from ``do_push`` /
 the skipped edges exactly.  A clock whose walked list is empty is idle
 and can be bulk-advanced.
 
-Blocked handshakes follow the same idea on the thread side.  A thread
-whose ``pop()`` / ``push()`` declared its wait (``PortWait``) is filed as
-a :class:`BlockedPoll`: at the thread's turn the stand-in asks the
-channel the question the generator would have asked and re-files itself
-in the same place while the answer is "refused" — the generator is not
-resumed.  A next-cycle bucket holding nothing but pops blocked on
-*parked* channels cannot change its own answers, so it is no work
-either: :meth:`Clock._next_time` looks past it and
-:meth:`Clock._advance_idle` carries it forward, crediting every skipped
-poll.
-
-Idle gate owners leave the buckets altogether.  A thread that yields a
-shut :class:`~repro.kernel.Gate` is *parked* (:meth:`Clock._gate_wait`):
-filed nowhere, it costs nothing per edge and does not keep its clock
-awake.  ``Gate.open()`` files it back (:meth:`Clock._unpark`) at the slot
-its per-edge poll would have held — into this cycle's run while that
-slot is still ahead of whoever opened the gate, else into the next
-cycle's bucket.  Slots are *keys* (``Thread._key``), by the compiled
-engine's rule (``docs/COMPILED_BACKEND.md``): pollers keep theirs from
-cycle to cycle, due sleepers take fresh keys ahead of all, threads
-registered between runs behind all, so key order is bucket order.  The
-polls a parked thread skipped are credited through its gate at unpark
-and at every run exit.
+Idle threads leave the buckets altogether.  A thread that yields a shut
+:class:`~repro.kernel.Gate` — a gate owner's idle loop, or a ``pop()``
+blocked on a parked channel (the channel's pop gate) — is *parked*
+(:meth:`Clock._gate_wait`): filed nowhere, it costs nothing per edge
+and does not keep its clock awake.  ``Gate.open()`` files it back
+(:meth:`Clock._unpark`) at the slot its per-edge poll would have held —
+into this cycle's run while that slot is still ahead of whoever opened
+the gate, else into the next cycle's bucket.  Slots are *keys*
+(``Thread._key``), by the compiled engine's rule
+(``docs/COMPILED_BACKEND.md``): pollers keep theirs from cycle to cycle,
+due sleepers take fresh keys ahead of all, threads registered between
+runs behind all, so key order is bucket order.  The polls a parked
+thread skipped are credited through its gate at unpark and at every run
+exit.
 """
 
 from __future__ import annotations
@@ -66,75 +57,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
-__all__ = ["Clock", "BlockedPoll"]
+__all__ = ["Clock"]
 
 #: Slot-key bounds: a due sleeper (no key yet) sorts first, another
 #: clock's process last (see Clock._order).
 _FIRST = float("-inf")
 _LAST = float("inf")
-
-
-class BlockedPoll:
-    """A blocked thread's place in a wakeup bucket.
-
-    Filed instead of the thread when its ``pop()`` / ``push()`` yielded a
-    ``PortWait``.  Resuming the stand-in *answers the poll in place*:
-    ``wait.refuse()`` is the channel's own refusal test, with the
-    refusal's side effects; while it holds, the stand-in re-subscribes
-    exactly where the thread would have (same bucket, same position), and
-    the generator runs again only to make the attempt that succeeds.
-    Anything that would rather see the plain thread may unwrap
-    :attr:`thread` at any time — resuming the generator performs the
-    same refused attempt.
-    """
-
-    __slots__ = ("thread", "wait")
-
-    #: The delta loop skips finished processes; a blocked thread is not.
-    done = False
-
-    def __init__(self, thread):
-        self.thread = thread
-        #: The PortWait of the block in progress (one stand-in serves
-        #: all of its thread's blocks, one at a time).
-        self.wait = None
-
-    def _resume(self) -> None:
-        if self.wait.refuse():
-            self.thread.clock._subscribe(self)
-        else:
-            self.thread._resume()
-
-    @property
-    def _key(self):
-        """The blocked thread's slot key (see :meth:`Clock._unpark`)."""
-        return self.thread._key
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BlockedPoll({self.thread.name!r})"
-
-
-def _owner(proc):
-    """The thread behind a bucket or runnable entry."""
-    return proc.thread if proc.__class__ is BlockedPoll else proc
-
-
-def stays_refused(wait) -> bool:
-    """True for a ``PortWait`` that is a pop blocked on a parked channel:
-    a parked channel is empty until someone re-arms it, so the poll is
-    refused on every edge until then.  The one test both executors use
-    to look past blocked polls (:meth:`Clock._next_time`,
-    ``CompiledEngine._idle``)."""
-    return wait.credit is not None and wait.channel._skip_from is not None
-
-
-def _polls_stay_refused(bucket: list) -> bool:
-    """True for a non-empty bucket of pops blocked on parked channels
-    (nobody in the bucket re-arms a channel, see :func:`stays_refused`)."""
-    for proc in bucket:
-        if proc.__class__ is not BlockedPoll or not stays_refused(proc.wait):
-            return False
-    return bool(bucket)
 
 
 class Clock:
@@ -381,19 +309,15 @@ class Clock:
         self.next_edge = sim.now + self.period
         self._seq = next(sim._seq)
 
-    def _next_time(self, target: int = 0) -> Optional[int]:
+    def _next_time(self) -> Optional[int]:
         """Next timestamp at which this fast clock has work of its own.
 
         ``None`` means "never" (stopped, or idle with no pending wakeup
         — the simulator bulk-advances the cycle counter as time passes,
         see :meth:`_advance_idle`).  A clock with an un-parked edge
         callback, or a pending pause to resolve, needs every posedge
-        executed.  A next-cycle bucket of pops blocked on parked
-        channels is not a wakeup: every poll in it stays refused until
-        some later work re-arms a channel, so the answer is the bucket
-        after it (``target``, the cycle a ``run_cycles`` must stop at,
-        is always executed).  The simulator honours an answer past
-        ``next_edge`` only where skipping is exact (see
+        executed.  Parked threads are no wakeup.  The simulator honours
+        an answer past ``next_edge`` only where skipping is exact (see
         ``Simulator._run``).
         """
         if self._stopped:
@@ -403,11 +327,6 @@ class Clock:
         nw = self._next_wakeup
         if nw is None:
             return None
-        if nw == self.cycles + 1 and nw != target \
-                and _polls_stay_refused(self._wakeups[nw]):
-            nw = min((at for at in self._wakeups if at != nw), default=None)
-            if nw is None:
-                return None
         # Idle-skip: the next interesting edge is the wakeup bucket's.
         return self.next_edge + (nw - self.cycles - 1) * self.period
 
@@ -415,27 +334,20 @@ class Clock:
         """Bulk-advance every posedge with timestamp <= ``last``.
 
         Only called for a fast-lane clock whose edge callbacks are all
-        parked, when no wakeup bucket :meth:`_next_time` counts as work
-        falls inside the range and no other fast clock is live, so each
-        skipped edge would have been a timestep of its own with no
-        observable work: the cycle counter, pause bookkeeping, and (when
-        telemetry is on) the per-edge event/timestep counters advance
-        exactly as if each edge had executed individually.  Parked
-        callbacks are credited later, from the cycle counter
-        (:meth:`_rearm`, :meth:`_settle`).
+        parked, when no wakeup bucket falls inside the range and no
+        other fast clock is live, so each skipped edge would have been a
+        timestep of its own with no observable work: the cycle counter,
+        pause bookkeeping, and (when telemetry is on) the per-edge
+        event/timestep/delta counters advance exactly as if each edge
+        had executed individually.  Parked callbacks and threads are
+        credited later, from the cycle counter (:meth:`_rearm`,
+        :meth:`_unpark`, :meth:`_settle`).
         The sequence stamp is renewed as the last skipped edge would
         have renewed it: nothing else took a stamp since that edge, so
         firing order at a later shared timestamp is the per-edge one.
-
-        A bucket of blocked polls waiting at the first skipped cycle
-        (see :meth:`_next_time`) is carried to the cycle after the last:
-        each edge would have woken it, had every poll refused and
-        re-filed in the same order, in one delta cycle.  Sleepers
-        already filed at the landing cycle subscribed earlier than that
-        last re-filing, so the carried polls go behind them.
         """
         n = 0
-        first = self.cycles + 1
+        first = self.cycles
         while not self._stopped and self.next_edge <= last:
             if self._pause_until > self.next_edge:
                 # The edge at next_edge defers itself to the pause end.
@@ -453,26 +365,13 @@ class Clock:
             if kstats is not None:
                 kstats.events_fired += n
                 kstats.timesteps += n
-        ticked = self.cycles + 1 - first
-        polls = self._wakeups.pop(first, None) if ticked else None
-        if polls is not None:
-            landing = self._wakeups.setdefault(self.cycles + 1, polls)
-            if landing is not polls:
-                landing.extend(polls)
-            self._next_wakeup = self.cycles + 1
-            for poll in polls:
-                poll.wait.credit(ticked)
-            if kstats is not None:
-                kstats.thread_wakeups += ticked * len(polls)
-                kstats.delta_cycles += ticked
-                if not kstats.max_deltas_per_step:
-                    kstats.max_deltas_per_step = 1
-        elif self._gated and ticked and kstats is not None:
-            # Parked gate threads would have polled at each skipped edge
-            # (their wakeups are credited at unpark / run exit).
-            kstats.delta_cycles += ticked
-            if not kstats.max_deltas_per_step:
-                kstats.max_deltas_per_step = 1
+                if self._gated and self.cycles > first:
+                    # Parked threads would have polled at each skipped
+                    # edge, one delta cycle each (their wakeups are
+                    # credited at unpark / run exit).
+                    kstats.delta_cycles += self.cycles - first
+                    if not kstats.max_deltas_per_step:
+                        kstats.max_deltas_per_step = 1
 
     # ------------------------------------------------------------------
     # gate parking (see repro.kernel.Gate)
@@ -493,16 +392,15 @@ class Clock:
             n += 1
         key = self._key_lo = self._key_lo - n
         for proc in bucket[:n]:
-            _owner(proc)._key = key
+            proc._key = key
             key += 1
 
     def _order(self, proc):
         """Sort key of a bucket or runnable entry among this clock's
         slots: due sleepers first, then by slot key, others last."""
-        owner = _owner(proc)
-        if getattr(owner, "clock", None) is not self:
+        if getattr(proc, "clock", None) is not self:
             return _LAST
-        key = owner._key
+        key = proc._key
         return _FIRST if key is None else key
 
     def _mark_edge(self) -> None:
@@ -573,15 +471,11 @@ class Clock:
             return False
         lo = self._woke_at
         if opener is not None:
-            try:
-                at = procs.index(opener)
-            except ValueError:  # the instrumented loop exposes the thread
-                at = procs.index(opener._poll)
+            at = procs.index(opener)
             if at >= lo:
-                owner = _owner(opener)
-                if getattr(owner, "clock", None) is not self:
+                if opener.clock is not self:
                     return False      # the block ran before the opener
-                key = owner._key
+                key = opener._key
                 if key is not None and key > thread._key:
                     return False      # the slot came before the opener
                 lo = at + 1

@@ -35,17 +35,13 @@ Scheduler hot path (see ``docs/PERFORMANCE.md`` for the design):
 * **quiescent edge callbacks leave the clock**: an empty channel's tick
   is parked until a push re-arms it, and its skipped ticks are credited
   exactly at re-arm and at every run exit (see ``Clock.on_edge``);
-* **blocked handshakes are answered in place**: a thread blocked in
-  ``pop()`` / ``push()`` declares its wait (:class:`PortWait`) and the
-  executor asks the channel the thread's question at the thread's turn,
-  resuming the generator only for the attempt that succeeds;
-* **idle gate owners leave the buckets**: a thread that yields a shut
-  :class:`Gate` is parked off its clock until :meth:`Gate.open` files
-  it back at the slot its per-edge poll would have held; the polls it
-  skipped are credited at unpark and at every run exit;
+* **idle threads leave the buckets**: a thread that yields a shut
+  :class:`Gate` — a gate owner's idle loop, or a ``pop()`` blocked on a
+  parked channel — is parked off its clock until :meth:`Gate.open`
+  files it back at the slot its per-edge poll would have held; the
+  polls it skipped are credited at unpark and at every run exit;
 * an **idle-skip** bulk-advances a lone clock whose callbacks are all
-  parked over edges where no thread wakes — pops blocked on parked
-  channels do not count as waking — and no timed event fires.
+  parked over edges where no thread wakes and no timed event fires.
 
 All fast paths are semantics-preserving: firing order is kept identical
 to the heap-scheduled kernel by stamping fast-lane edges with the same
@@ -63,13 +59,12 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..design.hierarchy import Hierarchy
 from ..observe.core import attach_if_enabled
-from .clock import BlockedPoll, Clock
+from .clock import Clock
 
 __all__ = [
     "Simulator",
     "Event",
     "Gate",
-    "PortWait",
     "Thread",
     "Method",
     "SimulationError",
@@ -177,6 +172,10 @@ class Gate:
     re-checks its condition on every resume.  The one side effect an
     idle iteration may have, refused pops, is declared with
     :meth:`idle_pops` and credited for every edge the thread skipped.
+
+    Every ``FastChannel`` owns one, its *pop gate*: a blocked ``In.pop()``
+    yields it while the channel is parked (empty, nothing in transit),
+    so a long idle block parks like any gate owner.
     """
 
     __slots__ = ("_open", "_waiters", "_credits")
@@ -230,38 +229,6 @@ class Gate:
         return f"Gate(open={self._open}, parked={self._waiters is not None})"
 
 
-class PortWait:
-    """A blocked handshake, declared: what ``In.pop()`` / ``Out.push()``
-    yield after a refused attempt on a plain ``FastChannel``.
-
-    To the thread it is a bare ``yield`` — wait one posedge, retry.  To
-    the executor it names the retry, so the executor makes it: at the
-    thread's turn it calls :attr:`refuse` — the channel's own refusal
-    test, performing the refusal's side effects (attempt and rejection
-    counters) when it holds — and resumes the generator only once the
-    answer is no.  :attr:`credit` counts ``n`` refusals at once, for a
-    clock that skipped ``n`` edges; it is ``None`` where a refusal can
-    end without anyone touching the channel (a push: the consumer
-    drains it), and otherwise valid while ``channel._skip_from`` says the
-    channel is parked.  :attr:`clock` is the clock the channel ticks on:
-    only a thread of that clock has its polls answered.  Everything
-    asked of ``channel`` is duck-typed; one instance per channel and
-    direction is enough, it holds no per-thread state.
-    """
-
-    __slots__ = ("channel", "clock", "refuse", "credit")
-
-    def __init__(self, channel, refuse: Callable[[], bool],
-                 credit: Optional[Callable[[int], None]] = None):
-        self.channel = channel
-        self.clock = channel.clock
-        self.refuse = refuse
-        self.credit = credit
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PortWait({self.channel!r})"
-
-
 class Thread:
     """A clocked simulation thread (``SC_CTHREAD`` analog).
 
@@ -271,10 +238,6 @@ class Thread:
     * a positive ``int`` n — wait n posedges,
     * a :class:`Gate` — wait one posedge; a shut gate parks the thread
       until :meth:`Gate.open` (see :class:`Gate`),
-    * a :class:`PortWait` — wait one posedge *and retry a blocked
-      ``pop()`` / ``push()``*: the executor makes the retry itself and
-      does not resume the generator while the channel refuses (only the
-      blocking port methods yield these),
     * an :class:`Event` — wait until the event is notified.
 
     Subroutines compose with ``yield from``.
@@ -287,8 +250,7 @@ class Thread:
     snapshot-ineligible (generators cannot be copied).
     """
 
-    __slots__ = ("sim", "gen", "clock", "name", "done", "factory", "_poll",
-                 "_key")
+    __slots__ = ("sim", "gen", "clock", "name", "done", "factory", "_key")
 
     def __init__(self, sim: "Simulator", gen: Generator, clock, name: str,
                  factory: Optional[Callable[[], Generator]] = None):
@@ -298,10 +260,6 @@ class Thread:
         self.name = name
         self.done = False
         self.factory = factory
-        #: This thread's BlockedPoll, made at its first declared wait and
-        #: reused: most blocks end at their first poll, so a stand-in
-        #: per block would cost more than the resumes it saves.
-        self._poll = None
         #: Slot among its clock's pollers (see ``Clock._unpark``): None
         #: while the thread sleeps or before its clock first wakes it.
         self._key = None
@@ -332,17 +290,6 @@ class Thread:
             if request > 1:
                 self._key = None  # a sleeper leaves the pollers' order
             self.clock._subscribe(self, request)
-        elif type(request) is PortWait:
-            clock = self.clock
-            if request.clock is clock:
-                poll = self._poll
-                if poll is None:
-                    poll = self._poll = BlockedPoll(self)
-                poll.wait = request
-                clock._subscribe(poll)
-            else:
-                # Polling another domain's channel: a plain wait.
-                clock._subscribe(self)
         elif isinstance(request, Event):
             clock = self.clock
             if clock is not None and clock._parks:
@@ -586,12 +533,13 @@ class Simulator:
 
         "No work" is: no timed event pending and no live clock with an
         un-parked edge callback, a sleeping or polling thread, or a
-        pause to resolve.  A thread blocked in ``pop()`` on an empty,
-        parked ``FastChannel`` is not work — nothing left can wake it —
-        so a run without horizon on a design whose every live thread
-        waits like that returns, with ``now`` at the last executed edge
-        (attach a :class:`~repro.faults.Watchdog` to have it raise
-        instead; watched threads poll every edge).  With ``until``, a
+        pause to resolve.  A thread parked on a shut :class:`Gate` — a
+        ``pop()`` blocked on an empty, parked ``FastChannel`` too — is
+        not work: nothing left can wake it, so a run without horizon on a
+        design whose every live thread waits like that returns, with
+        ``now`` at the last executed edge (attach a
+        :class:`~repro.faults.Watchdog` to have it raise instead; watched
+        threads poll every edge).  With ``until``, a
         live clock that runs out of work still idles up to the horizon
         (``now == until`` on return); a horizon behind ``now`` runs
         nothing and never rewinds time.  ``max_steps`` bounds the number
@@ -699,7 +647,7 @@ class Simulator:
                 # a timestamp or a sequence stamp with).  Two live fast
                 # clocks, or a step budget (which counts edges), execute
                 # every edge.
-                t = lone._next_time(stop_cycles if lone is stop_clock else 0)
+                t = lone._next_time()
                 if queue and (t is None or queue[0][0] < t):
                     t = queue[0][0]
             if t is None:
@@ -837,16 +785,6 @@ class Simulator:
             self._runnable_set.clear()
             self._delta = current
             for proc in current:
-                if proc.__class__ is BlockedPoll:
-                    # BlockedPoll._resume, with the poll counted as the
-                    # wakeup it replaces and the plain thread exposed
-                    # below once the channel stops refusing.
-                    if proc.wait.refuse():
-                        if kstats is not None:
-                            kstats.thread_wakeups += 1
-                        proc.thread.clock._subscribe(proc)
-                        continue
-                    proc = proc.thread
                 if isinstance(proc, Thread):
                     if proc.done:
                         continue

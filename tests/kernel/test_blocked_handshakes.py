@@ -1,13 +1,14 @@
-"""Blocked handshakes stop resuming generators.
+"""Idle blocked pops stop resuming generators.
 
-A thread blocked in ``In.pop()`` / ``Out.push()`` declares its wait
-(``PortWait``); the executor answers the poll at the thread's turn, and a
-clock whose every waiter is a pop blocked on a parked channel goes idle.
-Byte-identity to the every-edge reference is held in
+A thread blocked in ``In.pop()`` on a parked channel (empty, nothing in
+transit) waits on the channel's pop gate and is parked like any gate
+owner; a short block — data in transit — and a blocked ``Out.push()``
+poll.  A clock whose every waiter is parked goes idle.  Byte-identity to
+the every-edge reference is held in
 ``tests/kernel/test_quiescent_channels.py`` (section f); this file pins
-the saving as exact counts on the benchmark's own grids, and the one
-behaviour change: a run without horizon now ends when only such threads
-are left.
+the policy, the saving as exact counts on the benchmark's own grids, and
+the one behaviour change: a run without horizon ends when only parked
+threads are left.
 """
 
 from contextlib import contextmanager
@@ -21,11 +22,13 @@ from repro.connections import Buffer, In, Out
 from repro.experiments import li_latency, stall_verification
 from repro.faults import HangError, Watchdog
 from repro.kernel import Simulator, TimeBudgetExceeded, time_budget
-from repro.kernel.clock import BlockedPoll, Clock
-from repro.kernel.simulator import PortWait, Thread
+from repro.kernel.clock import Clock
+from repro.kernel.simulator import Thread
 from repro.sweep import run_sweep
 
-from tests.sweep._never_park import constructed_simulators, never_declare
+from tests.sweep._never_park import (assert_parks_exactly,
+                                     constructed_simulators, never_gate,
+                                     skipped_polls)
 
 # bench/config.json "sweeps" at --seed 1 (bench/workloads/sweep.py builds
 # the same two grids); the test below checks they have not drifted.
@@ -88,26 +91,105 @@ def _serial(points) -> dict:
 
 @pytest.mark.parametrize("grid, edges, reference_edges, resume_cap", [
     ("stall_grid", 48_020, 144_020, 51_000),
-    ("li_grid", 15_215, 15_215, 42_000),
+    ("li_grid", 15_215, 15_215, None),
 ])
 def test_blocked_pop_costs_no_generator_resume(grid, edges, reference_edges,
                                                resume_cap):
-    """The parent commit read 144 020 edges / 193 453 resumes on
-    ``stall_grid`` and 15 215 / 57 285 on ``li_grid`` — which is what the
-    never-declare reference below still reads."""
+    """The every-poll reference reads 144 020 edges / 193 453 resumes on
+    ``stall_grid`` and 15 215 / 57 285 on ``li_grid``.  ``stall_grid``'s
+    DUT idles blocked for long spans, so its resumes are capped;
+    ``li_grid``'s blocks are short (data in transit) and poll by design,
+    so only its counts and output are pinned."""
     points = bench_grids()[grid]
-    declared = _serial(points)
-    with never_declare():
+    parked = _serial(points)
+    with never_gate():
         reference = _serial(points)
-    assert declared["edges"] == edges
+    assert parked["edges"] == edges
     assert reference["edges"] == reference_edges
-    assert declared["resumes"] <= resume_cap < reference["resumes"]
+    if resume_cap is not None:
+        assert parked["resumes"] <= resume_cap < reference["resumes"]
     assert reference["resumes"] == {"stall_grid": 193_453,
                                     "li_grid": 57_285}[grid]
     # what the simulation *is* has not moved
-    assert declared["cycles"] == reference["cycles"]
-    assert declared["thread_wakeups"] == reference["thread_wakeups"]
-    assert declared["canonical"] == reference["canonical"]
+    assert parked["cycles"] == reference["cycles"]
+    assert parked["thread_wakeups"] == reference["thread_wakeups"]
+    assert parked["canonical"] == reference["canonical"]
+
+
+# ----------------------------------------------------------------------
+# the policy: poll while data is in transit, park once the channel idles
+# ----------------------------------------------------------------------
+def test_blocked_pop_polls_in_transit_and_parks_on_an_idle_channel():
+    sim = Simulator()
+    clk = sim.add_clock("clk", period=10)
+    chan = Buffer(sim, clk, name="c", extra_latency=4)
+    got = []
+
+    def producer():
+        yield from Out(chan, name="src").push("m")
+
+    def consumer(port):
+        while True:
+            got.append((yield from port.pop()))
+
+    sim.add_thread(producer, clk, name="tx")
+    rx = sim.add_thread(lambda port=In(chan, name="dst"): consumer(port),
+                        clk, name="rx")
+    sim.run_cycles(clk, 2)        # the push is in transit: the pop polls
+    assert chan._skip_from is None and chan.occupancy == 1
+    assert rx in clk._wakeups[clk.cycles + 1] and not clk._gated
+    sim.run_cycles(clk, 10)       # delivered and popped; the channel idles
+    assert got == ["m"] and chan._skip_from is not None
+    assert not any(rx in bucket for bucket in clk._wakeups.values())
+    assert [(thread, gate) for thread, gate, _since in clk._gated.values()] \
+        == [(rx, chan._pop_gate)]
+
+
+@pytest.mark.parametrize("telemetry", [False, True],
+                         ids=["plain", "telemetry"])
+@pytest.mark.parametrize("first", ["a", "b"])
+@pytest.mark.parametrize("heap_lane", [False, True],
+                         ids=["fast", "heap-lane"])
+def test_pop_blocked_on_another_clocks_channel_parks_exactly(first,
+                                                             heap_lane,
+                                                             telemetry):
+    """Consumer on clock a, channel and producer on clock b; edges
+    coincide every 12 ticks, in both firing orders, with a on the fast
+    lane or the heap lane.  The consumer parks on its own clock and the
+    channel's tick on the other one unparks it."""
+    def scenario():
+        sim = Simulator()
+        clocks = {}
+        for name in (first, "b" if first == "a" else "a"):
+            generator = (lambda clock: 6) if name == "a" and heap_lane \
+                else None
+            clocks[name] = sim.add_clock(name, period=6 if name == "a"
+                                         else 4, generator=generator)
+        a, b = clocks["a"], clocks["b"]
+        chan = Buffer(sim, b, name="c")
+        log = []
+
+        def producer(port):
+            for i, gap in enumerate((9, 3, 12, 1, 1, 30)):
+                yield gap
+                yield from port.push(i)
+
+        def consumer(port):
+            while True:
+                msg = yield from port.pop()
+                log.append((msg, a.cycles, b.cycles))
+
+        sim.add_thread(lambda port=Out(chan, name="src"): producer(port), b,
+                       name="tx")
+        sim.add_thread(lambda port=In(chan, name="dst"): consumer(port), a,
+                       name="rx")
+        sim.run(until=700)
+        return log
+
+    with skipped_polls() as skipped:
+        observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert skipped[0] > 0
+    assert [entry[0] for entry in observed["result"]] == list(range(6))
 
 
 # ----------------------------------------------------------------------
@@ -143,10 +225,10 @@ def test_run_without_horizon_returns_when_only_blocked_pops_are_left():
     # had parked and every waiter was a blocked pop
     assert sim.now == clk.cycles * clk.period - clk.period
     assert chan._skip_from is not None and not clk._active
-    bucket = clk._wakeups[clk.cycles + 1]
-    assert [type(p) for p in bucket] == [BlockedPoll, BlockedPoll]
-    assert all(type(p.wait) is PortWait and p.wait.channel is chan
-               for p in bucket)
+    assert not clk._wakeups
+    assert sorted((thread.name, gate is chan._pop_gate)
+                  for thread, gate, _since in clk._gated.values()) \
+        == [("rx0", True), ("rx1", True)]
     assert sim.pending_threads == 2
     # nothing was lost: a later horizon credits the idle span exactly
     rejections, cycles = chan.stats.pop_rejections, clk.cycles
@@ -160,10 +242,10 @@ def test_run_without_horizon_returns_when_only_blocked_pops_are_left():
     assert got == ["only", "late"]
 
 
-def test_never_declare_reference_still_spins():
-    """The control for the test above: with bare-``yield`` ports the same
-    design never runs out of work."""
-    with never_declare():
+def test_never_gate_reference_still_spins():
+    """The control for the test above: with every gate wait a bare
+    ``yield`` the same design never runs out of work."""
+    with never_gate():
         sim, _clk, _chan, _got = _starved()
         with pytest.raises(TimeBudgetExceeded), time_budget(0.05):
             sim.run()
@@ -179,8 +261,7 @@ def test_watched_run_without_horizon_polls_and_raises():
     assert diagnosis.kind == "deadlock"
     assert sorted(t.thread for t in diagnosis.threads) == ["rx0", "rx1"]
     assert {t.channel for t in diagnosis.threads} == {"c"}
-    # watched ports do not declare: both consumers were resumed at every
-    # executed edge, and no stand-in was ever filed
+    # watched runs do not park: both consumers were resumed at every
+    # executed edge
     assert counts["resumes"] >= 2 * (clk.cycles - 2)
-    assert not any(type(p) is BlockedPoll
-                   for bucket in clk._wakeups.values() for p in bucket)
+    assert not clk._gated

@@ -9,12 +9,12 @@ at unpark and at every run exit.  The every-poll reference is
 ``never_park()``, so the oracle tests of ``test_quiescent_channels.py``
 cover gates too).  Here: the SoC programs (fast, GALS) and the AXI
 fabric against it, the executors against each other on every channel's
-statistics, the shapes a gate can open in, snapshot restore and engine
-hand-over with threads parked, the saving as an exact count, and the
-horizon-less run both executors now end alike.
+statistics, the shapes a gate can open in (two waiters on one gate
+too), snapshot restore and engine hand-over with threads parked, the
+saving as an exact count, and the horizon-less run both executors now
+end alike.
 """
 
-from contextlib import contextmanager
 import json
 import pathlib
 from unittest.mock import patch
@@ -34,26 +34,11 @@ from repro.workloads import (conv2d_workload, dot_product_workload,
 
 from tests.sweep._never_park import (assert_parks_exactly,
                                      constructed_simulators, fingerprint,
-                                     never_gate, observe_run)
+                                     never_gate, observe_run, skipped_polls)
 
 TELEMETRY = pytest.mark.parametrize("telemetry", [False, True],
                                     ids=["plain", "telemetry"])
 BACKENDS = pytest.mark.parametrize("backend", ["threaded", "compiled"])
-
-
-@contextmanager
-def skipped_polls():
-    """Counts the polls parked threads skipped (credited through their
-    gates): zero would mean the scenario never parked anything."""
-    count = [0]
-    skipped = Gate._skipped
-
-    def counted(self, sim, n):
-        count[0] += max(n, 0)
-        skipped(self, sim, n)
-
-    with patch.object(Gate, "_skipped", counted):
-        yield count
 
 
 def small_programs() -> dict:
@@ -393,6 +378,44 @@ def test_gate_opened_between_runs_and_by_a_tick(backend, telemetry):
     observed = assert_parks_exactly(scenario, telemetry=telemetry)
     assert [entry[0] for entry in observed["result"][0]] \
         == [["outside"], ["pushed"]]
+
+
+@TELEMETRY
+@BACKENDS
+def test_two_threads_waiting_on_one_gate_both_wake(backend, telemetry):
+    """Two consumers share one wake gate and yield it every iteration,
+    so the one whose slot comes first takes every message.  A tick that
+    opens the gate while both wait must wake both: parking a thread only
+    at its next turn would make the second lose that turn, and the two
+    would alternate."""
+    def scenario():
+        sim = Simulator(backend=backend)
+        clk = sim.add_clock("clk", period=10)
+        chan = Buffer(sim, clk, capacity=4, name="c")
+        gate, log = _gate([chan]), []
+
+        def producer():
+            for i in range(6):
+                chan.do_push(i)
+                yield
+
+        def consumer(k):
+            while True:
+                ok, msg = chan.do_pop()
+                if ok:
+                    log.append((k, msg))
+                yield gate
+
+        sim.add_thread(producer, clk, name="tx")
+        for k in range(2):
+            sim.add_thread(lambda k=k: consumer(k), clk, name=f"rx{k}")
+        sim.run(until=1_000)
+        return log
+
+    with skipped_polls() as skipped:
+        observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert skipped[0] > 0
+    assert observed["result"] == [[0, i] for i in range(6)]
 
 
 @TELEMETRY

@@ -547,7 +547,7 @@ def test_duck_typed_clock_never_parks():
 
 
 # ----------------------------------------------------------------------
-# (f) blocked handshakes: polls answered in place, idle buckets carried
+# (f) blocked handshakes: short blocks poll, idle ones park on the pop gate
 # ----------------------------------------------------------------------
 def _blocked_bench(backend, *, consumers=1, n=4, gap=9, capacity=2,
                    sleeper=None):
@@ -623,8 +623,8 @@ def test_two_consumers_blocked_on_one_channel_match(backend, telemetry):
     """Back-to-back pushes keep data visible while both consumers poll.
     Bucket order is stable and a channel pops once per cycle, so the
     first consumer takes every message; the second one's polls are
-    refused by ``_popped`` with data in the queue — the branch of the
-    answer that is not "empty" — and counted as the reference counts
+    refused by ``_popped`` with data in the queue — a block that polls,
+    the channel not being parked — and counted as the reference counts
     them (the fingerprint compares ``pop_rejections``)."""
     def scenario():
         sim, clk, _chan, log = _blocked_bench(backend, consumers=2, n=6,
@@ -645,8 +645,8 @@ def test_two_consumers_blocked_on_one_channel_match(backend, telemetry):
 def test_sleeper_landing_in_a_skipped_span_matches(until, backend,
                                                    telemetry):
     """``yield 7`` beside two blocked consumers: the span ends inside a
-    sleep, exactly on the sleeper's edge, or after it — and the carried
-    polls always file behind the sleeper."""
+    sleep, exactly on the sleeper's edge, or after it — while the
+    consumers stay parked on the channel's pop gate."""
     def scenario():
         sim, clk, _chan, log = _blocked_bench(backend, consumers=2,
                                               sleeper=7)
@@ -660,26 +660,25 @@ def test_sleeper_landing_in_a_skipped_span_matches(until, backend,
     assert wakes == list(range(8, wakes[-1] + 1, 7)) and len(wakes) > 10
 
 
-def test_carried_bucket_files_behind_the_sleeper():
-    def kinds(bucket):
-        return [type(p).__name__ for p in bucket]
+def test_parked_consumers_leave_the_sleeper_alone_in_the_buckets():
+    sim, clk, chan, _log = _blocked_bench("threaded", consumers=2, n=1,
+                                          sleeper=7)
 
-    sim, clk, _chan, _log = _blocked_bench("threaded", consumers=2, n=1,
-                                           sleeper=7)
+    def filed():
+        return [t.name for bucket in clk._wakeups.values() for t in bucket]
+
+    def parked():
+        return sorted((thread.name, gate is chan._pop_gate)
+                      for thread, gate, _since in clk._gated.values())
+
     sim.run_cycles(clk, 30)       # traffic over, both consumers blocked
-    wake = next(at for at, b in clk._wakeups.items() if "Thread" in kinds(b))
-    assert wake - clk.cycles >= 3, "need a span to skip before the sleeper"
-    # Stop mid-sleep: the polls wait alone at the next cycle, carried
-    # there over edges nobody executed.
-    sim.run_cycles(clk, wake - clk.cycles - 2)
-    assert kinds(clk._wakeups[clk.cycles + 1]) == ["BlockedPoll"] * 2
-    assert kinds(clk._wakeups[wake]) == ["Thread"]
-    # One more edge lands them on the sleeper's cycle: behind it, as
-    # their own re-filing at that edge would have put them.
-    sim.run_cycles(clk, 1)
-    assert clk.cycles + 1 == wake
-    assert kinds(clk._wakeups[wake]) == ["Thread", "BlockedPoll",
-                                         "BlockedPoll"]
+    assert filed() == ["zz"]
+    assert parked() == [("rx0", True), ("rx1", True)]
+    # The sleeper wakes (and re-files) across the idle span; the
+    # consumers never re-enter a bucket.
+    wakes = clk.cycles + 7 * 3
+    sim.run_cycles(clk, wakes - clk.cycles)
+    assert filed() == ["zz"] and parked() == [("rx0", True), ("rx1", True)]
 
 
 @TELEMETRY
@@ -784,8 +783,8 @@ def test_snapshot_restore_rerun_with_blocked_threads_matches(backend):
 
 
 def test_engine_attaches_and_detaches_around_blocked_threads():
-    """Stand-ins filed by the threaded loop flow into a late-attaching
-    engine as plain threads; a mid-run detach files them back."""
+    """Consumers the threaded loop parked on the pop gate flow into a
+    late-attaching engine; a mid-run detach files them back."""
     backends = []
 
     def scenario():
@@ -797,7 +796,7 @@ def test_engine_attaches_and_detaches_around_blocked_threads():
             sim.schedule(5, lambda: None)  # a timed event: engine detaches
 
         sim.add_thread(spoiler, clk, name="spoiler")
-        sim.run_cycles(clk, 50)            # threaded: BlockedPolls filed
+        sim.run_cycles(clk, 50)            # threaded: the consumers park
         sim._backend_requested = "compiled"  # what try_attach would see
         sim.run_cycles(clk, 40)
         backends.append(sim.backend)
@@ -811,7 +810,7 @@ def test_engine_attaches_and_detaches_around_blocked_threads():
 
 @pytest.mark.parametrize("stages, capacity", [(2, 1), (3, 2)])
 def test_capture_window_polls_every_edge(stages, capacity):
-    """Watched runs do not declare: the recorder sees every attempt, so
+    """Watched runs do not park: the recorder sees every attempt, so
     op scripts (first-attempt and success cycles) equal the reference's
     and the run executes exactly the reference's generator resumes."""
     from repro.kernel.simulator import Thread
@@ -859,15 +858,14 @@ def test_watchdog_run_polls_and_diagnoses_as_the_reference(telemetry):
 
 
 def test_oracle_catches_an_answer_that_forgets_pop_rejections():
-    def forgetful(self):
-        if self._popped or self._stalled or not self._queue:
-            self.stats.pop_attempts += 1
-            return True
-        return False
+    """The skipped polls of a parked pop are credited, not made: a credit
+    that counts the attempts but not their refusals must show."""
+    def forgetful(self, n):
+        self.stats.pop_attempts += n
 
     scenario = _second_run_scenario("threaded", lambda chan: None)
-    # channels bind the answer at construction: build under the patch
-    with patch.object(FastChannel, "_refuse_pop", forgetful):
+    # channels bind the credit at construction: build under the patch
+    with patch.object(FastChannel, "_refused_pops", forgetful):
         with pytest.raises(AssertionError, match="every-edge reference"):
             assert_parks_exactly(scenario)
 

@@ -1,16 +1,18 @@
 """The oracle for quiescent-channel parking: every edge executed, every
-blocked thread resumed.
+waiting thread resumed.
 
 The kernel parks an empty channel's tick, bulk-advances an idle clock,
 settles the skipped edges later (``Clock.on_edge``,
-``FastChannel._credit``) and answers a blocked ``pop()`` / ``push()``
-poll without resuming the thread (``PortWait``).  The reference it must
-equal is the same kernel with all three elisions off, which exists only
-here, as three patches: a ``FastChannel._tick`` wrapper that swallows
-the quiescence verdict (so no clock ever parks a channel), a
+``FastChannel._credit``) and parks a thread that yields a shut ``Gate``
+— a gate owner's idle loop, or a ``pop()`` blocked on a parked channel
+— crediting the polls it skipped.  The reference it must equal is the
+same kernel with all three elisions off, which exists only here, as
+three patches: a ``FastChannel._tick`` wrapper that swallows the
+quiescence verdict (so no clock ever parks a channel), a
 ``Clock._next_time`` that never looks past ``next_edge`` (so no edge is
-ever skipped), and blocking port methods that yield bare ``None`` (so
-every poll is the generator's own).  There is no such switch in ``src/``.
+ever skipped), and threads whose every ``Gate`` wait is a bare ``yield``
+(so every poll is the generator's own).  There is no such switch in
+``src/``.
 
 ``assert_parks_exactly(scenario)`` runs ``scenario()`` under both and
 compares, byte for byte, its result record and a fingerprint of every
@@ -26,26 +28,11 @@ from unittest.mock import patch
 
 from repro import observe
 from repro.connections.channel import ChannelStats, FastChannel
-from repro.connections.ports import In, Out
 from repro.design.lower import edge_callbacks
 from repro.kernel import Simulator
 from repro.kernel.clock import Clock
 from repro.kernel.simulator import Gate
 from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, canonical_json
-
-def _never_declares(blocking):
-    """``blocking`` (``In.pop`` / ``Out.push``) waiting with a bare
-    ``yield``, whatever the real method yields."""
-    def method(self, *args):
-        attempts = blocking(self, *args)
-        while True:
-            try:
-                next(attempts)
-            except StopIteration as done:
-                return done.value
-            yield
-
-    return method
 
 
 @contextmanager
@@ -56,21 +43,11 @@ def never_park():
     def _tick(self, clock):  # lowering knows channel ticks by this name
         tick(self, clock)
 
-    def every_edge(self, target=0):
+    def every_edge(self):
         return None if self._stopped else self.next_edge
 
     with patch.object(FastChannel, "_tick", _tick), \
-            patch.object(Clock, "_next_time", every_edge), \
-            never_declare(), never_gate():
-        yield
-
-
-@contextmanager
-def never_declare():
-    """The third patch alone: blocked ports wait with a bare ``yield``,
-    so every poll is a generator resume (channels still park)."""
-    with patch.object(In, "pop", _never_declares(In.pop)), \
-            patch.object(Out, "push", _never_declares(Out.push)):
+            patch.object(Clock, "_next_time", every_edge), never_gate():
         yield
 
 
@@ -82,9 +59,10 @@ def _ungated(gen):
 
 @contextmanager
 def never_gate():
-    """The fourth patch alone: threads registered inside the block wait
+    """The third patch alone: threads registered inside the block wait
     on their gates with a bare ``yield``, so every idle iteration of a
-    gate owner's loop runs, under either executor."""
+    gate owner's loop and every retry of a blocked ``pop()`` runs, under
+    either executor (channels still park)."""
     add_thread = Simulator.add_thread
 
     def add_ungated(self, gen, clock, *, name="thread"):
@@ -97,6 +75,21 @@ def never_gate():
 
     with patch.object(Simulator, "add_thread", add_ungated):
         yield
+
+
+@contextmanager
+def skipped_polls():
+    """Counts the polls parked threads skipped (credited through their
+    gates): zero would mean the scenario never parked anything."""
+    count = [0]
+    skipped = Gate._skipped
+
+    def counted(self, sim, n):
+        count[0] += max(n, 0)
+        skipped(self, sim, n)
+
+    with patch.object(Gate, "_skipped", counted):
+        yield count
 
 
 @contextmanager
