@@ -299,8 +299,7 @@ def _format_cache_stats(cache_dir: Optional[str]) -> str:
                      f"{p.get('recompute_seconds_saved', 0.0):.2f}")
         lines.append(
             f"  warm batching: {p.get('warm_points', 0)} batched points "
-            f"/ {p.get('warm_restores', 0)} snapshot restores / "
-            f"{p.get('warm_lowering_hits', 0)} lowering-cache hits")
+            f"/ {p.get('warm_restores', 0)} snapshot restores")
     else:
         lines.append("  lifetime: no sweeps recorded yet")
     return "\n".join(lines)

@@ -2,9 +2,9 @@
 
 Where the threaded kernel re-derives the schedule every timestep — heap
 peeks, wakeup-bucket dict churn, a generator resume for every polling
-thread, a ``_tick`` call for every channel — this engine executes the
-static node schedule produced by :func:`repro.design.lower.lower` with
-three elisions, each individually proven equivalent:
+thread — this engine drives the design's one periodic clock in the
+threaded kernel's phase order (edge, channel ticks, thread resumes)
+with three elisions, each individually proven equivalent:
 
 1. **Parked threads** — shared with the threaded kernel.  A thread that
    yields a shut :class:`~repro.kernel.Gate` (a gate owner's idle loop,
@@ -64,14 +64,13 @@ class CompiledEngine:
     capability check (:mod:`repro.compile.capability`) must pass first.
     """
 
-    __slots__ = ("sim", "clock", "schedule", "_live", "_live_keys",
-                 "_parked_map", "_key_lo", "_key_hi", "_scan_idx",
-                 "_cb_count", "_thread_count")
+    __slots__ = ("sim", "clock", "_live", "_live_keys", "_parked_map",
+                 "_key_lo", "_key_hi", "_scan_idx", "_cb_count",
+                 "_thread_count")
 
-    def __init__(self, sim, schedule):
+    def __init__(self, sim, clock):
         self.sim = sim
-        self.clock = schedule.clock
-        self.schedule = schedule
+        self.clock = clock
         #: Dispatch slots: ``[key, thread, generator, gate, since]``
         #: (``gate``/``since``: a parked slot's gate and last poll
         #: cycle).  ``_live`` holds only runnable pollers, sorted by slot
@@ -174,8 +173,7 @@ class CompiledEngine:
         is recorded: the kernel restore that calls this rewinds wakeup
         buckets through the snapshot base (and every channel re-arms
         itself as its state is restored), so the engine only clears its
-        own dispatch state.  The engine stays attached — the next run
-        reuses the same lowered schedule with no re-attach cost.
+        own dispatch state.  The engine stays attached for the next run.
         """
         for entry in self._parked_map.values():
             entry[3]._waiters = None
@@ -221,7 +219,6 @@ class CompiledEngine:
         keys = self._live_keys
         parked_map = self._parked_map
         active = clock._active
-        parked_ticks = clock._parked
         queue = sim._queue
         wakeups = clock._wakeups
         callbacks = clock._callbacks
@@ -243,7 +240,7 @@ class CompiledEngine:
                 sim.now = until
                 record_run("compiled")
                 return (True, steps)
-            # Detach guards: constructs the schedule does not cover.
+            # Detach guards: constructs the engine does not cover.
             if (queue or clock._stopped
                     or clock._pause_until > next_edge
                     or len(callbacks) != cb_count
@@ -280,24 +277,11 @@ class CompiledEngine:
             # opened by a tick resumes this cycle.
             self._scan_idx = -1
 
-            # -- phase 2: edge callbacks.  Clock._fire_callbacks inlined
-            # over the clock's own active list (a channel that reports
-            # quiescent is parked until a push/set_stall re-arms it at
-            # its slot; a tick that leaves data visible opens its wake
-            # gates itself).
-            i = 0
-            while i < len(active):
-                clock._cursor = i
-                record = active[i]
-                quiescent = record[1](clock)
-                i = clock._cursor
-                if quiescent:
-                    record[2]._skip_from = cycles
-                    parked_ticks[record[0]] = record
-                    del active[i]
-                else:
-                    i += 1
-            clock._cursor = -1
+            # -- phase 2: edge callbacks, over the clock's own active
+            # list (a channel that reports quiescent is parked until a
+            # push/set_stall re-arms it at its slot; a tick that leaves
+            # data visible opens its wake gates itself).
+            clock._fire_callbacks()
 
             # -- phase 3: due sleepers take fresh slots ahead of every
             # poller (chronologically the earliest subscribers in this

@@ -15,11 +15,10 @@ how to simulate it:
 * :mod:`.elaborate` — the one-time, pre-run **elaboration pass**: walks
   the hierarchy into a queryable :class:`DesignGraph` (instances, port
   endpoints, channel connectivity, clock domains).
-* :mod:`.lower` — the **lowering pass** used by the compiled backend:
-  re-expresses the design graph as a static event/dataflow
-  :class:`NodeSchedule` (clock edge, channel ticks, thread resumes,
-  handshake edges) that :mod:`repro.compile` executes with a flat
-  dispatch loop (see ``docs/COMPILED_BACKEND.md``).
+* :mod:`.lower` — the **lowering pass** trace capture
+  (:mod:`repro.trace.capture`) indexes its op scripts by: channel ticks
+  in tick order and threads in registration order, each with its
+  instance path.
 * :mod:`.lint` — static checks over the design graph: unbound ports,
   dangling channels, duplicate explicit names, multi-driver channels,
   unsynchronized clock-domain crossings, and channel-cycle (potential

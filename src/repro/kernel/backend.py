@@ -6,13 +6,13 @@ Two execution backends share one modelling API (see
 * ``"threaded"`` — the event-driven scheduler in
   :mod:`repro.kernel.simulator`: generator threads resumed through the
   delta loop every cycle.  Always available; the semantic reference.
-* ``"compiled"`` — the graph-compiled dispatch loop in
-  :mod:`repro.compile`: the elaborated design is lowered to a static
-  node schedule and executed by a flat per-edge loop that parks idle
-  threads (idle channels leave the clock under either backend).
-  Attaches only when a capability
-  check proves the design uses supported constructs; otherwise the
-  simulator silently runs threaded and records the reason.
+* ``"compiled"`` — the flat dispatch loop in :mod:`repro.compile`: the
+  design's one periodic clock is driven by a per-edge loop that keeps
+  runnable threads in a sorted slot list instead of wakeup buckets
+  (idle channels and gate waiters are parked under either backend).
+  Attaches only when a capability check proves the design uses
+  supported constructs; otherwise the simulator silently runs threaded
+  and records the reason.
 
 Selection is ambient so experiment code does not need to thread a
 ``backend=`` argument through every ``Simulator()`` construction::

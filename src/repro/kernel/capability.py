@@ -172,7 +172,6 @@ TABLE: Tuple[Row, ...] = (
         replay="channel {path!r} has fault injection attached"),
     # -- seen only by the running executor -----------------------------
     Row("lower", "design that does not lower to a node schedule",
-        compiled="lowering failed: {exc}",
         replay="design does not lower to a node schedule: {exc}"),
     Row("observed", "observability attached between runs",
         compiled="observability attached between runs"),

@@ -417,10 +417,6 @@ class Simulator:
         self._history: list = []
         self._restore_hooks: list = []
         self._snap_base = None
-        # Structural digest stamped by warm sweep sessions so
-        # repro.compile.try_attach can consult the per-process
-        # CompileCache (None = no caching).
-        self._compile_cache_key: Optional[str] = None
 
     # ------------------------------------------------------------------
     # elaboration API

@@ -186,8 +186,7 @@ def _clock_state(clk) -> dict:
 def _restore_base(sim, base: dict) -> None:
     # The compiled engine (if attached) clears its dispatch slots and
     # resumes ticking every channel; detached/fallback state is wiped
-    # so the next run re-attempts attach (via the CompileCache when a
-    # structural digest is stamped).
+    # so the next run re-attempts attach.
     engine = sim._engine
     if engine is not None:
         engine.reset()

@@ -66,7 +66,7 @@ MODES = ("exact", "derived", "trace")
 _PERSISTED = ("hits", "misses", "puts", "evictions", "corrupt_dropped",
               "hits_exact", "hits_derived", "hits_trace",
               "recompute_seconds_saved",
-              "warm_points", "warm_restores", "warm_lowering_hits")
+              "warm_points", "warm_restores")
 
 _REV_CACHE: dict = {}
 
@@ -125,7 +125,6 @@ class CacheStats:
     #: cache effectiveness.
     warm_points: int = 0
     warm_restores: int = 0
-    warm_lowering_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -428,7 +427,6 @@ class ResultCache:
             "recompute_seconds_saved": self.stats.recompute_seconds_saved,
             "warm_points": self.stats.warm_points,
             "warm_restores": self.stats.warm_restores,
-            "warm_lowering_hits": self.stats.warm_lowering_hits,
         }
         if deep:
             by_mode = {mode: 0 for mode in MODES}

@@ -188,9 +188,6 @@ class SweepResult:
     warm_points: int = 0
     #: Kernel snapshot restores performed by warm workers.
     restores: int = 0
-    #: Compiled-engine re-attaches served from the per-process
-    #: CompileCache (lowering passes skipped) inside warm workers.
-    lowering_cache_hits: int = 0
 
     @property
     def points(self) -> List[SweepPoint]:
@@ -269,7 +266,6 @@ class SweepResult:
             "warm_groups": self.warm_groups,
             "warm_points": self.warm_points,
             "restores": self.restores,
-            "lowering_cache_hits": self.lowering_cache_hits,
             "points": [o.point.identity() for o in self.outcomes],
             "results": self.results,
             "statuses": [o.status for o in self.outcomes],
@@ -533,7 +529,7 @@ def _warm_strategy(experiment: str, pending: List[Tuple[int, SweepPoint]],
     return leftovers, {
         "warm_groups": len(groups),
         **{name: counters.get(name, 0) for name in
-           ("warm_points", "restores", "lowering_cache_hits")}}
+           ("warm_points", "restores")}}
 
 
 def _run_fresh(leftovers: List[_Leftover], records: Dict[int, dict], *,
@@ -611,8 +607,6 @@ def _record(points: List[SweepPoint], records: Dict[int, dict], *,
         # cache block and the flushed totals agree on this run.
         cache.stats.warm_points += fields.get("warm_points", 0)
         cache.stats.warm_restores += fields.get("restores", 0)
-        cache.stats.warm_lowering_hits += \
-            fields.get("lowering_cache_hits", 0)
     result = SweepResult(
         experiment=points[0].experiment,
         outcomes=outcomes,

@@ -2,7 +2,7 @@
 
 A conventional sweep pays the same fixed costs for every point: design
 construction, elaboration, and — under ``backend="compiled"`` — the
-capability check and lowering pass.  For the paper's architectural-
+capability check.  For the paper's architectural-
 iteration loops those costs dominate, because the points themselves are
 small (a few thousand cycles) while the parameter grid is large and
 almost entirely *structurally shared*: hundreds of points differ only
@@ -18,9 +18,8 @@ costs across each structural group:
 2. each group is dispatched as a batch to persistent warm workers; the
    first point to land builds the design **once** via the experiment's
    :class:`~repro.trace.adapter.SweepAdapter` (``build`` / ``run``: the
-   contract lives there), stamps the simulator with the digest (so the
-   per-process :class:`~repro.compile.cache.CompileCache` serves any
-   re-attach), enables kernel snapshots, and captures the base state;
+   contract lives there), enables kernel snapshots, and captures the
+   base state;
 3. every point then evaluates as *mutate knobs → run → collect →
    restore*, using the kernel's snapshot/reset primitive
    (:mod:`repro.kernel.snapshot`) — restore rewinds the knob mutations
@@ -86,8 +85,7 @@ def group_key(point: SweepPoint,
 
     The digest covers the experiment, the point's projection onto its
     structural base, and a non-default backend — the warm session is
-    built under the point's backend and the compile cache is keyed by
-    this digest.
+    built under the point's backend.
     """
     _, _, bparams, bseed = classify(adapter, point.params, point.seed)
     payload: Dict[str, Any] = {"experiment": point.experiment,
@@ -130,13 +128,12 @@ def warm_worker_init() -> None:
 def _build_session(digest: str, experiment: str, base_params: dict,
                    base_seed: int, backend: str,
                    adapter: SweepAdapter) -> WarmSession:
-    """Construct, digest-stamp, and snapshot one group's session."""
+    """Construct and snapshot one group's session."""
     from ..kernel.backend import use_backend
 
     with use_backend(backend):
         session = adapter.build(dict(base_params), base_seed)
     sim = session.sim
-    sim._compile_cache_key = digest
     sim.enable_snapshots()
     session.snap = sim.snapshot()
     _SESSIONS[digest] = session
@@ -167,7 +164,6 @@ def run_warm_chunk(task: dict) -> dict:
     ``adapter.run`` and the ``finally`` restore re-arms the session
     for the rest of the batch.
     """
-    from ..compile.cache import compile_cache_stats
     from ..jobs import JobRequest, execute_warm
 
     digest = task["digest"]
@@ -175,9 +171,7 @@ def run_warm_chunk(task: dict) -> dict:
     timeout = task.get("timeout")
     members: Sequence[Tuple[int, SweepPoint]] = task["members"]
     records: List[dict] = []
-    counters = {"warm_points": 0, "restores": 0, "lowering_cache_hits": 0,
-                "builds": 0}
-    hits0 = compile_cache_stats()["hits"]
+    counters = {"warm_points": 0, "restores": 0, "builds": 0}
 
     adapter = batch_adapter_for(experiment)
     if adapter is None:  # engine never dispatches these; stay defensive
@@ -230,6 +224,4 @@ def run_warm_chunk(task: dict) -> dict:
                 # *remaining* members demote to the fresh path.  A
                 # rebuild is pointless here — a failing restore means
                 # the base state itself is suspect.
-    counters["lowering_cache_hits"] = \
-        compile_cache_stats()["hits"] - hits0
     return {"records": records, "counters": counters}

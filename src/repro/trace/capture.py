@@ -21,8 +21,8 @@ What one capture records:
   port op attempts once per posedge, so the raw attempt stream groups
   losslessly into ops — plus the trailing still-blocked op if the run
   ended mid-handshake,
-* push→pop dependency edges from the elaborated
-  :class:`~repro.design.lower.NodeSchedule` (message *k* into a channel
+* push→pop dependency edges, from the one pushing and one popping
+  thread the op scripts show per channel (message *k* into a channel
   is consumed by pop *k*: single-producer single-consumer FIFO order),
 * the horizon (total posedges ticked) and the final per-channel
   counters, which double as the round-trip oracle.
@@ -112,8 +112,7 @@ class _Recorder:
             return
         self.clock = sim._clocks[0]
 
-        # Node schedule: channel tick order, thread paths, handshake
-        # edges — the same lowering the compiled backend executes.
+        # Channel tick order and thread order, with instance paths.
         try:
             from ..design.lower import lower
 

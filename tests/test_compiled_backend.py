@@ -184,6 +184,43 @@ def test_telemetry_attach_falls_back_and_matches():
             == to_jsonable(ref_records, exclude=NONDETERMINISTIC_FIELDS))
 
 
+def test_attach_builds_no_design_graph(monkeypatch):
+    """Attach is the capability check alone: with elaboration and
+    lowering made to fail, a fast-mode SoC program still runs compiled
+    and matches the threaded kernel byte for byte."""
+    from importlib import import_module
+
+    from repro.workloads import run_workload, vector_scale_workload
+
+    workload = vector_scale_workload(n_pes=2, n_per_pe=16)
+
+    def run():
+        soc = run_workload(workload, mode="fast")
+        channels = [chan for inst in soc.sim.design.root.walk()
+                    for chan in inst.channels]
+        observed = {"cycles": soc.elapsed_cycles, "now": soc.sim.now,
+                    "stats": [{name: getattr(chan.stats, name)
+                               for name in type(chan.stats).__slots__}
+                              for chan in channels]}
+        return soc.sim, observed
+
+    with use_backend("threaded"):
+        _, reference = run()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("attach must not build a design graph")
+
+    # The package re-exports both functions over their module names.
+    monkeypatch.setattr(import_module("repro.design.lower"), "lower", refuse)
+    monkeypatch.setattr(import_module("repro.design.elaborate"), "elaborate",
+                        refuse)
+    with use_backend("compiled"):
+        sim, observed = run()
+    assert sim.backend == "compiled"
+    assert sim.backend_fallback_reason is None
+    assert observed == reference
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         with use_backend("jit"):
