@@ -48,8 +48,8 @@ from bisect import bisect_left
 
 from ..kernel.backend import record_run
 from ..kernel.capability import OBSERVABILITY, reason as capability_reason
-from ..kernel.simulator import (DeltaOverflow, Event, Gate, SimulationError,
-                                TimeBudgetExceeded, _TIME_BUDGET, _monotonic)
+from ..kernel.simulator import (DeltaOverflow, Gate, TimeBudgetExceeded,
+                                _TIME_BUDGET, _monotonic)
 
 __all__ = ["CompiledEngine"]
 
@@ -208,8 +208,8 @@ class CompiledEngine:
         """
         sim = self.sim
         clock = self.clock
-        # Observability may attach between runs; it needs the threaded
-        # kernel's instrumented delta loop.
+        # Observability may attach between runs; the engine keeps none
+        # of its counters, so an observed run is threaded.
         for row in OBSERVABILITY:
             if row.detect(sim):
                 self.detach(capability_reason("observed", "compiled"))
@@ -329,8 +329,7 @@ class CompiledEngine:
                     if request is None:
                         self._scan_idx += 1
                         continue
-                    kind = type(request)
-                    if kind is Gate:
+                    if type(request) is Gate:
                         if request._open:  # opened since its last wait
                             request._open = False
                             self._scan_idx += 1
@@ -350,30 +349,15 @@ class CompiledEngine:
                             waiters[1].append(entry)
                         parked_map[id(entry)] = entry
                         continue
-                    if kind is not int:
-                        if isinstance(request, Event):
-                            k = self._scan_idx
-                            del live[k]
-                            del keys[k]
-                            clock._stop_parking()  # see Thread._resume
-                            request._subscribe(entry[1])
-                            continue
-                        if not isinstance(request, int):
-                            raise SimulationError(
-                                f"thread {entry[1].name!r} yielded "
-                                f"unsupported value {request!r}")
-                        request = int(request)  # bool/IntEnum yields
-                    elif request <= 0:
-                        raise SimulationError(
-                            f"thread {entry[1].name!r} yielded "
-                            f"non-positive wait {request}")
-                    if request == 1:
-                        self._scan_idx += 1
+                    if isinstance(request, int) and request == 1:
+                        self._scan_idx += 1  # a poller keeps its slot
                         continue
+                    # Any other wait (a sleep, an event) leaves the scan;
+                    # the thread files itself as under the threaded loop.
+                    entry[1]._wait(request)
                     k = self._scan_idx
                     del live[k]
                     del keys[k]
-                    clock._subscribe(entry[1], request)
 
                 if not (sim._runnable or dirty):
                     break

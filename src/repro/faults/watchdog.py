@@ -24,7 +24,8 @@ and exports as JSONL records through :func:`repro.observe.write_jsonl`.
 
 Zero-cost when off: ``sim.watchdog`` is ``None`` by default and the only
 hook sites are the *failure* paths of blocking port operations plus one
-``is None`` check selecting the kernel's delta-loop variant.
+``is None`` check in ``Clock._gate_wait`` (a watched thread polls instead
+of parking).
 
 Usage::
 

@@ -11,17 +11,17 @@ methodology (section 3.1):
   edge past a metastability window, the core mechanism of the pausible
   bisynchronous FIFO [Keller ASYNC'15].
 
-Scheduling lanes (see ``docs/PERFORMANCE.md``):
+Scheduling lanes (see ``docs/PERFORMANCE.md``) differ only in where
+the next posedge waits; :meth:`Clock._edge` is the one posedge for both:
 
 * **fast lane** — periodic clocks (``generator is None``) keep their
-  next-edge time in :attr:`next_edge`; the simulator consults it
-  directly against the event-heap top, so a posedge costs no heap
-  push/pop and no closure allocation.  Pauses are handled inline.
-* **general lane** — clocks with a ``generator`` reschedule themselves
-  through the simulator's timed-event heap exactly as a delayed
-  callback would, because every edge needs the generator to compute the
-  next period.  This keeps adaptive/pausible GALS clocking behaviour
-  bit-identical to the pre-fast-lane kernel.
+  next-edge time in :attr:`next_edge`, stamped with a heap sequence
+  number; the simulator consults it directly against the event-heap
+  top, so a posedge costs no heap push/pop.
+* **general lane** — clocks with a ``generator`` push each next edge
+  onto the simulator's timed-event heap exactly as a delayed callback
+  would, because every edge needs the generator to compute the next
+  period.
 
 Sleeping threads are filed in per-clock *wakeup buckets* keyed by the
 absolute cycle number at which they resume (``cycles + n`` for a thread
@@ -263,51 +263,43 @@ class Clock:
                 record[1]._skipped(self.sim, skipped)
 
     def _edge(self) -> None:
-        """General-lane posedge: a timed event popped off the heap."""
+        """Posedge, on either lane: fired off the heap (general lane) or
+        by the simulator at ``next_edge`` (fast lane).  Only placing the
+        next edge differs: the fast lane stamps ``next_edge`` with a
+        sequence number, the general lane pushes a heap event.  Both
+        take the stamp at the same moment, so firing order does not
+        depend on the lane."""
         if self._stopped:
             return
-        if self.sim.now < self._pause_until:
+        sim = self.sim
+        now = sim.now
+        if now < self._pause_until:
             # Pausible clocking: the synchronizer is holding the clock low;
             # retry the edge once the blackout window has passed.
             self.paused_edges += 1
-            self.total_pause_time += self._pause_until - self.sim.now
-            self.sim.schedule(self._pause_until - self.sim.now, self._edge)
-            return
-        self.cycles += 1
-        if self._active:
-            self._fire_callbacks()
-        if self._gated:
-            self._mark_edge()
-        self._wake_bucket()
-        next_period = self.period
-        if self.generator is not None:
-            next_period = int(self.generator(self))
-            if next_period <= 0:
-                raise ValueError(
-                    f"clock {self.name!r} generator produced period {next_period}"
-                )
-        self.sim.schedule(next_period, self._edge)
-
-    def _fast_edge(self) -> None:
-        """Fast-lane posedge: fired by the simulator at ``next_edge``."""
-        sim = self.sim
-        if self._stopped:
-            return
-        if sim.now < self._pause_until:
-            self.paused_edges += 1
-            self.total_pause_time += self._pause_until - sim.now
-            self.next_edge = self._pause_until
+            self.total_pause_time += self._pause_until - now
+            at = self._pause_until
+        else:
+            self.cycles += 1
+            if self._active:
+                self._fire_callbacks()
+            if self._gated:
+                self._mark_edge()
+            if self._wakeups:
+                self._wake_bucket()
+            period = self.period
+            if self.generator is not None:
+                period = int(self.generator(self))
+                if period <= 0:
+                    raise ValueError(
+                        f"clock {self.name!r} generator produced period {period}"
+                    )
+            at = now + period
+        if self.next_edge is None:
+            sim.schedule(at - now, self._edge)
+        else:
+            self.next_edge = at
             self._seq = next(sim._seq)
-            return
-        self.cycles += 1
-        if self._active:
-            self._fire_callbacks()
-        if self._gated:
-            self._mark_edge()
-        if self._wakeups:
-            self._wake_bucket()
-        self.next_edge = sim.now + self.period
-        self._seq = next(sim._seq)
 
     def _next_time(self) -> Optional[int]:
         """Next timestamp at which this fast clock has work of its own.

@@ -66,14 +66,6 @@ class Signal(Generic[T]):
             self._dirty = True
             self._dirty_list.append(self)
 
-    def _commit(self) -> bool:
-        """Commit the pending write.  Returns True if the value changed."""
-        self._dirty = False
-        if self._next != self._value:
-            self._value = self._next
-            return True
-        return False
-
     # Convenience sugar so handshake code reads naturally.
     @property
     def value(self) -> T:

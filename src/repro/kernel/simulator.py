@@ -274,12 +274,17 @@ class Thread:
             return
         if request is None:
             self.clock._subscribe(self)
-            return
-        if type(request) is Gate:
+        elif type(request) is Gate:
             self.clock._gate_wait(self, request)
-            return
-        if type(request) is int:
-            if request <= 0:
+        else:
+            self._wait(request)
+
+    def _wait(self, request) -> None:
+        """File this thread for a yielded cycle count or :class:`Event`
+        (both executors' path for every yield but a poll or a gate)."""
+        if isinstance(request, int):  # bool / IntEnum yields too
+            edges = int(request)
+            if edges <= 0:
                 raise SimulationError(
                     f"thread {self.name!r} yielded non-positive wait {request}"
                 )
@@ -287,9 +292,9 @@ class Thread:
                 raise SimulationError(
                     f"thread {self.name!r} has no clock but yielded a cycle wait"
                 )
-            if request > 1:
+            if edges > 1:
                 self._key = None  # a sleeper leaves the pollers' order
-            self.clock._subscribe(self, request)
+            self.clock._subscribe(self, edges)
         elif isinstance(request, Event):
             clock = self.clock
             if clock is not None and clock._parks:
@@ -297,10 +302,6 @@ class Thread:
                 # key records: this clock's gates poll from now on.
                 clock._stop_parking()
             request._subscribe(self)
-        elif isinstance(request, int):  # bool/IntEnum yields
-            if int(request) > 1:
-                self._key = None
-            self.clock._subscribe(self, int(request))
         else:
             raise SimulationError(
                 f"thread {self.name!r} yielded unsupported value {request!r}"
@@ -376,13 +377,15 @@ class Simulator:
         self._started = False
         self._finished_threads = 0
         self.trace = None  # optional Trace object (see tracing.py)
-        #: Progress watchdog (see repro.faults.watchdog) or None.  Like
-        #: telemetry, None keeps every hook at zero overhead; attaching
-        #: one routes the delta loop through the instrumented variant so
-        #: blocking ports can identify the running thread.
+        #: Progress watchdog (see repro.faults.watchdog) or None.  The
+        #: scheduler never reads it: blocking ports call its hooks on
+        #: their failure paths, and ``Clock._gate_wait`` polls instead of
+        #: parking while one is attached.
         self.watchdog = None
-        #: Thread currently being resumed and the delta list it sits in
-        #: (``Clock._unpark`` places a gate's thread relative to it).
+        #: Thread being resumed (None between resumes: methods, edges)
+        #: and the delta list it sits in.  Watchdog and trace capture
+        #: attribute port attempts to it; ``Clock._unpark`` places a
+        #: gate's thread relative to it.
         self._current: Optional[Thread] = None
         self._delta: list = []
         #: True inside run() / run_cycles().
@@ -514,9 +517,6 @@ class Simulator:
         if not method._queued:
             method._queued = True
             self._runnable.append(method)
-
-    def _mark_dirty(self, signal) -> None:
-        self._dirty_signals.append(signal)
 
     def _thread_finished(self, thread: Thread) -> None:
         self._finished_threads += 1
@@ -672,9 +672,9 @@ class Simulator:
                         ne = clk.next_edge
                     if ne == t:
                         if due is None:
-                            due = [(clk._seq, clk._fast_edge)]
+                            due = [(clk._seq, clk._edge)]
                         else:
-                            due.append((clk._seq, clk._fast_edge))
+                            due.append((clk._seq, clk._edge))
             if due is not None:
                 while queue and queue[0][0] == t:
                     item = pop(queue)
@@ -719,73 +719,41 @@ class Simulator:
                 kstats.max_deltas_per_step = 1
 
     def _delta_loop(self) -> None:
+        """Evaluate/update until quiescent: run the runnable threads and
+        methods, commit the signal writes they made, queue the methods
+        sensitive to a changed signal, repeat.  Telemetry and trace are
+        hoisted: off, a thread resume pays one ``kstats is None`` test, a
+        method one more, and a changed signal one ``observed`` test."""
         dirty = self._dirty_signals
         if not self._runnable and not dirty:
             return
-        if self.telemetry is None and self.trace is None \
-                and self.watchdog is None:
-            # Fast variant: identical evaluate/update semantics with the
-            # per-proc instrumentation branches and the _commit /
-            # _queue_method calls flattened away.
-            deltas = 0
-            max_deltas = self.MAX_DELTAS_PER_STEP
-            while self._runnable or dirty:
-                deltas += 1
-                if deltas > max_deltas:
-                    raise DeltaOverflow(
-                        f"timestep at t={self.now} did not converge after "
-                        f"{max_deltas} delta cycles"
-                    )
-                current = self._runnable
-                self._runnable = runnable = []
-                self._runnable_set.clear()
-                self._delta = current
-                append = runnable.append
-                for proc in current:
-                    if proc.__class__ is Method:
-                        proc._queued = False
-                        proc.fn()
-                    elif not proc.done:
-                        self._current = proc
-                        proc._resume()
-                self._current = None
-                # Update phase: commit signal writes, wake sensitive
-                # methods.  No process runs here, so nothing appends to
-                # ``dirty`` while it is iterated; clear it in place to
-                # preserve its identity (signals cache a reference).
-                if dirty:
-                    for sig in dirty:
-                        sig._dirty = False
-                        nxt = sig._next
-                        if nxt != sig._value:
-                            sig._value = nxt
-                            watchers = sig._watchers
-                            if watchers:
-                                for method in watchers:
-                                    if not method._queued:
-                                        method._queued = True
-                                        append(method)
-                    dirty.clear()
-            return
-        deltas = 0
         kstats = self.telemetry.kernel if self.telemetry is not None else None
         trace = self.trace
+        observed = kstats is not None or trace is not None
+        now = self.now
+        deltas = 0
+        max_deltas = self.MAX_DELTAS_PER_STEP
         while self._runnable or dirty:
             deltas += 1
-            if deltas > self.MAX_DELTAS_PER_STEP:
+            if deltas > max_deltas:
                 raise DeltaOverflow(
-                    f"timestep at t={self.now} did not converge after "
-                    f"{self.MAX_DELTAS_PER_STEP} delta cycles"
+                    f"timestep at t={now} did not converge after "
+                    f"{max_deltas} delta cycles"
                 )
-            current, self._runnable = self._runnable, []
+            current = self._runnable
+            self._runnable = runnable = []
             self._runnable_set.clear()
             self._delta = current
+            append = runnable.append
             for proc in current:
-                if isinstance(proc, Thread):
-                    if proc.done:
-                        continue
-                    # Expose the running thread so blocking ports can
-                    # attribute their handshake state to it (watchdog).
+                if proc.__class__ is Method:
+                    proc._queued = False
+                    if kstats is not None:
+                        kstats.method_invocations += 1
+                    proc.fn()
+                elif not proc.done:
+                    # Exposed while it runs: blocking ports attribute
+                    # their attempts to it (watchdog, trace capture).
                     self._current = proc
                     if kstats is None:
                         proc._resume()
@@ -796,25 +764,29 @@ class Simulator:
                         kstats.add_proc_time(
                             proc.name, time.perf_counter() - start)
                     self._current = None
-                else:  # Method
-                    proc._queued = False
-                    if kstats is not None:
-                        kstats.method_invocations += 1
-                    proc.fn()
             # Update phase: commit signal writes, wake sensitive methods.
+            # No process runs here, so nothing appends to ``dirty`` while
+            # it is iterated; clear it in place to preserve its identity
+            # (signals cache a reference).
             if dirty:
                 for sig in dirty:
-                    if sig._commit():
-                        if kstats is not None:
-                            kstats.signal_commits += 1
-                        if trace is not None:
-                            trace.record(self.now, sig)
+                    sig._dirty = False
+                    nxt = sig._next
+                    if nxt != sig._value:
+                        sig._value = nxt
+                        if observed:
+                            if kstats is not None:
+                                kstats.signal_commits += 1
+                            if trace is not None:
+                                trace.record(now, sig)
                         watchers = sig._watchers
                         if watchers:
                             for method in watchers:
-                                self._queue_method(method)
+                                if not method._queued:
+                                    method._queued = True
+                                    append(method)
                 dirty.clear()
-        if kstats is not None and deltas:
+        if kstats is not None:
             kstats.delta_cycles += deltas
             if deltas > kstats.max_deltas_per_step:
                 kstats.max_deltas_per_step = deltas

@@ -42,10 +42,10 @@ reasons and falls back to full simulation for that parameter group.
 
 Instrumentation is **scoped**: port/channel methods are class-patched
 only inside the :func:`capture` context (zero overhead for normal
-runs), and the recorder attaches as the simulator's watchdog so the
-instrumented delta loop exposes the running thread (``sim._current``)
-for op attribution — which also forces the threaded kernel, the
-reference semantics replay must match.
+runs), ops are attributed to the thread the scheduler is resuming
+(``sim._current``), and the recorder attaches as the simulator's
+watchdog, which keeps gate threads polling (every attempt is seen) and
+forces the threaded kernel, the reference semantics replay must match.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class _Recorder:
                 self.ops.append([])
                 self._open.append(None)
 
-    # -- watchdog protocol (forces the instrumented delta loop) --------
+    # -- watchdog protocol (the slot keeps gate threads polling) -------
     def on_block(self, port, channel, op) -> None:
         """Blocking-port hook; attribution rides on the op stream."""
         return None

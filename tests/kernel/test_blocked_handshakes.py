@@ -64,7 +64,7 @@ def census():
     """Executed fast-lane edges and generator resumes; on exit also the
     simulated cycles of every simulator constructed inside."""
     counts = {"edges": 0, "resumes": 0}
-    fast_edge, resume = Clock._fast_edge, Thread._resume
+    fast_edge, resume = Clock._edge, Thread._resume
 
     def counted_edge(self):
         counts["edges"] += 1
@@ -74,7 +74,7 @@ def census():
         counts["resumes"] += 1
         resume(self)
 
-    with patch.object(Clock, "_fast_edge", counted_edge), \
+    with patch.object(Clock, "_edge", counted_edge), \
             patch.object(Thread, "_resume", counted_resume), \
             constructed_simulators() as sims:
         yield counts

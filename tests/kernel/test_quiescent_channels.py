@@ -368,9 +368,9 @@ def test_finished_pipeline_skips_to_the_target_edge():
     sim.run_cycles(clk, 2)  # the last pop's channel ticks once more
     assert not clk._active
     edges = []
-    fast_edge = Clock._fast_edge
+    fast_edge = Clock._edge
     with patch.object(
-            Clock, "_fast_edge",
+            Clock, "_edge",
             lambda self: (edges.append(self.cycles), fast_edge(self))):
         sim.run_cycles(clk, 3_000)
     assert len(edges) <= 1

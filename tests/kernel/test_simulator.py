@@ -1,8 +1,11 @@
 """Unit tests for the simulation kernel scheduler."""
 
+import enum
+
 import pytest
 
-from repro.kernel import Event, SimulationError, Simulator
+from repro.connections import Buffer
+from repro.kernel import Event, SimulationError, Simulator, time_budget
 
 
 def test_empty_simulation_runs_to_completion():
@@ -133,16 +136,71 @@ def test_event_notify_at_delay():
     assert woken_at == [35]
 
 
-def test_yield_nonpositive_wait_rejected():
-    sim = Simulator()
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+BACKENDS = pytest.mark.parametrize("backend", ["threaded", "compiled"])
+
+
+def _clocked(backend):
+    """One clock, with a channel on it so the compiled engine attaches."""
+    sim = Simulator(backend=backend)
     clk = sim.add_clock("clk", period=10)
+    Buffer(sim, clk, name="idle")
+    return sim, clk
+
+
+@BACKENDS
+@pytest.mark.parametrize("value", [0, False, _Level.LOW],
+                         ids=["zero", "false", "intenum"])
+def test_yield_nonpositive_wait_rejected(value, backend):
+    """Every zero-valued cycle count is refused alike by both executors
+    (``yield False`` used to spin under threaded and drop the thread
+    under compiled)."""
+    sim, clk = _clocked(backend)
 
     def body():
-        yield 0
+        yield value
 
     sim.add_thread(body(), clk, name="bad")
-    with pytest.raises(SimulationError):
+    with time_budget(10), pytest.raises(SimulationError) as err:
         sim.run(until=50)
+    assert type(err.value) is SimulationError
+    assert str(err.value) == f"thread 'bad' yielded non-positive wait {value}"
+    assert sim.backend == backend
+
+
+@pytest.mark.parametrize("one", [1, True, _Level.HIGH],
+                         ids=["int", "true", "intenum"])
+def test_yield_one_keeps_the_pollers_slot(one):
+    """A yielded count equal to one is a poll: the thread keeps its place
+    among the pollers (behind a due sleeper, ahead of later pollers),
+    under both executors, as a bare ``yield`` would."""
+    def run(backend, value):
+        sim, clk = _clocked(backend)
+        log = []
+
+        def poller(tag, wait):
+            def body():
+                while True:
+                    log.append((clk.cycles, tag))
+                    yield wait
+            return body
+
+        sim.add_thread(poller("a", None), clk, name="a")
+        sim.add_thread(poller("b", value), clk, name="b")
+        sim.add_thread(poller("sleeper", 3), clk, name="sleeper")
+        sim.add_thread(poller("c", None), clk, name="c")
+        sim.run(until=100)
+        assert sim.backend == backend
+        return log
+
+    reference = run("threaded", None)
+    assert run("threaded", one) == reference
+    assert run("compiled", one) == reference
+    assert reference[4:8] == [(2, "a"), (2, "b"), (2, "c"), (3, "a")]
 
 
 def test_yield_garbage_rejected():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the documentation stays truthful.
 
-Five checks over the repo's markdown docs and example scripts:
+Six checks over the repo's markdown docs and example scripts:
 
 1. **Runnable snippets** — every fenced ``python`` code block in
    ``docs/*.md`` is executed (with ``src/`` on ``sys.path``) and must
@@ -21,6 +21,11 @@ Five checks over the repo's markdown docs and example scripts:
    what :func:`render_capability_table` produces from
    ``repro.kernel.capability.TABLE``; ``--render`` rewrites stale blocks
    instead of failing on them.
+6. **Attribute citations** — a backticked ``Class.attr`` (``Clock._edge``,
+   ``Gate.open()``) whose ``Class`` is defined under ``src/repro`` must
+   name an attribute that class or one of its bases defines (a method,
+   a class-level name, a ``__slots__`` entry or a ``self.attr``
+   assignment), so a renamed or deleted member fails here.
 
 Usage::
 
@@ -35,6 +40,8 @@ Exit status is non-zero on any failure.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -59,6 +66,7 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 PATH_RE = re.compile(
     r"`((?:src|tests|tools|bench|docs|examples|benchmarks)/[\w./-]+"
     r"\.(?:py|md|json|txt|yml))(?:::[^`]*)?`")
+ATTR_RE = re.compile(r"`([A-Z]\w*)\.(\w+)[^`]*`")
 
 
 def python_blocks(text: str):
@@ -116,6 +124,68 @@ def check_paths(path: Path, text: str) -> list:
             for target in sorted(set(PATH_RE.findall(text)))
             if not target.startswith("bench/out/")
             and not (REPO / target).exists()]
+
+
+def class_members() -> dict:
+    """``{class name: [(attributes, base names), ...]}`` for every class
+    defined under ``src/repro`` (one entry per definition)."""
+    classes: dict = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            attrs = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    attrs.add(item.name)
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target] if isinstance(item, ast.AnnAssign)
+                           else [])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        attrs.add(target.id)
+                        if target.id == "__slots__":
+                            attrs.update(
+                                c.value for c in ast.walk(item.value)
+                                if isinstance(c, ast.Constant)
+                                and isinstance(c.value, str))
+            for sub in ast.walk(node):
+                target = getattr(sub, "target", None)
+                for t in getattr(sub, "targets", []) + [target]:
+                    if (isinstance(t, ast.Attribute)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        attrs.add(t.attr)
+            bases = []
+            for base in node.bases:
+                if isinstance(base, ast.Subscript):  # Generic[T]
+                    base = base.value
+                if isinstance(base, ast.Name):
+                    bases.append(base.id)
+                elif isinstance(base, ast.Attribute):
+                    bases.append(base.attr)
+            classes.setdefault(node.name, []).append((attrs, bases))
+    return classes
+
+
+def defines(classes: dict, name: str, attr: str, seen=()) -> bool:
+    """True if class ``name`` (any definition of it) or a base has
+    ``attr``; bases outside ``src/repro`` resolve through builtins."""
+    if name in seen:
+        return False
+    if name not in classes:
+        base = getattr(builtins, name, None)
+        return base is not None and hasattr(base, attr)
+    return any(attr in attrs or any(defines(classes, base, attr,
+                                            (*seen, name))
+                                    for base in bases)
+               for attrs, bases in classes[name])
+
+
+def check_attributes(path: Path, text: str, classes: dict) -> list:
+    return [f"{path.name}: cites missing attribute -> {cls}.{attr}"
+            for cls, attr in sorted(set(ATTR_RE.findall(text)))
+            if cls in classes and not defines(classes, cls, attr)]
 
 
 def run_block(path: Path, line: int, source: str) -> str | None:
@@ -187,6 +257,7 @@ def main(argv: list) -> int:
             for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
 
     errors, ran = [], 0
+    classes = class_members()
     for path in files:
         if path.suffix != ".md":
             continue  # .py arguments are handled as examples below
@@ -197,6 +268,7 @@ def main(argv: list) -> int:
         text = path.read_text()
         errors.extend(check_links(path, text))
         errors.extend(check_paths(path, text))
+        errors.extend(check_attributes(path, text, classes))
         if path.parent in EXEC_DIRS:
             for line, source in python_blocks(text):
                 err = run_block(path, line, source)
