@@ -16,8 +16,7 @@ Usage::
     python -m repro describe <experiment>
     python -m repro bench [bench/run.py arguments]
     python -m repro sweep <experiment> [--jobs N] [--no-cache] [--cache-dir D]
-    python -m repro faults <harness|all> [--cases N] [--seed S]
-                                         [--shrink [greedy|hypothesis]]
+    python -m repro faults <harness|all> [--cases N] [--seed S] [--shrink]
     python -m repro verify [--profile dev|ci|thorough] [--checks LIST]
                            [--inject none|deadlock|corrupt]
 
@@ -443,21 +442,10 @@ def _cmd_faults(args) -> int:
         if outcome.status == "error":
             extras.append(f"ERROR {outcome.point.label}: {outcome.error}")
     if args.shrink:
-        shrinker = campaign.shrink
-        if args.shrink == "hypothesis":
-            from .verify import hypothesis_available
-
-            if hypothesis_available():
-                from .verify.shrinking import shrink_plan
-                shrinker = shrink_plan
-            else:
-                extras.append("--shrink hypothesis: hypothesis not "
-                              "installed (pip install 'repro[test]'); "
-                              "falling back to the greedy shrinker")
         for rec in failures:
             plan = campaign.default_plan(rec["experiment"], rec["seed"])
-            small = shrinker(rec["experiment"], plan, rec["seed"],
-                             rec["outcome"])
+            small = campaign.shrink(rec["experiment"], plan, rec["seed"],
+                                    rec["outcome"])
             extras.append(
                 f"shrunk {rec['experiment']} seed={rec['seed']} "
                 f"({rec['outcome']}) to {len(small.directives)} "
@@ -596,13 +584,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="worker processes (1 = serial, default)")
     faults_p.add_argument("--timeout", type=float, default=None,
                           help="per-case wall-clock budget in seconds")
-    faults_p.add_argument("--shrink", nargs="?", const="hypothesis",
-                          choices=("greedy", "hypothesis"), default=None,
-                          help="reduce each failing case to a minimal "
+    faults_p.add_argument("--shrink", action="store_true",
+                          help="reduce each failing case to a 1-minimal "
                                "fault schedule preserving its outcome "
-                               "class; bare flag uses the Hypothesis "
-                               "subset shrinker, 'greedy' the 1-minimal "
-                               "removal pass")
+                               "class")
     _add_shared_flags(
         faults_p,
         seed="base seed for the campaign (default 0)",

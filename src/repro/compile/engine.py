@@ -186,14 +186,22 @@ class CompiledEngine:
         self._thread_count = len(self.sim._threads)
 
     def _settle(self) -> None:
-        """Run exit: credit parked slots the polls skipped so far."""
-        self._scan_idx = _NOT_SCANNING  # an exception may cut a cycle
+        """Run exit: credit parked slots the polls skipped so far.  An
+        exception that cut a cycle short left ``_scan_idx`` at its
+        raiser: slots ahead of it (every one while the edge's callbacks
+        ran) never made this cycle's poll."""
+        scan = self._scan_idx
+        raiser = (float("-inf") if scan < 0 else self._live_keys[scan]
+                  if scan < len(self._live_keys) else _NOT_SCANNING)
+        self._scan_idx = _NOT_SCANNING
         sim = self.sim
         cycles = self.clock.cycles
         for entry in self._parked_map.values():
-            if cycles > entry[4]:
-                entry[3]._skipped(sim, cycles - entry[4])
-                entry[4] = cycles
+            skipped = cycles - entry[4]
+            if skipped and entry[0] > raiser:
+                skipped -= 1
+            entry[4] = cycles
+            entry[3]._skipped(sim, skipped)
 
     # ------------------------------------------------------------------
     # the dispatch loop

@@ -440,8 +440,8 @@ def outcome_class(record: dict) -> str:
 
 
 def shrink(harness_name: str, plan: FaultPlan, seed: int,
-           target_outcome: Optional[str] = None, *, max_runs: int = 32,
-           match: str = "class") -> FaultPlan:
+           target_outcome: Optional[str] = None, *,
+           max_runs: int = 32) -> FaultPlan:
     """Greedy 1-minimal reduction of a failing fault schedule.
 
     Repeatedly re-runs the case with one directive removed, keeping any
@@ -450,25 +450,16 @@ def shrink(harness_name: str, plan: FaultPlan, seed: int,
     plans.  Capped at ``max_runs`` executions (the reference run for
     the original plan included).
 
-    ``match`` controls what "still reproduces" means:
-
-    * ``"class"`` (default) — the candidate's :func:`outcome_class`
-      must equal the original plan's (a livelock stays a livelock, a
-      TypeError crash stays a TypeError crash);
-    * ``"outcome"`` — only the coarse outcome string must match
-      (a deadlock may shrink into a livelock);
-    * ``"any"`` — any not-``ok`` outcome is accepted.  This is the
-      naive fixpoint and it is *wrong* — it can shrink a hang into an
-      unrelated crash (see ``tests/verify/test_shrink.py``) — kept
-      only to document the hazard.
+    "Still reproduces" means the candidate's :func:`outcome_class`
+    equals the original plan's: a livelock stays a livelock, a
+    TypeError crash stays a TypeError crash.  Accepting any failure
+    instead can shrink a hang into an unrelated crash — a reproducer
+    of a different bug.
 
     ``target_outcome`` optionally asserts what the original plan's
     coarse outcome is expected to be (a mismatch raises ``ValueError``);
     ``None`` accepts whatever the reference run produces.
     """
-    if match not in ("class", "outcome", "any"):
-        raise ValueError(f"unknown shrink match mode {match!r}")
-    harness = registry.get_harness(harness_name)
     reference = execute(harness_name, plan, seed)
     runs = 1
     if target_outcome is not None \
@@ -478,13 +469,6 @@ def shrink(harness_name: str, plan: FaultPlan, seed: int,
             f"{harness_name!r} (got {reference['outcome']!r})")
     target_class = outcome_class(reference)
 
-    def reproduces(record: dict) -> bool:
-        if match == "any":
-            return record["outcome"] not in harness.expected
-        if match == "outcome":
-            return record["outcome"] == reference["outcome"]
-        return outcome_class(record) == target_class
-
     current = plan
     improved = True
     while improved and runs < max_runs and len(current.directives) > 1:
@@ -492,7 +476,8 @@ def shrink(harness_name: str, plan: FaultPlan, seed: int,
         for index in range(len(current.directives)):
             candidate = current.without(index)
             runs += 1
-            if reproduces(execute(harness_name, candidate, seed)):
+            if outcome_class(execute(harness_name, candidate,
+                                     seed)) == target_class:
                 current = candidate
                 improved = True
                 break

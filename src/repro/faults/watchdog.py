@@ -23,9 +23,10 @@ one exists.  The diagnosis renders as text (:meth:`HangDiagnosis.format`)
 and exports as JSONL records through :func:`repro.observe.write_jsonl`.
 
 Zero-cost when off: ``sim.watchdog`` is ``None`` by default and the only
-hook sites are the *failure* paths of blocking port operations plus one
-``is None`` check in ``Clock._gate_wait`` (a watched thread polls instead
-of parking).
+hook sites are the *failure* paths of blocking port operations.  The
+scheduler never reads it, so a watched run schedules exactly like an
+unwatched one — a blocked ``pop()`` registers at its first refusal and
+then parks on its channel's gate as usual.
 
 Usage::
 
@@ -157,8 +158,9 @@ class _BlockedState:
 class Watchdog:
     """Progress monitor attached to one simulator.
 
-    ``clock`` is the cadence reference (checks run every ``check_every``
-    of its cycles; default ``window // 4``).  ``window`` is the livelock
+    ``clock`` is the cadence reference: checks run every quarter
+    ``window`` of its cycles, and at least every quarter of
+    ``max_cycles`` so the budget stays timely.  ``window`` is the livelock
     horizon: that many cycles with zero token progress on any watched
     channel raises a starvation diagnosis — so any design that moves at
     least one token per ``window`` can never trip it, even across check
@@ -172,7 +174,6 @@ class Watchdog:
     """
 
     def __init__(self, sim, clock, *, window: int = 2000,
-                 check_every: Optional[int] = None,
                  max_cycles: Optional[int] = None):
         if window < 2:
             raise ValueError(f"window must be >= 2 cycles, got {window}")
@@ -181,17 +182,9 @@ class Watchdog:
         self.sim = sim
         self.clock = clock
         self.window = window
-        if check_every is not None:
-            self.check_every = check_every
-        else:
-            self.check_every = max(1, window // 4)
-            if max_cycles is not None:
-                # Keep the budget timely even under a huge livelock
-                # window: check at least every quarter of the budget.
-                self.check_every = min(self.check_every,
-                                       max(1, max_cycles // 4))
-        if self.check_every >= window:
-            raise ValueError("check_every must be smaller than window")
+        self._step = max(1, window // 4)
+        if max_cycles is not None:
+            self._step = min(self._step, max(1, max_cycles // 4))
         self.max_cycles = max_cycles
         self._blocked: Dict[int, _BlockedState] = {}
         self._watched: Optional[list] = None
@@ -223,7 +216,7 @@ class Watchdog:
     # the monitor thread
     # ------------------------------------------------------------------
     def _run(self) -> Generator:
-        step = self.check_every
+        step = self._step
         while True:
             yield step
             if not self._check():
@@ -282,7 +275,7 @@ class Watchdog:
             self._idle_cycles = 0
             self._deadlock_strikes = 0
             return True
-        self._idle_cycles += self.check_every
+        self._idle_cycles += self._step
 
         all_blocked = all(id(t) in self._blocked for t in live)
         stalled = any(self._stall_active(c) for c in self._watched)
@@ -398,5 +391,4 @@ class Watchdog:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Watchdog(window={self.window}, "
-                f"check_every={self.check_every}, "
                 f"blocked={len(self._blocked)})")

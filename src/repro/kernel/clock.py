@@ -244,12 +244,12 @@ class Clock:
                 self._cursor = cursor + 1
         return skipped
 
-    def _settle(self) -> None:
+    def _settle(self, cut: bool) -> None:
         """Credit every parked owner the edges skipped so far (run exit:
         counters must read exact whenever the simulation is observable).
-        Owners stay parked; so do gate threads, credited the same way."""
-        self._cursor = -1  # an exception may have cut a walk short
-        self._woke = None  # a run boundary ends every edge's deltas
+        Owners stay parked; so do gate threads, credited the same way —
+        except the poll of a slot still ahead of whatever raised the
+        exception that ``cut`` the current cycle short: it never ran."""
         cycles = self.cycles
         for _slot, _fn, owner in self._parked.values():
             skipped = cycles - owner._skip_from
@@ -258,9 +258,12 @@ class Clock:
                 owner._credit(skipped)
         for record in self._gated.values():
             skipped = cycles - record[2]
-            if skipped:
-                record[2] = cycles
-                record[1]._skipped(self.sim, skipped)
+            if cut and skipped and self._ahead(record[0]) is not None:
+                skipped -= 1
+            record[2] = cycles
+            record[1]._skipped(self.sim, skipped)
+        self._cursor = -1  # an exception may have cut a walk short
+        self._woke = None  # a run boundary ends every edge's deltas
 
     def _edge(self) -> None:
         """Posedge, on either lane: fired off the heap (general lane) or
@@ -408,15 +411,14 @@ class Clock:
     def _gate_wait(self, thread, gate) -> None:
         """``thread`` yielded ``gate``: park it, unless the gate opened
         since its last wait (then this wait is an ordinary poll) or its
-        slot cannot be kept exactly — a clock that stopped parking,
-        combinational methods (they run in deltas no key orders), a
-        watchdog or trace capture (they must see every attempt), a gate
+        slot cannot be kept exactly — a clock that stopped parking (trace
+        capture stops it: its op scripts need every attempt),
+        combinational methods (they run in deltas no key orders), a gate
         another clock's thread is parked on."""
-        sim = self.sim
         if gate._open:
             gate._open = False
         elif (self._parks and thread._key is not None
-                and sim.watchdog is None and not sim._method_count):
+                and not self.sim._method_count):
             waiters = gate._waiters
             if waiters is None:
                 gate._waiters = (self, [thread])
@@ -444,42 +446,56 @@ class Clock:
 
     def _resume_now(self, thread) -> bool:
         """File an unparked ``thread`` into the current cycle if its slot
-        there is still ahead of whoever opened its gate; True if so.
-
-        Opened by this clock's own edge callback: the bucket of this edge
-        is not woken yet.  Opened while this edge's bucket waits in the
-        runnable list (another clock's coincident edge) or runs in the
-        current delta: the slot is in that block at its key, ahead of a
-        running opener of the same block only if the opener's key is
-        lower.  Anything else comes after this cycle's poll.
-        """
-        if self._cursor >= 0:
+        there is still ahead of whoever opened its gate; True if so."""
+        lo = self._ahead(thread)
+        if lo is None:
+            return False
+        if lo < 0:
             self._refile(thread, self.cycles)
             return True
         sim = self.sim
-        opener = sim._current
-        procs = sim._runnable if opener is None else sim._delta
-        if procs is not self._woke or sim.now != self._woke_now:
-            return False
-        lo = self._woke_at
-        if opener is not None:
-            at = procs.index(opener)
-            if at >= lo:
-                if opener.clock is not self:
-                    return False      # the block ran before the opener
-                key = opener._key
-                if key is not None and key > thread._key:
-                    return False      # the slot came before the opener
-                lo = at + 1
+        procs = sim._runnable if sim._current is None else sim._delta
         pos = bisect_right(procs, thread._key, lo, key=self._order)
         procs.insert(pos, thread)
-        if opener is None:
+        if procs is sim._runnable:
             sim._runnable_set.add(id(thread))
         for clock in sim._clocks:
             if clock is not self and clock._woke is procs \
                     and clock._woke_at >= pos:
                 clock._woke_at += 1
         return True
+
+    def _ahead(self, thread):
+        """Is parked ``thread``'s slot in the current cycle still ahead of
+        whatever runs now (a gate's opener, an exception's raiser)?  None
+        if not; -1 if this edge's bucket is not woken yet (an edge
+        callback of this clock runs); else the index of the running block
+        from which to search the slot's place.
+
+        This edge's bucket waits in the runnable list (another clock's
+        coincident edge runs) or runs in the current delta: the slot is
+        in that block at its key, ahead of a running thread of the same
+        block only if that thread's key is lower.  Anything else comes
+        after this cycle's poll.
+        """
+        if self._cursor >= 0:
+            return -1
+        sim = self.sim
+        runner = sim._current
+        procs = sim._runnable if runner is None else sim._delta
+        if procs is not self._woke or sim.now != self._woke_now:
+            return None
+        lo = self._woke_at
+        if runner is not None:
+            at = procs.index(runner)
+            if at >= lo:
+                if runner.clock is not self:
+                    return None       # the block ran before the runner
+                key = runner._key
+                if key is not None and key > thread._key:
+                    return None       # the slot came before the runner
+                lo = at + 1
+        return lo
 
     def _refile(self, thread, at: int) -> None:
         """Insert ``thread`` into the bucket of cycle ``at`` at its slot."""

@@ -379,8 +379,7 @@ class Simulator:
         self.trace = None  # optional Trace object (see tracing.py)
         #: Progress watchdog (see repro.faults.watchdog) or None.  The
         #: scheduler never reads it: blocking ports call its hooks on
-        #: their failure paths, and ``Clock._gate_wait`` polls instead of
-        #: parking while one is attached.
+        #: their failure paths.
         self.watchdog = None
         #: Thread being resumed (None between resumes: methods, edges)
         #: and the delta list it sits in.  Watchdog and trace capture
@@ -534,8 +533,8 @@ class Simulator:
         not work: nothing left can wake it, so a run without horizon on a
         design whose every live thread waits like that returns, with
         ``now`` at the last executed edge (attach a
-        :class:`~repro.faults.Watchdog` to have it raise instead; watched
-        threads poll every edge).  With ``until``, a
+        :class:`~repro.faults.Watchdog` to have it raise instead; its
+        checks keep the clock awake).  With ``until``, a
         live clock that runs out of work still idles up to the horizon
         (``now == until`` on return); a horizon behind ``now`` runs
         nothing and never rewinds time.  ``max_steps`` bounds the number
@@ -585,6 +584,7 @@ class Simulator:
         """
         self._running = True
         self._owed = False
+        cut = False
         try:
             if self._backend_requested == "compiled":
                 outcome = self._compiled_run(until, max_steps,
@@ -599,17 +599,22 @@ class Simulator:
                             return self.now
             self._threaded_run(until, max_steps, stop_clock, stop_cycles)
             return self.now
+        except BaseException as exc:
+            # The budget is checked between timesteps: it cuts none.
+            cut = not isinstance(exc, TimeBudgetExceeded)
+            raise
         finally:
             # Whichever executor ran and however it stopped (horizon,
             # budget, exception): credit parked edge callbacks and gate
             # threads their skipped edges, so counters read exact
-            # between runs.
+            # between runs.  The raiser of an exception stays
+            # ``_current`` until then: slots ahead of it never polled.
             self._running = False
-            self._current = None
             for clk in self._clocks:
-                clk._settle()
+                clk._settle(cut)
             if self._engine is not None:
                 self._engine._settle()
+            self._current = None
 
     def _threaded_run(self, until, max_steps, stop_clock, stop_cycles):
         """The threaded scheduler loop (see :meth:`_run`)."""

@@ -43,9 +43,10 @@ reasons and falls back to full simulation for that parameter group.
 Instrumentation is **scoped**: port/channel methods are class-patched
 only inside the :func:`capture` context (zero overhead for normal
 runs), ops are attributed to the thread the scheduler is resuming
-(``sim._current``), and the recorder attaches as the simulator's
-watchdog, which keeps gate threads polling (every attempt is seen) and
-forces the threaded kernel, the reference semantics replay must match.
+(``sim._current``), every clock stops parking gate threads
+(``Clock._stop_parking``), so every attempt is seen, and the recorder
+attaches as the simulator's watchdog, which forces the threaded kernel,
+the reference semantics replay must match.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class _Recorder:
                 self.ops.append([])
                 self._open.append(None)
 
-    # -- watchdog protocol (the slot keeps gate threads polling) -------
+    # -- watchdog protocol (the slot keeps the compiled backend off) ----
     def on_block(self, port, channel, op) -> None:
         """Blocking-port hook; attribution rides on the op stream."""
         return None
@@ -393,15 +394,19 @@ def capture(sim):
         trace = session.trace   # plain JSON-able dict
 
     The simulator must not have run yet (op scripts start at cycle 1).
-    Capture forces the threaded kernel (the recorder attaches as the
-    simulator's watchdog, which the compiled backend's capability check
-    refuses) — the reference semantics replay reproduces.
+    Capture stops every clock parking gate threads, so each blocked op
+    attempts once per posedge, and forces the threaded kernel (the
+    recorder attaches as the simulator's watchdog, which the compiled
+    backend's capability check refuses) — the reference semantics replay
+    reproduces.
     """
     global _ACTIVE
     if _ACTIVE is not None:
         raise CaptureError("trace captures do not nest")
     recorder = _Recorder(sim)
     recorder.snapshot()
+    for clock in sim._clocks:
+        clock._stop_parking()
     session = _Session(recorder)
     _ACTIVE = recorder
     sim.watchdog = recorder

@@ -109,7 +109,7 @@ def test_slow_but_live_design_never_trips_across_window_boundaries():
 
         sim.add_thread(producer(), clk, name="prod")
         sim.add_thread(consumer(), clk, name="cons")
-    Watchdog(sim, clk, window=100, check_every=25)
+    Watchdog(sim, clk, window=100)
     sim.run(until=12_000)  # no HangError: slow is not stuck
     assert received == list(range(12))
 
@@ -125,7 +125,7 @@ def test_watchdog_stands_down_when_design_finishes():
             yield from out.push(1)
 
         sim.add_thread(short(), clk, name="ctl")
-    wd = Watchdog(sim, clk, window=40, check_every=10)
+    wd = Watchdog(sim, clk, window=40)
     # Design threads end immediately; the watchdog must notice, retire
     # its own thread, and never raise on the finished design.
     sim.run(until=2_000)
@@ -193,5 +193,3 @@ def test_double_watchdog_rejected_and_params_validated():
     sim2, clk2 = build_deadlock_fixture()
     with pytest.raises(ValueError):
         Watchdog(sim2, clk2, window=1)
-    with pytest.raises(ValueError):
-        Watchdog(sim2, clk2, window=100, check_every=100)

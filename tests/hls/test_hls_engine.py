@@ -197,9 +197,13 @@ def test_src_loop_area_penalty_at_paper_config():
 def test_src_loop_compiles_slower():
     gd = crossbar_dst_loop_design(32, 32)
     gs = crossbar_src_loop_design(32, 32)
-    sd = schedule(gd, clock_period_ps=909)
-    ss = schedule(gs, clock_period_ps=909)
-    assert ss.compile_seconds > sd.compile_seconds
+    # Best of five alternating calls per design: one cold call (the
+    # first schedule() of a process pays warm-up) can flip the order.
+    dst, src = [], []
+    for _ in range(5):
+        dst.append(schedule(gd, clock_period_ps=909).compile_seconds)
+        src.append(schedule(gs, clock_period_ps=909).compile_seconds)
+    assert min(src) > min(dst)
     assert len(gs) > len(gd)  # more ops to schedule after unrolling
 
 

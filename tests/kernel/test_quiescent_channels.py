@@ -29,7 +29,7 @@ from repro.workloads import run_workload, vector_scale_workload
 
 from tests.sweep._never_park import (assert_parks_exactly,
                                      constructed_simulators, fast_channels,
-                                     never_park)
+                                     never_park, skipped_polls)
 
 TELEMETRY = pytest.mark.parametrize("telemetry", [False, True],
                                     ids=["plain", "telemetry"])
@@ -550,10 +550,12 @@ def test_duck_typed_clock_never_parks():
 # (f) blocked handshakes: short blocks poll, idle ones park on the pop gate
 # ----------------------------------------------------------------------
 def _blocked_bench(backend, *, consumers=1, n=4, gap=9, capacity=2,
-                   sleeper=None):
+                   sleeper=None, cut=None):
     """A producer pushing ``n`` messages ``gap`` cycles apart into one
     channel that ``consumers`` threads pop from with blocking ``pop()``;
-    after the last message every consumer stays blocked for good."""
+    after the last message every consumer stays blocked for good.
+    ``cut`` names a raiser that ends the run at cycle ``CUT`` (see
+    :func:`test_exception_mid_cycle_credits_parked_polls_exactly`)."""
     from repro.connections import In, Out
 
     sim = Simulator(backend=backend)
@@ -572,7 +574,21 @@ def _blocked_bench(backend, *, consumers=1, n=4, gap=9, capacity=2,
             msg = yield from port.pop()
             log.append((tag, msg, clk.cycles))
 
+    def raise_cut():
+        raise RuntimeError(f"cut at cycle {clk.cycles}")
+
+    def polls():
+        while clk.cycles < CUT:
+            yield
+        raise_cut()
+
+    def sleeps_to_cut():
+        yield CUT - clk.cycles
+        raise_cut()
+
     sim.add_thread(producer, clk, name="tx")
+    if cut == "poller-before":
+        sim.add_thread(polls, clk, name="cut")
     for k in range(consumers):
         port = In(chan, name=f"dst{k}")
         sim.add_thread(lambda port=port, k=k: consumer(port, k), clk,
@@ -584,6 +600,13 @@ def _blocked_bench(backend, *, consumers=1, n=4, gap=9, capacity=2,
                 log.append(("sleeper", clk.cycles))
 
         sim.add_thread(sleeps, clk, name="zz")
+    if cut == "poller-after":
+        sim.add_thread(polls, clk, name="cut")
+    elif cut == "sleeper":
+        sim.add_thread(sleeps_to_cut, clk, name="cut")
+    elif cut == "edge-callback":
+        clk.on_edge(lambda clock: raise_cut() if clock.cycles == CUT
+                    else None)
     return sim, clk, chan, log
 
 
@@ -709,6 +732,34 @@ def test_run_cycles_target_inside_a_skipped_span_matches(backend, telemetry):
     assert observed["result"][-1][1] == 388
 
 
+#: The cycle a ``cut`` raiser of :func:`_blocked_bench` raises at.
+CUT = 121
+
+
+@TELEMETRY
+@BACKENDS
+@pytest.mark.parametrize("cut", ["sleeper", "poller-before",
+                                 "poller-after", "edge-callback"])
+def test_exception_mid_cycle_credits_parked_polls_exactly(cut, backend,
+                                                          telemetry):
+    """An exception cuts cycle ``CUT`` short while both consumers are
+    parked on the empty channel.  A due sleeper, a poller registered
+    before them and an edge callback all run ahead of their slots, so
+    neither consumer made that cycle's poll and the exit credits each
+    one poll fewer; a poller registered after them raises once both
+    have polled (the control)."""
+    def scenario():
+        sim, clk, chan, _log = _blocked_bench(backend, consumers=2, cut=cut)
+        with pytest.raises(RuntimeError, match=f"cut at cycle {CUT}"):
+            sim.run(until=100_000)
+        return chan.stats.pop_attempts, chan.stats.pop_rejections
+
+    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    attempts, rejections = observed["result"]
+    assert attempts - rejections == 4
+    assert rejections == (242 if cut == "poller-after" else 240)
+
+
 def _second_run_scenario(backend, between):
     """Everything blocks, the run ends, ``between(chan)`` touches the
     channel from outside, a second run follows."""
@@ -810,9 +861,10 @@ def test_engine_attaches_and_detaches_around_blocked_threads():
 
 @pytest.mark.parametrize("stages, capacity", [(2, 1), (3, 2)])
 def test_capture_window_polls_every_edge(stages, capacity):
-    """Watched runs do not park: the recorder sees every attempt, so
-    op scripts (first-attempt and success cycles) equal the reference's
-    and the run executes exactly the reference's generator resumes."""
+    """A capture window does not park: the recorder sees every attempt,
+    so op scripts (first-attempt and success cycles) equal the
+    reference's and the run executes exactly the reference's generator
+    resumes."""
     from repro.kernel.simulator import Thread
     from repro.trace import capture
 
@@ -840,7 +892,7 @@ def test_capture_window_polls_every_edge(stages, capacity):
 
 
 @TELEMETRY
-def test_watchdog_run_polls_and_diagnoses_as_the_reference(telemetry):
+def test_watchdog_run_parks_and_diagnoses_as_the_reference(telemetry):
     from repro.faults import HangError, Watchdog
 
     def scenario():
@@ -850,7 +902,9 @@ def test_watchdog_run_polls_and_diagnoses_as_the_reference(telemetry):
             sim.run(until=100_000)
         return hang.value.diagnosis.to_records(), log
 
-    observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    with skipped_polls() as skipped:
+        observed = assert_parks_exactly(scenario, telemetry=telemetry)
+    assert skipped[0] > 0  # the watched consumers parked
     head = observed["result"][0][0]
     assert head["kind"] == "deadlock"
     assert sorted(r["thread"] for r in observed["result"][0]

@@ -3,20 +3,25 @@
 The regression this pins down: a naive shrinker accepts any candidate
 that still "fails somehow", which can silently trade a hang for an
 unrelated crash (or a livelock for a deadlock) — the minimal reproducer
-then debugs a different bug than the one the campaign found.  Both the
-greedy pass (``match="class"``, the default) and the Hypothesis subset
-shrinker validate candidates against
-:func:`repro.faults.campaign.outcome_class` instead.
+then debugs a different bug than the one the campaign found.  The one
+shrinker, :func:`repro.faults.campaign.shrink`, validates candidates
+against :func:`repro.faults.campaign.outcome_class` instead, and needs
+no optional dependency: ``repro faults --shrink`` prints the same
+reductions whether or not ``hypothesis`` is importable.
 """
+
+import importlib.util
+import re
+from unittest.mock import patch
 
 import pytest
 
 from repro import registry
+from repro.cli import main
 from repro.connections import Buffer, In, Out
 from repro.faults import FaultPlan, outcome_class
 from repro.faults.campaign import Harness, Rig, execute, shrink
 from repro.kernel import Simulator
-from repro.verify.shrinking import shrink_plan
 
 N_MSGS = 8
 RIG_NAME = "shrink_regression_rig"
@@ -56,11 +61,21 @@ def _build_pipeline_rig(seed: int) -> Rig:
                window=120, max_cycles=4000)
 
 
+#: A small fault menu for the pipeline rig: a short stall burst is
+#: absorbed, the total drop and the duplicates hang it.
+_PIPELINE_MENU = (
+    lambda plan, rng: plan.drop("mid", probability=1.0),
+    lambda plan, rng: plan.duplicate("side", probability=0.5),
+    lambda plan, rng: plan.stall_burst("side", start=0, length=20,
+                                       probability=0.5),
+)
+
+
 @pytest.fixture
 def pipeline_harness():
     registry.register(registry.ExperimentSpec(
         name=RIG_NAME, summary="shrink regression fixture",
-        harness=Harness(RIG_NAME, _build_pipeline_rig,
+        harness=Harness(RIG_NAME, _build_pipeline_rig, _PIPELINE_MENU,
                         expected=("clean",), in_default_matrix=False),
         hidden=True))
     try:
@@ -122,15 +137,31 @@ def test_fixture_outcomes_are_as_designed(pipeline_harness):
 
 
 # ----------------------------------------------------------------------
-# the regression: naive shrinking flips a hang into a crash
+# the regression: a hang must not shrink into a crash, nor a livelock
+# into a deadlock
 # ----------------------------------------------------------------------
+def _first_single_removal(harness, plan, accept):
+    """The reduction a one-step shrinker takes under ``accept``."""
+    for index in range(len(plan.directives)):
+        candidate = plan.without(index)
+        record = execute(harness, candidate, seed=0)
+        if accept(record):
+            return candidate, record
+    return plan, execute(harness, plan, seed=0)
+
+
 def test_naive_shrink_flips_hang_into_crash(pipeline_harness):
     plan = _hang_then_crash_plan()
-    small = shrink(pipeline_harness, plan, seed=0, match="any")
-    record = execute(pipeline_harness, small, seed=0)
-    # The "reproducer" now crashes — a different bug than the hang the
-    # campaign reported.  This is the behavior match="class" fixes.
+    # Accepting any failure takes the first removal that "fails
+    # somehow": the reproducer now crashes — a different bug than the
+    # hang the campaign reported.  shrink() matches the class instead.
+    naive, record = _first_single_removal(
+        pipeline_harness, plan, lambda rec: rec["outcome"] != "clean")
+    assert [d.kind for d in naive.directives] == ["corrupt"]
     assert record["outcome"] == "crash"
+    small = shrink(pipeline_harness, plan, seed=0)
+    assert outcome_class(execute(pipeline_harness, small, seed=0)) \
+        == "hang:deadlock"
 
 
 def test_class_shrink_preserves_the_hang(pipeline_harness):
@@ -145,21 +176,20 @@ def test_class_shrink_preserves_the_hang(pipeline_harness):
 def test_outcome_match_still_flips_livelock_into_deadlock(
         pipeline_harness):
     plan = _livelock_then_deadlock_plan()
-    coarse = shrink(pipeline_harness, plan, seed=0, match="outcome")
+    # Matching the coarse outcome alone accepts the drop: still a
+    # "hang", but the diagnosis class silently changed.
+    coarse, record = _first_single_removal(
+        pipeline_harness, plan, lambda rec: rec["outcome"] == "hang")
     assert [d.kind for d in coarse.directives] == ["drop"]
-    assert outcome_class(execute(pipeline_harness, coarse, seed=0)) \
-        == "hang:deadlock"  # diagnosis class silently changed
+    assert outcome_class(record) == "hang:deadlock"
 
-    exact = shrink(pipeline_harness, plan, seed=0, match="class")
+    exact = shrink(pipeline_harness, plan, seed=0)
     assert [d.kind for d in exact.directives] == ["stall_burst"]
     assert outcome_class(execute(pipeline_harness, exact, seed=0)) \
         == "hang:livelock"
-
-
-def test_shrink_rejects_unknown_match_mode(pipeline_harness):
-    with pytest.raises(ValueError, match="match mode"):
-        shrink(pipeline_harness, FaultPlan(seed=0), seed=0,
-               match="vibes")
+    # deterministic: the same plan shrinks to the same schedule
+    assert shrink(pipeline_harness, plan, seed=0).describe() \
+        == exact.describe()
 
 
 def test_shrink_validates_target_outcome(pipeline_harness):
@@ -169,34 +199,25 @@ def test_shrink_validates_target_outcome(pipeline_harness):
 
 
 # ----------------------------------------------------------------------
-# the Hypothesis subset shrinker agrees with the principled greedy pass
+# the CLI shrinks the same way in every environment
 # ----------------------------------------------------------------------
-def test_hypothesis_shrink_preserves_outcome_class(pipeline_harness):
-    plan = _hang_then_crash_plan()
-    small = shrink_plan(pipeline_harness, plan, seed=0,
-                        target_outcome="hang")
-    assert [d.kind for d in small.directives] == ["drop"]
-    assert outcome_class(execute(pipeline_harness, small, seed=0)) \
-        == "hang:deadlock"
+def _faults_shrink_stdout(capsys, harness) -> str:
+    assert main(["faults", harness, "--cases", "4", "--seed", "0",
+                 "--shrink"]) == 1
+    return re.sub(r"\d+\.\d+s wall", "<wall>", capsys.readouterr().out)
 
 
-def test_hypothesis_shrink_finds_single_culprit():
-    # Same scenario as the greedy test in tests/faults/test_campaign.py:
-    # three directives, one culprit; the subset search lands on it.
-    plan = (FaultPlan(seed=5)
-            .stall_burst("down", start=10, length=40, probability=0.8)
-            .drop("down", probability=1.0)
-            .stall_burst("up", start=0, length=20, probability=0.5))
-    small = shrink_plan("stall_verification", plan, seed=5,
-                        target_outcome="detected")
-    assert [d.kind for d in small.directives] == ["drop"]
-    assert execute("stall_verification", small,
-                   seed=5)["outcome"] == "detected"
+def test_cli_shrink_does_not_depend_on_hypothesis(pipeline_harness, capsys):
+    find_spec = importlib.util.find_spec
 
+    def hidden(name, *args, **kwargs):
+        if name == "hypothesis":
+            return None
+        return find_spec(name, *args, **kwargs)
 
-def test_hypothesis_shrink_is_deterministic(pipeline_harness):
-    plan = _livelock_then_deadlock_plan()
-    first = shrink_plan(pipeline_harness, plan, seed=0)
-    second = shrink_plan(pipeline_harness, plan, seed=0)
-    assert first.describe() == second.describe()
-    assert [d.kind for d in first.directives] == ["stall_burst"]
+    importable = _faults_shrink_stdout(capsys, pipeline_harness)
+    with patch("importlib.util.find_spec", hidden):
+        missing = _faults_shrink_stdout(capsys, pipeline_harness)
+    assert missing == importable
+    assert re.search(r"shrunk \S+ seed=\d+ \(\w+\) to 1 directive\(s\)",
+                     importable), importable

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the documentation stays truthful.
 
-Six checks over the repo's markdown docs and example scripts:
+Seven checks over the repo's markdown docs and example scripts:
 
 1. **Runnable snippets** — every fenced ``python`` code block in
    ``docs/*.md`` is executed (with ``src/`` on ``sys.path``) and must
@@ -26,6 +26,11 @@ Six checks over the repo's markdown docs and example scripts:
    name an attribute that class or one of its bases defines (a method,
    a class-level name, a ``__slots__`` entry or a ``self.attr``
    assignment), so a renamed or deleted member fails here.
+7. **Module citations** — a backticked dotted ``repro.*`` name
+   (``repro.faults.campaign.outcome_class``,
+   ``repro.kernel.capability.TABLE``) must import, or resolve by
+   ``getattr`` from its longest importable prefix, so a deleted module
+   or function fails here.
 
 Usage::
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -67,6 +73,7 @@ PATH_RE = re.compile(
     r"`((?:src|tests|tools|bench|docs|examples|benchmarks)/[\w./-]+"
     r"\.(?:py|md|json|txt|yml))(?:::[^`]*)?`")
 ATTR_RE = re.compile(r"`([A-Z]\w*)\.(\w+)[^`]*`")
+CITE_RE = re.compile(r"`(repro(?:\.\w+)+)[^`\n]*`")
 
 
 def python_blocks(text: str):
@@ -188,6 +195,29 @@ def check_attributes(path: Path, text: str, classes: dict) -> list:
             if cls in classes and not defines(classes, cls, attr)]
 
 
+def resolves(dotted: str) -> bool:
+    """Import the longest importable prefix of ``dotted``, then
+    ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def check_citations(path: Path, text: str) -> list:
+    return [f"{path.name}: cites missing name -> {dotted}"
+            for dotted in sorted(set(CITE_RE.findall(text)))
+            if not resolves(dotted)]
+
+
 def run_block(path: Path, line: int, source: str) -> str | None:
     scope = {"__name__": f"docsnippet:{path.name}:{line}"}
     try:
@@ -269,6 +299,7 @@ def main(argv: list) -> int:
         errors.extend(check_links(path, text))
         errors.extend(check_paths(path, text))
         errors.extend(check_attributes(path, text, classes))
+        errors.extend(check_citations(path, text))
         if path.parent in EXEC_DIRS:
             for line, source in python_blocks(text):
                 err = run_block(path, line, source)
