@@ -8,27 +8,29 @@ with three elisions, each individually proven equivalent:
 
 1. **Parked threads** — shared with the threaded kernel.  A thread that
    yields a shut :class:`~repro.kernel.Gate` (a gate owner's idle loop,
-   or a ``pop()`` blocked on a parked channel) keeps its scheduling
-   *slot* but leaves the live list at the yield until the gate opens (a
-   message handler calls ``gate.open()``, or a watched channel's tick
-   leaves data visible); the polls it skipped are credited through the
-   gate (``Gate._skipped``).  The threaded kernel parks the same threads
-   by the same rule (``Clock._gate_wait``).
+   or a ``pop()`` blocked on a parked channel) is parked on its clock by
+   the one test both executors make (``Clock._park``): it leaves the
+   live list at the yield until the gate opens (a message handler calls
+   ``gate.open()``, or a watched channel's tick leaves data visible),
+   when ``Clock._unpark`` has the engine re-insert it at its slot key
+   (:meth:`CompiledEngine._place`) and credits the polls it skipped
+   through the gate (``Gate._skipped``).
 2. **Idle channels** — shared too: an empty channel core reports itself
    quiescent and the *clock* parks it, re-arms it and credits the
    skipped span, for both executors (see
    :meth:`repro.kernel.clock.Clock.on_edge`); a tick that leaves data
    visible opens the channel's wake gates itself.
 3. **No per-cycle rescheduling** — the engine's own.  Pollers stay in a
-   flat order list (slot position = threaded resume order); a posedge
-   is four integer updates instead of heap traffic, and a resumed
-   poller is one ``next()`` with no bucket filing.
+   flat list sorted by slot key (key order = threaded resume order); a
+   posedge is four integer updates instead of heap traffic, and a
+   resumed poller is one ``next()`` with no bucket filing.
 
 Everything the elisions cannot prove equivalent **detaches**: the engine
 files every live thread back into the clock's wakeup bucket in slot
 order (preserving the threaded resume order) and hands the very same
-run back to the threaded loop; parked channels stay parked, the clock's
-list being the one both loops walk.  Detach
+run back to the threaded loop.  Parked threads and channels stay
+parked: the clock is the one registry both loops use, and slot keys
+(``Thread._key``) are one key space, so nothing is converted.  Detach
 triggers are cheap per-cycle guards: a stopped or paused clock, a timed
 event in the heap, a channel/method/thread registered mid-run.
 
@@ -36,15 +38,18 @@ Resume-order equivalence (the byte-identity argument, spelled out in
 ``docs/COMPILED_BACKEND.md``): the threaded kernel wakes a cycle's
 bucket in subscription-chronological order.  Sleepers (``yield n``,
 n > 1) subscribed on an earlier cycle than any poller's implicit
-re-subscription, so due sleepers *prepend* to the order list; pollers
-keep their slots (re-subscription in resume order is order-preserving);
+re-subscription, so due sleepers take keys ahead of every other
+(``Clock._key_sleepers``) and *prepend* to the live list; pollers keep
+their keys (re-subscription in resume order is order-preserving);
 event-woken threads resume in a later delta and re-subscribe after
-every poller, so they *append*.
+every poller, so they take keys behind every other
+(``Clock._append_key``) and *append*.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 
 from ..kernel.backend import record_run
 from ..kernel.capability import OBSERVABILITY, reason as capability_reason
@@ -53,8 +58,10 @@ from ..kernel.simulator import (DeltaOverflow, Gate, TimeBudgetExceeded,
 
 __all__ = ["CompiledEngine"]
 
-#: _scan_idx value outside the order scan: any unpark resumes next cycle.
+#: _scan_idx value outside the live scan: any placed slot resumes next
+#: cycle.
 _NOT_SCANNING = 1 << 60
+_KEY = attrgetter("_key")
 
 
 class CompiledEngine:
@@ -64,41 +71,32 @@ class CompiledEngine:
     capability check (:mod:`repro.compile.capability`) must pass first.
     """
 
-    __slots__ = ("sim", "clock", "_live", "_live_keys", "_parked_map",
-                 "_key_lo", "_key_hi", "_scan_idx", "_cb_count",
+    __slots__ = ("sim", "clock", "_live", "_scan_idx", "_cb_count",
                  "_thread_count")
 
     def __init__(self, sim, clock):
         self.sim = sim
         self.clock = clock
-        #: Dispatch slots: ``[key, thread, generator, gate, since]``
-        #: (``gate``/``since``: a parked slot's gate and last poll
-        #: cycle).  ``_live`` holds only runnable pollers, sorted by slot
-        #: key (prepends take decreasing keys, appends increasing ones,
-        #: so key order IS the threaded resume order).  An entry that
-        #: yields a shut gate is *removed* from the scan and registered
-        #: on the gate; the gate's ``open()`` bisect-inserts it back at
-        #: its key — parked threads cost nothing per cycle, not even a
-        #: skip test.  Starts empty: threads flow in from the wakeup
-        #: buckets, which is what makes attach valid at any run boundary.
+        #: Dispatch slots: the runnable pollers, sorted by ``Thread._key``
+        #: (prepends take decreasing keys, appends increasing ones, so
+        #: key order IS the threaded resume order).  A thread its clock
+        #: parks on a shut gate is *removed* from the scan; the gate's
+        #: ``open()`` has it bisect-inserted back at its key
+        #: (:meth:`_place`) — parked threads cost nothing per cycle, not
+        #: even a skip test.  Starts empty: threads flow in from the
+        #: wakeup buckets and from the clock's parked registry, which is
+        #: what makes attach valid at any run boundary.
         self._live: list = []
-        self._live_keys: list = []
-        self._parked_map: dict = {}
-        self._key_lo = 0
-        self._key_hi = 0
         self._scan_idx = _NOT_SCANNING
         self._cb_count = len(self.clock._callbacks)
         self._thread_count = len(sim._threads)
-        # Threads the threaded loop parked on gates are filed back at
-        # their slots (their next resume is the poll the gate stood for).
-        self.clock._release()
 
     # ------------------------------------------------------------------
-    # gate hook (called from Gate.open when parked threads wait there)
+    # slot placement (called from Clock._unpark when a gate opens)
     # ------------------------------------------------------------------
-    def _unpark(self, entries) -> None:
-        """Re-insert parked entries at their slot keys, crediting the
-        polls they skipped.
+    def _place(self, thread) -> bool:
+        """Re-insert an unparked ``thread`` at its slot key; True if it
+        resumes this cycle.
 
         Mid-scan semantics mirror the threaded kernel exactly: a thread
         whose slot lies *behind* the scan cursor polled earlier this
@@ -110,58 +108,45 @@ class CompiledEngine:
         between cycles it is ``_NOT_SCANNING``.
         """
         live = self._live
-        keys = self._live_keys
-        parked_map = self._parked_map
-        sim = self.sim
-        cycles = self.clock.cycles
-        for entry in entries:
-            del parked_map[id(entry)]
-            gate = entry[3]
-            entry[3] = None
-            key = entry[0]
-            pos = bisect_left(keys, key)
-            keys.insert(pos, key)
-            live.insert(pos, entry)
-            scan = self._scan_idx
-            if pos <= scan:
-                if scan != _NOT_SCANNING:
-                    self._scan_idx = scan + 1
-                gate._skipped(sim, cycles - entry[4])
-            else:
-                gate._skipped(sim, cycles - entry[4] - 1)
+        pos = bisect_left(live, thread._key, key=_KEY)
+        live.insert(pos, thread)
+        scan = self._scan_idx
+        if pos > scan:
+            return True
+        if scan != _NOT_SCANNING:
+            self._scan_idx = scan + 1
+        return False
+
+    def _ahead(self, thread) -> bool:
+        """Run exit after an exception cut a cycle short: is parked
+        ``thread``'s slot ahead of the raiser at ``_scan_idx`` (every
+        slot is while the edge's callbacks ran; none once the scan
+        finished)?"""
+        scan = self._scan_idx
+        if scan < 0:
+            return True
+        live = self._live
+        return scan < len(live) and thread._key > live[scan]._key
 
     # ------------------------------------------------------------------
     # detach: hand the simulation back to the threaded kernel
     # ------------------------------------------------------------------
     def detach(self, reason: str) -> None:
-        """Restore exact threaded-kernel state and record the fallback.
+        """Hand the run to the threaded kernel and record the fallback.
 
-        Live order-list threads are re-filed into the next cycle's
-        wakeup bucket *in slot order*: sleepers already in that bucket
-        subscribed chronologically earlier, so bucket order — hence
-        resume order — matches an uninterrupted threaded run.
+        Live threads are re-filed into the next cycle's wakeup bucket
+        at their slot keys: behind the sleepers already there (they
+        subscribed chronologically earlier), ahead of a thread
+        registered between runs — so bucket order, hence resume order,
+        matches an uninterrupted threaded run.  Parked threads stay on
+        their clock, keys stay on the threads.
         """
-        sim = self.sim
         clock = self.clock
-        subscribe = clock._subscribe
-        cycles = clock.cycles
-        for entry in self._parked_map.values():
-            gate = entry[3]
-            gate._waiters = None  # re-filed as a poller below
-            gate._skipped(sim, cycles - entry[4])
-        entries = self._live + list(self._parked_map.values())
-        entries.sort(key=lambda e: e[0])
-        for entry in entries:
-            if not entry[1].done:
-                subscribe(entry[1])
-        # The threaded kernel re-derives slot keys from bucket order at
-        # the next wake (Clock._key_sleepers).
-        for waiters in clock._wakeups.values():
-            for thread in waiters:
-                thread._key = None
+        at = clock.cycles + 1
+        for thread in self._live:
+            clock._refile(thread, at)
         self._live = []
-        self._live_keys = []
-        self._parked_map.clear()
+        sim = self.sim
         sim._engine = None
         sim._backend_fallback = reason
         record_run("threaded", reason)
@@ -171,37 +156,19 @@ class CompiledEngine:
 
         Unlike :meth:`detach`, nothing is re-subscribed and no fallback
         is recorded: the kernel restore that calls this rewinds wakeup
-        buckets through the snapshot base (and every channel re-arms
-        itself as its state is restored), so the engine only clears its
-        own dispatch state.  The engine stays attached for the next run.
+        buckets, parked threads and slot keys through the snapshot base
+        (and every channel re-arms itself as its state is restored), so
+        the engine only clears its own dispatch state.  The engine stays
+        attached for the next run.
         """
-        for entry in self._parked_map.values():
-            entry[3]._waiters = None
         self._live.clear()
-        self._live_keys.clear()
-        self._parked_map.clear()
-        self._key_lo = 0
-        self._key_hi = 0
         self._scan_idx = _NOT_SCANNING
         self._thread_count = len(self.sim._threads)
 
     def _settle(self) -> None:
-        """Run exit: credit parked slots the polls skipped so far.  An
-        exception that cut a cycle short left ``_scan_idx`` at its
-        raiser: slots ahead of it (every one while the edge's callbacks
-        ran) never made this cycle's poll."""
-        scan = self._scan_idx
-        raiser = (float("-inf") if scan < 0 else self._live_keys[scan]
-                  if scan < len(self._live_keys) else _NOT_SCANNING)
+        """Run exit: the clock has credited parked slots (asking
+        :meth:`_ahead`); leave the scan."""
         self._scan_idx = _NOT_SCANNING
-        sim = self.sim
-        cycles = self.clock.cycles
-        for entry in self._parked_map.values():
-            skipped = cycles - entry[4]
-            if skipped and entry[0] > raiser:
-                skipped -= 1
-            entry[4] = cycles
-            entry[3]._skipped(sim, skipped)
 
     # ------------------------------------------------------------------
     # the dispatch loop
@@ -224,8 +191,6 @@ class CompiledEngine:
                 return (False, 0)
 
         live = self._live
-        keys = self._live_keys
-        parked_map = self._parked_map
         active = clock._active
         queue = sim._queue
         wakeups = clock._wakeups
@@ -294,25 +259,25 @@ class CompiledEngine:
             # -- phase 3: due sleepers take fresh slots ahead of every
             # poller (chronologically the earliest subscribers in this
             # cycle's threaded bucket), so the scan resumes them first.
+            # (Right after attach the bucket also holds the threaded
+            # loop's pollers, keyed already and in key order.)
             if wakeups:
                 waiters = wakeups.pop(cycles, None)
                 if waiters is not None:
                     if clock._next_wakeup == cycles:
                         clock._next_wakeup = (min(wakeups) if wakeups
                                               else None)
-                    front = [thread for thread in waiters if not thread.done]
-                    if front:
-                        key = self._key_lo = self._key_lo - len(front)
-                        keys[0:0] = range(key, key + len(front))
-                        live[0:0] = [[key + i, thread, thread.gen, None, 0]
-                                     for i, thread in enumerate(front)]
+                    if waiters and waiters[0]._key is None:
+                        clock._key_sleepers(waiters)
+                    live[0:0] = [thread for thread in waiters
+                                 if not thread.done]
 
             # -- the live scan (slot-key order = resume order), then one
             # more scan per extra delta: threads an event made runnable
             # re-enter at the END of the live list (threaded
             # re-subscription in a later delta lands after every
             # poller).  ``self._scan_idx`` is the cursor; resumed code
-            # may open a gate, and ``_unpark`` bumps the cursor when it
+            # may open a gate, and ``_place`` bumps the cursor when it
             # inserts a slot at or behind it — so the cursor is re-read
             # after every ``next()`` and every removal happens at the
             # re-read index.
@@ -323,49 +288,32 @@ class CompiledEngine:
                     k = self._scan_idx
                     if k >= len(live):
                         break
-                    entry = live[k]
+                    thread = live[k]
                     try:
-                        request = next(entry[2])
+                        request = next(thread.gen)
                     except StopIteration:
-                        thread = entry[1]
                         thread.done = True
                         sim._thread_finished(thread)
-                        k = self._scan_idx
-                        del live[k]
-                        del keys[k]
+                        del live[self._scan_idx]
                         continue
                     if request is None:
                         self._scan_idx += 1
                         continue
                     if type(request) is Gate:
-                        if request._open:  # opened since its last wait
-                            request._open = False
-                            self._scan_idx += 1
-                            continue
-                        # Park at the yield, as Clock._gate_wait does:
-                        # out of the scan until the gate's open()
-                        # re-inserts the slot at its key.
-                        k = self._scan_idx
-                        del live[k]
-                        del keys[k]
-                        entry[3] = request
-                        entry[4] = cycles
-                        waiters = request._waiters
-                        if waiters is None:
-                            request._waiters = (self, [entry])
+                        # Parked on the clock: out of the scan until the
+                        # gate's open() places the slot back at its key.
+                        if clock._park(thread, request):
+                            del live[self._scan_idx]
                         else:
-                            waiters[1].append(entry)
-                        parked_map[id(entry)] = entry
+                            self._scan_idx += 1  # a poll keeps its slot
                         continue
                     if isinstance(request, int) and request == 1:
                         self._scan_idx += 1  # a poller keeps its slot
                         continue
                     # Any other wait (a sleep, an event) leaves the scan;
                     # the thread files itself as under the threaded loop.
-                    entry[1]._wait(request)
-                    k = self._scan_idx
-                    del live[k]
-                    del keys[k]
+                    thread._wait(request)
+                    del live[self._scan_idx]
 
                 if not (sim._runnable or dirty):
                     break
@@ -386,13 +334,10 @@ class CompiledEngine:
                             f"after {sim.MAX_DELTAS_PER_STEP} delta cycles")
                     sim._runnable = []
                     sim._runnable_set.clear()
-                    key = self._key_hi
                     for thread in runnable:
                         if not thread.done:
-                            key += 1
-                            keys.append(key)
-                            live.append([key, thread, thread.gen, None, 0])
-                    self._key_hi = key
+                            thread._key = clock._append_key()
+                            live.append(thread)
             self._scan_idx = _NOT_SCANNING
 
             steps += 1

@@ -53,16 +53,22 @@ class QorPoint:
 def _point(lanes: int, width: int, clock_period_ps: float) -> QorPoint:
     dst = crossbar_dst_loop_design(lanes, width)
     src = crossbar_src_loop_design(lanes, width)
-    sched_dst = schedule(dst, clock_period_ps=clock_period_ps)
-    sched_src = schedule(src, clock_period_ps=clock_period_ps)
+    # Compile time is the best of three alternating schedule() calls per
+    # design: one cold call (the first of a process pays warm-up) can
+    # flip the ratio.  Area and latency are the same on every call.
+    dst_s, src_s = [], []
+    for _ in range(3):
+        sched_dst = schedule(dst, clock_period_ps=clock_period_ps)
+        sched_src = schedule(src, clock_period_ps=clock_period_ps)
+        dst_s.append(sched_dst.compile_seconds)
+        src_s.append(sched_src.compile_seconds)
     rpt_dst = estimate_area(sched_dst)
     rpt_src = estimate_area(sched_src)
     return QorPoint(
         lanes=lanes, width=width, clock_period_ps=clock_period_ps,
         dst_area=rpt_dst.total, src_area=rpt_src.total,
         dst_latency=rpt_dst.latency, src_latency=rpt_src.latency,
-        dst_compile_s=sched_dst.compile_seconds,
-        src_compile_s=sched_src.compile_seconds,
+        dst_compile_s=min(dst_s), src_compile_s=min(src_s),
     )
 
 

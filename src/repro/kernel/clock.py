@@ -39,17 +39,19 @@ and can be bulk-advanced.
 Idle threads leave the buckets altogether.  A thread that yields a shut
 :class:`~repro.kernel.Gate` — a gate owner's idle loop, or a ``pop()``
 blocked on a parked channel (the channel's pop gate) — is *parked*
-(:meth:`Clock._gate_wait`): filed nowhere, it costs nothing per edge
-and does not keep its clock awake.  ``Gate.open()`` files it back
+(:meth:`Clock._park`): filed nowhere, it costs nothing per edge and does
+not keep its clock awake.  ``Gate.open()`` files it back
 (:meth:`Clock._unpark`) at the slot its per-edge poll would have held —
 into this cycle's run while that slot is still ahead of whoever opened
-the gate, else into the next cycle's bucket.  Slots are *keys*
-(``Thread._key``), by the compiled engine's rule
-(``docs/COMPILED_BACKEND.md``): pollers keep theirs from cycle to cycle,
+the gate, else into the next cycle's bucket (the compiled engine's live
+list while one is attached).  Slots are *keys* (``Thread._key``), one
+key space for both executors: pollers keep theirs from cycle to cycle,
 due sleepers take fresh keys ahead of all, threads registered between
-runs behind all, so key order is bucket order.  The polls a parked
-thread skipped are credited through its gate at unpark and at every run
-exit.
+runs (or made runnable by an event) behind all, so key order is bucket
+order.  The clock is the only registry of parked threads, so attaching
+or detaching the engine converts none of this state.  The polls a
+parked thread skipped are credited through its gate at unpark and at
+every run exit.
 """
 
 from __future__ import annotations
@@ -123,14 +125,16 @@ class Clock:
         self._stopped = False
         self.paused_edges = 0
         self.total_pause_time = 0
-        #: Threads parked on a shut Gate: ``id(thread) -> [thread, gate,
-        #: cycle of its last poll]`` (see :meth:`_gate_wait`).
+        #: Threads parked on a shut Gate, under either executor:
+        #: ``id(thread) -> [thread, gate, cycle of its last poll]`` (see
+        #: :meth:`_park`).
         self._gated: dict = {}
         #: False once a shape slot keys cannot order appeared (an Event
         #: wait, a thread registered mid-run): gates then poll.
         self._parks = True
         #: Due sleepers take keys below ``_key_lo``, threads registered
-        #: between runs above ``_key_hi``.
+        #: between runs (or woken by an event, under the engine) above
+        #: ``_key_hi``.
         self._key_lo = 0
         self._key_hi = 0
         #: While threads are parked: the runnable list this edge queued
@@ -249,16 +253,20 @@ class Clock:
         counters must read exact whenever the simulation is observable).
         Owners stay parked; so do gate threads, credited the same way —
         except the poll of a slot still ahead of whatever raised the
-        exception that ``cut`` the current cycle short: it never ran."""
+        exception that ``cut`` the current cycle short (the attached
+        engine's scan cursor tells, else :meth:`_ahead`): it never ran."""
         cycles = self.cycles
         for _slot, _fn, owner in self._parked.values():
             skipped = cycles - owner._skip_from
             if skipped:
                 owner._skip_from = cycles
                 owner._credit(skipped)
+        engine = self.sim._engine
         for record in self._gated.values():
             skipped = cycles - record[2]
-            if cut and skipped and self._ahead(record[0]) is not None:
+            if cut and skipped and (self._ahead(record[0]) is not None
+                                    if engine is None
+                                    else engine._ahead(record[0])):
                 skipped -= 1
             record[2] = cycles
             record[1]._skipped(self.sim, skipped)
@@ -408,41 +416,46 @@ class Clock:
         self._woke_at = len(runnable)
         self._woke_now = sim.now
 
-    def _gate_wait(self, thread, gate) -> None:
-        """``thread`` yielded ``gate``: park it, unless the gate opened
-        since its last wait (then this wait is an ordinary poll) or its
-        slot cannot be kept exactly — a clock that stopped parking (trace
-        capture stops it: its op scripts need every attempt),
-        combinational methods (they run in deltas no key orders), a gate
-        another clock's thread is parked on."""
+    def _park(self, thread, gate) -> bool:
+        """``thread`` yielded ``gate``: park it and return True, unless the
+        gate opened since its last wait (then this wait is an ordinary
+        poll) or its slot cannot be kept exactly — a clock that stopped
+        parking (trace capture stops it: its op scripts need every
+        attempt), combinational methods (they run in deltas no key
+        orders), a gate another clock's thread is parked on.  Both
+        executors ask; a False answer is a poll, filed by the caller."""
         if gate._open:
             gate._open = False
-        elif (self._parks and thread._key is not None
-                and not self.sim._method_count):
-            waiters = gate._waiters
-            if waiters is None:
-                gate._waiters = (self, [thread])
-            elif waiters[0] is self:
-                waiters[1].append(thread)
-            else:
-                self._subscribe(thread)
-                return
-            self._gated[id(thread)] = [thread, gate, self.cycles]
-            return
-        self._subscribe(thread)
+            return False
+        if (not self._parks or thread._key is None
+                or self.sim._method_count):
+            return False
+        waiters = gate._waiters
+        if waiters is None:
+            gate._waiters = (self, [thread])
+        elif waiters[0] is self:
+            waiters[1].append(thread)
+        else:
+            return False
+        self._gated[id(thread)] = [thread, gate, self.cycles]
+        return True
 
     def _unpark(self, threads) -> None:
         """``Gate.open()`` hook: file parked ``threads`` back at their
-        slots and credit the polls they skipped."""
+        slots — the attached engine's live list, else this cycle's run or
+        the next cycle's bucket — and credit the polls they skipped."""
         sim = self.sim
+        engine = sim._engine
         cycles = self.cycles
         for thread in threads:
             _thread, gate, since = self._gated.pop(id(thread))
-            if self._resume_now(thread):
-                gate._skipped(sim, cycles - since - 1)
+            if engine is not None:
+                resumed = engine._place(thread)
             else:
-                self._refile(thread, cycles + 1)
-                gate._skipped(sim, cycles - since)
+                resumed = self._resume_now(thread)
+                if not resumed:
+                    self._refile(thread, cycles + 1)
+            gate._skipped(sim, cycles - since - resumed)
 
     def _resume_now(self, thread) -> bool:
         """File an unparked ``thread`` into the current cycle if its slot
@@ -510,7 +523,7 @@ class Clock:
 
     def _release(self) -> None:
         """Unpark every thread parked on this clock, as if each gate had
-        opened now (engine attach, :meth:`_stop_parking`)."""
+        opened now (:meth:`_stop_parking`, ``Simulator.add_method``)."""
         gated = self._gated
         while gated:
             gate = next(iter(gated.values()))[1]

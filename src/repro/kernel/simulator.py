@@ -163,14 +163,14 @@ class Gate:
     re-check the condition.  To the executor it says the iteration about
     to repeat is idle until :meth:`open` is called (by a message handler,
     or by a watched channel's tick leaving data visible, see
-    ``FastChannel.add_wake_gate``).  So both executors *park* the thread:
-    it leaves the wakeup buckets (the compiled engine's live list), costs
-    nothing per edge, and :meth:`open` files it back at exactly the slot
-    its per-edge poll would have held (``Clock._unpark``,
-    ``CompiledEngine._unpark``).  A spurious :meth:`open` only costs one
-    extra poll iteration, never correctness, because the waiting loop
-    re-checks its condition on every resume.  The one side effect an
-    idle iteration may have, refused pops, is declared with
+    ``FastChannel.add_wake_gate``).  So both executors *park* the thread
+    on its clock (``Clock._park``): it leaves the wakeup buckets (the
+    compiled engine's live list), costs nothing per edge, and
+    :meth:`open` files it back at exactly the slot its per-edge poll
+    would have held (``Clock._unpark``).  A spurious :meth:`open` only
+    costs one extra poll iteration, never correctness, because the
+    waiting loop re-checks its condition on every resume.  The one side
+    effect an idle iteration may have, refused pops, is declared with
     :meth:`idle_pops` and credited for every edge the thread skipped.
 
     Every ``FastChannel`` owns one, its *pop gate*: a blocked ``In.pop()``
@@ -184,8 +184,8 @@ class Gate:
         #: Opened while nobody was parked here: the next ``yield gate``
         #: polls once instead of parking.
         self._open = False
-        #: ``(executor, [parked entries])`` while threads are parked
-        #: here, else None; ``executor._unpark(entries)`` files them back.
+        #: ``(clock, [parked threads])`` while threads are parked here,
+        #: else None; ``clock._unpark(threads)`` files them back.
         self._waiters = None
         #: ``credit(n)`` callables, one per refused pop an idle
         #: iteration makes (see :meth:`idle_pops`), or None.
@@ -260,8 +260,9 @@ class Thread:
         self.name = name
         self.done = False
         self.factory = factory
-        #: Slot among its clock's pollers (see ``Clock._unpark``): None
-        #: while the thread sleeps or before its clock first wakes it.
+        #: Slot among its clock's pollers, one key space for both
+        #: executors (see ``Clock._unpark``): None while the thread
+        #: sleeps or before its clock first wakes it.
         self._key = None
 
     def _resume(self) -> None:
@@ -275,7 +276,8 @@ class Thread:
         if request is None:
             self.clock._subscribe(self)
         elif type(request) is Gate:
-            self.clock._gate_wait(self, request)
+            if not self.clock._park(self, request):
+                self.clock._subscribe(self)
         else:
             self._wait(request)
 
@@ -605,10 +607,11 @@ class Simulator:
             raise
         finally:
             # Whichever executor ran and however it stopped (horizon,
-            # budget, exception): credit parked edge callbacks and gate
-            # threads their skipped edges, so counters read exact
-            # between runs.  The raiser of an exception stays
-            # ``_current`` until then: slots ahead of it never polled.
+            # budget, exception): the clocks credit parked edge callbacks
+            # and gate threads their skipped edges, so counters read
+            # exact between runs.  The raiser of an exception stays
+            # ``_current`` (the engine's scan cursor) until then: slots
+            # ahead of it never polled.
             self._running = False
             for clk in self._clocks:
                 clk._settle(cut)

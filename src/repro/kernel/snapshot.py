@@ -36,10 +36,10 @@ this module is deliberately conservative:
 
 The compiled backend cooperates: :meth:`CompiledEngine.reset()
 <repro.compile.engine.CompiledEngine.reset>` returns an attached engine
-to its just-attached state (empty dispatch slots, every channel
-ticking) without the stats re-crediting or fallback recording a
-mid-run ``detach`` performs, because restore rewinds those through the
-base state instead.
+to its just-attached state (an empty live list) without the re-filing
+and fallback recording a mid-run ``detach`` performs, because restore
+rewinds wakeup buckets, parked threads and slot keys through the base
+state instead.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def _clock_state(clk) -> dict:
 
 
 def _restore_base(sim, base: dict) -> None:
-    # The compiled engine (if attached) clears its dispatch slots and
-    # resumes ticking every channel; detached/fallback state is wiped
-    # so the next run re-attempts attach.
+    # The compiled engine (if attached) clears its live list; the rest
+    # is rewound below.  Detached/fallback state is wiped so the next
+    # run re-attempts attach.
     engine = sim._engine
     if engine is not None:
         engine.reset()

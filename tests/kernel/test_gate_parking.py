@@ -489,20 +489,35 @@ def test_snapshot_restore_rerun_with_parked_gates_matches(backend):
     assert len(observed["result"][0]) == 12
 
 
-@TELEMETRY
-def test_engine_attaches_and_detaches_around_parked_gates(telemetry):
-    """A late-attaching engine takes over the threads the threaded loop
-    parked; a mid-run detach hands the engine's parked slots back."""
-    backends = []
+@pytest.mark.parametrize("backend, telemetry", [
+    ("threaded", False), ("threaded", True), ("compiled", False),
+    ("compiled", True)],
+    ids=["plain", "telemetry", "compiled-plain", "compiled-telemetry"])
+def test_engine_attaches_and_detaches_around_parked_gates(backend,
+                                                          telemetry):
+    """Parked threads stay on their clock across engine hand-over.  An
+    engine attached late (over threads the threaded loop parked) or from
+    construction parks the consumer in the clock's registry, and a
+    mid-run detach hands the run back with the consumer still parked
+    there, filed into no wakeup bucket — nothing is converted."""
+    backends, probes = [], []
 
     def scenario():
-        sim = Simulator(backend="threaded")
+        sim = Simulator(backend=backend)
         clk = sim.add_clock("clk", period=10)
         chan, _inbox, log = _gated_bench(sim, clk)
+        rx = next(t for t in sim._threads if t.name == "rx")
+
+        def probe():
+            parked = id(rx) in clk._gated and not any(
+                rx in bucket for bucket in clk._wakeups.values())
+            probes.append((sim.backend, parked))
 
         def spoiler():
-            yield 120
-            sim.schedule(5, lambda: None)  # a timed event: engine detaches
+            yield 35
+            probe()                        # inside the compiled segment
+            yield 85
+            sim.schedule(5, probe)  # a timed event: the engine detaches
 
         sim.add_thread(spoiler, clk, name="spoiler")
         sim.run_cycles(clk, 30)            # threaded: the consumer parks
@@ -517,6 +532,11 @@ def test_engine_attaches_and_detaches_around_parked_gates(telemetry):
         observed = assert_parks_exactly(scenario, telemetry=telemetry)
     assert skipped[0] > 0
     assert len(observed["result"][0]) == 12
+    segment = "threaded" if telemetry else "compiled"
+    # The every-poll reference never parks; the parked run's consumer is
+    # in the clock's registry under the engine and after its detach.
+    assert probes == [(segment, False), ("threaded", False),
+                      (segment, True), ("threaded", True)]
     if not telemetry:
         assert backends == ["compiled", "threaded"] * 2
 

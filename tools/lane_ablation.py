@@ -10,15 +10,17 @@ The switches are the test-local reference patches of
 * ``every_edge`` — ``Clock._next_time`` never looks past ``next_edge``
   (no idle-skip), everything else on.
 
-Each of seven rounds runs every variant once, in a rotated order, over four
-groups: the six ``soc_threaded`` programs, the ``rtl_gals`` ops (fig3
-crossbars once each, the GALS SoC, the RTL SoC), and the ``li_grid`` /
-``stall_grid`` sweeps run serially (``jobs=1``).  Sizes and seed come
-from ``bench/config.json``.  Every variant must produce the same
-simulated cycles and sweep results as the unpatched kernel (they are
-references, not approximations); the script prints per-group medians of
-wall seconds, the quartiles of ``none`` and each switch's change
-against it.
+Each of seven rounds runs every variant once, in a rotated order, over
+five groups: the six ``soc_threaded`` programs, the same six under the
+compiled engine (``soc_compiled``; the engine never consults
+``Clock._next_time``, so ``every_edge`` leaves it alone), the
+``rtl_gals`` ops (fig3 crossbars once each, the GALS SoC, the RTL SoC),
+and the ``li_grid`` / ``stall_grid`` sweeps run serially (``jobs=1``).
+Sizes and seed come from ``bench/config.json``.  Every variant must
+produce the same simulated cycles, on the same executor, and the same
+sweep results as the unpatched kernel (they are references, not
+approximations); the script prints per-group medians of wall seconds,
+the quartiles of ``none`` and each switch's change against it.
 
 Usage::
 
@@ -68,10 +70,12 @@ def groups(cfg: dict, seed: int) -> dict:
     gals_ops = rtl_gals_ops(cfg["rtl_gals"], seed)
     grids = build_grids(cfg["sweeps"], seed)
 
-    def soc_threaded():
-        with use_backend("threaded"):
-            return [run_workload(w, mode="fast").elapsed_cycles
-                    for w in programs]
+    def soc(backend):
+        def run():
+            with use_backend(backend):
+                socs = [run_workload(w, mode="fast") for w in programs]
+            return [(soc.elapsed_cycles, soc.sim.backend) for soc in socs]
+        return run
 
     def rtl_gals():
         out = []
@@ -84,7 +88,8 @@ def groups(cfg: dict, seed: int) -> dict:
     def sweep(name):
         return lambda: run_sweep(grids[name], jobs=1).canonical()
 
-    return {"soc_threaded": soc_threaded, "rtl_gals": rtl_gals,
+    return {"soc_threaded": soc("threaded"), "soc_compiled": soc("compiled"),
+            "rtl_gals": rtl_gals,
             "li_grid": sweep("li_grid"), "stall_grid": sweep("stall_grid")}
 
 
