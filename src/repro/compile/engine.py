@@ -32,7 +32,8 @@ run back to the threaded loop.  Parked threads and channels stay
 parked: the clock is the one registry both loops use, and slot keys
 (``Thread._key``) are one key space, so nothing is converted.  Detach
 triggers are cheap per-cycle guards: a stopped or paused clock, a timed
-event in the heap, a channel/method/thread registered mid-run.
+event in the heap, a channel/method/thread registered mid-run; and, at
+run entry, a telemetry hub attached between runs.
 
 Resume-order equivalence (the byte-identity argument, spelled out in
 ``docs/COMPILED_BACKEND.md``): the threaded kernel wakes a cycle's
@@ -52,7 +53,7 @@ from bisect import bisect_left
 from operator import attrgetter
 
 from ..kernel.backend import record_run
-from ..kernel.capability import OBSERVABILITY, reason as capability_reason
+from ..kernel.capability import reason as capability_reason
 from ..kernel.simulator import (DeltaOverflow, Gate, TimeBudgetExceeded,
                                 _TIME_BUDGET, _monotonic)
 
@@ -183,14 +184,15 @@ class CompiledEngine:
         """
         sim = self.sim
         clock = self.clock
-        # Observability may attach between runs; the engine keeps none
-        # of its counters, so an observed run is threaded.
-        for row in OBSERVABILITY:
-            if row.detect(sim):
-                self.detach(capability_reason("observed", "compiled"))
-                return (False, 0)
+        # A hub may attach between runs; the engine keeps none of its
+        # counters, so a run with telemetry is threaded.  Every other
+        # observer works through ``sim._current`` and ``sim.trace``.
+        if sim.telemetry is not None:
+            self.detach(capability_reason("telemetry", "compiled"))
+            return (False, 0)
 
         live = self._live
+        trace = sim.trace
         active = clock._active
         queue = sim._queue
         wakeups = clock._wakeups
@@ -287,8 +289,9 @@ class CompiledEngine:
                 while True:
                     k = self._scan_idx
                     if k >= len(live):
+                        sim._current = None
                         break
-                    thread = live[k]
+                    thread = sim._current = live[k]
                     try:
                         request = next(thread.gen)
                     except StopIteration:
@@ -324,6 +327,8 @@ class CompiledEngine:
                         nxt = sig._next
                         if nxt != sig._value:
                             sig._value = nxt
+                            if trace is not None:
+                                trace.record(sim.now, sig)
                     dirty.clear()
                 runnable = sim._runnable
                 if runnable:

@@ -23,10 +23,10 @@ one exists.  The diagnosis renders as text (:meth:`HangDiagnosis.format`)
 and exports as JSONL records through :func:`repro.observe.write_jsonl`.
 
 Zero-cost when off: ``sim.watchdog`` is ``None`` by default and the only
-hook sites are the *failure* paths of blocking port operations.  The
-scheduler never reads it, so a watched run schedules exactly like an
-unwatched one — a blocked ``pop()`` registers at its first refusal and
-then parks on its channel's gate as usual.
+hook sites are the *failure* paths of blocking port operations.  No
+executor reads it, so a watched run schedules exactly like an unwatched
+one, compiled or threaded — a blocked ``pop()`` registers at its first
+refusal and then parks on its channel's gate as usual.
 
 Usage::
 

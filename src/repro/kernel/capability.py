@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
-__all__ = ["EXECUTORS", "OBSERVABILITY", "Row", "TABLE", "ROWS",
-           "findings", "reason"]
+__all__ = ["EXECUTORS", "Row", "TABLE", "ROWS", "findings", "reason"]
 
 EXECUTORS = ("compiled", "snapshot", "replay")
 
@@ -142,13 +141,11 @@ TABLE: Tuple[Row, ...] = (
         compiled="telemetry hub attached (per-delta instrumentation)",
         snapshot="telemetry hub attached (counters are not rewound)"),
     Row("trace", "VCD signal trace", _attached("trace"),
-        compiled="signal trace attached (per-commit recording)",
         snapshot="signal trace attached (VCD output is append-only)"),
     Row("watchdog", "progress watchdog", _attached("watchdog"),
-        compiled="progress watchdog attached (per-resume attribution)",
         snapshot="progress watchdog attached (census state is not "
                  "rewound)",
-        # capture installs itself in that slot, so it raises this one
+        # its checker thread and hang verdicts are not in an op script
         replay="simulator already has a watchdog attached"),
     Row("nosnapstate", "channel without `_snapshot_state()` / "
                        "`_restore_state()`",
@@ -173,8 +170,6 @@ TABLE: Tuple[Row, ...] = (
     # -- seen only by the running executor -----------------------------
     Row("lower", "design that does not lower to a node schedule",
         replay="design does not lower to a node schedule: {exc}"),
-    Row("observed", "observability attached between runs",
-        compiled="observability attached between runs"),
     Row("boundary", "process made runnable between runs",
         compiled="runnable processes at a run boundary"),
     Row("schedule", "timed event scheduled mid-run",
@@ -219,10 +214,6 @@ TABLE: Tuple[Row, ...] = (
 )
 
 ROWS = {row.key: row for row in TABLE}
-
-#: The rows ROADMAP item 2 step 2 removes; an attached compiled engine
-#: re-evaluates them at every run entry (nothing per-cycle watches them).
-OBSERVABILITY = tuple(ROWS[key] for key in ("telemetry", "trace", "watchdog"))
 
 _STATIC = {executor: tuple(row for row in TABLE if row.detect is not None
                            and getattr(row, executor) is not None)

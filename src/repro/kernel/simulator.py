@@ -379,14 +379,15 @@ class Simulator:
         self._started = False
         self._finished_threads = 0
         self.trace = None  # optional Trace object (see tracing.py)
-        #: Progress watchdog (see repro.faults.watchdog) or None.  The
-        #: scheduler never reads it: blocking ports call its hooks on
-        #: their failure paths.
+        #: Progress watchdog (see repro.faults.watchdog) or None.  No
+        #: executor reads it: blocking ports call its hooks on their
+        #: failure paths.
         self.watchdog = None
-        #: Thread being resumed (None between resumes: methods, edges)
-        #: and the delta list it sits in.  Watchdog and trace capture
-        #: attribute port attempts to it; ``Clock._unpark`` places a
-        #: gate's thread relative to it.
+        #: Thread being resumed (None between resumes: methods, edges),
+        #: set by both executors, and the threaded delta list it sits
+        #: in.  Watchdog and trace capture attribute port attempts to
+        #: it; without an engine ``Clock._unpark`` places a gate's
+        #: thread relative to it.
         self._current: Optional[Thread] = None
         self._delta: list = []
         #: True inside run() / run_cycles().

@@ -43,10 +43,10 @@ reasons and falls back to full simulation for that parameter group.
 Instrumentation is **scoped**: port/channel methods are class-patched
 only inside the :func:`capture` context (zero overhead for normal
 runs), ops are attributed to the thread the scheduler is resuming
-(``sim._current``), every clock stops parking gate threads
-(``Clock._stop_parking``), so every attempt is seen, and the recorder
-attaches as the simulator's watchdog, which forces the threaded kernel,
-the reference semantics replay must match.
+(``sim._current``, set by either executor), and every clock stops
+parking gate threads (``Clock._stop_parking``), so every attempt is
+seen.  A capture runs on whichever executor the simulator requested:
+both resume threads in the reference order replay must match.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _OP_POP = 1
 
 
 class CaptureError(RuntimeError):
-    """Raised on illegal capture use (nesting, started simulator)."""
+    """Raised on illegal capture use (nested captures)."""
 
 
 class _Recorder:
@@ -105,10 +105,8 @@ class _Recorder:
     # -- structural snapshot (capture entry) ---------------------------
     def snapshot(self) -> None:
         sim = self.sim
-        for key, text in capability.findings(sim, "replay"):
-            if key == "watchdog":  # the recorder needs that slot itself
-                raise CaptureError(text)
-            self.reasons.append(text)
+        self.reasons.extend(text for _key, text
+                            in capability.findings(sim, "replay"))
         if not sim._clocks:
             return
         self.clock = sim._clocks[0]
@@ -133,14 +131,6 @@ class _Recorder:
                 self.thread_paths.append(node.path)
                 self.ops.append([])
                 self._open.append(None)
-
-    # -- watchdog protocol (the slot keeps the compiled backend off) ----
-    def on_block(self, port, channel, op) -> None:
-        """Blocking-port hook; attribution rides on the op stream."""
-        return None
-
-    def on_unblock(self, token) -> None:  # pragma: no cover - token is None
-        return None
 
     # -- op stream -----------------------------------------------------
     def on_op(self, channel, kind: int, ok: bool) -> None:
@@ -395,10 +385,7 @@ def capture(sim):
 
     The simulator must not have run yet (op scripts start at cycle 1).
     Capture stops every clock parking gate threads, so each blocked op
-    attempts once per posedge, and forces the threaded kernel (the
-    recorder attaches as the simulator's watchdog, which the compiled
-    backend's capability check refuses) — the reference semantics replay
-    reproduces.
+    attempts once per posedge; either executor then runs the window.
     """
     global _ACTIVE
     if _ACTIVE is not None:
@@ -409,13 +396,11 @@ def capture(sim):
         clock._stop_parking()
     session = _Session(recorder)
     _ACTIVE = recorder
-    sim.watchdog = recorder
     try:
         with _patched(recorder):
             yield session
     finally:
         _ACTIVE = None
-        sim.watchdog = None
         session.trace = recorder.finalize()
 
 

@@ -8,8 +8,12 @@ three consumers (``try_attach``, ``enable_snapshots``, ``capture``)
 record those rows' texts and nothing of their own.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import registry
 from repro.compile import try_attach
 from repro.connections import Buffer, In, Out
@@ -17,7 +21,7 @@ from repro.design import component_scope
 from repro.faults import FaultPlan, Watchdog
 from repro.kernel import Signal, Simulator, SnapshotError, Trace
 from repro.kernel.capability import EXECUTORS, ROWS, TABLE, findings, reason
-from repro.trace import CaptureError, capture
+from repro.trace import capture
 
 
 def _pipe(*, telemetry=None, factory=True, generator=None):
@@ -106,15 +110,14 @@ def _telemetry_hub():
 def _vcd_trace():
     sim, _, _ = _pipe()
     sim.trace = Trace(autowatch=True)
-    return sim, _verdict(compiled={"trace"}, snapshot={"trace"})
+    return sim, _verdict(snapshot={"trace"})
 
 
 def _watchdog():
     sim, clk, _ = _pipe()
     Watchdog(sim, clk)
     # The watchdog's checker is itself a raw-generator thread.
-    return sim, _verdict(compiled={"watchdog"},
-                         snapshot={"rawthread", "watchdog"},
+    return sim, _verdict(snapshot={"rawthread", "watchdog"},
                          replay={"watchdog"})
 
 
@@ -252,12 +255,12 @@ def test_capture_reasons_are_the_replay_findings_then_the_run_s():
     assert not session.trace["eligible"]
 
 
-def test_capture_raises_the_watchdog_row():
+def test_capture_records_the_watchdog_row():
     sim, _ = _watchdog()
-    with pytest.raises(CaptureError) as excinfo:
-        with capture(sim):
-            pass
-    assert str(excinfo.value) == reason("watchdog", "replay")
+    with capture(sim) as session:
+        sim.run(until=500)
+    assert reason("watchdog", "replay") in session.trace["reasons"]
+    assert not session.trace["eligible"]
 
 
 def test_midrun_detach_records_a_table_row():
@@ -269,3 +272,40 @@ def test_midrun_detach_records_a_table_row():
     sim.run_cycles(clk, 2)
     assert sim.backend == "threaded"
     assert sim.backend_fallback_reason == reason("schedule", "compiled")
+
+
+# ----------------------------------------------------------------------
+# every detection site cites a row that has a text for its executor
+# ----------------------------------------------------------------------
+#: ``reason("key", "executor"`` or ``reason(name, "executor"``, where
+#: ``name`` is a local bound to string literals (``name = "key"``).
+_CITE = re.compile(r'reason\(\s*(?:"(\w+)"|(\w+)),\s*"(\w+)"')
+#: Capture's recorder cites replay rows as ``self.reason("key"``.
+_RECORDER = re.compile(r'self\.reason\(\s*"(\w+)"')
+
+
+def _citations():
+    src = Path(repro.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for literal, name, executor in _CITE.findall(text):
+            keys = [literal] if literal else re.findall(
+                rf'\b{name} = "(\w+)"', text)
+            for key in keys:
+                yield path.name, key, executor
+        if path.relative_to(src).as_posix() == "trace/capture.py":
+            for key in _RECORDER.findall(text):
+                yield path.name, key, "replay"
+
+
+def test_every_cited_row_has_a_text_for_its_executor():
+    cited = set(_citations())
+    for file, key, executor in sorted(cited):
+        assert executor in EXECUTORS, (file, key, executor)
+        assert key in ROWS, f"{file} cites missing row {key!r}"
+        assert getattr(ROWS[key], executor) is not None, (
+            f"{file} cites row {key!r}, which has no {executor} text")
+    # The scan sees literal, variable-bound and recorder citations.
+    pairs = {(key, executor) for _file, key, executor in cited}
+    assert {("boundary", "compiled"), ("midthread", "compiled"),
+            ("telemetry", "compiled"), ("nb", "replay")} <= pairs

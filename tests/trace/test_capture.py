@@ -177,14 +177,6 @@ def test_captures_do_not_nest():
                 pass
 
 
-def test_existing_watchdog_refused():
-    sim, _ = _pipe()
-    sim.watchdog = object()
-    with pytest.raises(CaptureError, match="watchdog"):
-        with capture(sim):
-            pass
-
-
 def test_instrumentation_is_scoped():
     """Patched methods are restored when the capture window closes."""
     from repro.connections.channel import FastChannel
