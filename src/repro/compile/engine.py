@@ -4,7 +4,7 @@ Where the threaded kernel re-derives the schedule every timestep — heap
 peeks, wakeup-bucket dict churn, a generator resume for every polling
 thread — this engine drives the design's one periodic clock in the
 threaded kernel's phase order (edge, channel ticks, thread resumes)
-with three elisions, each individually proven equivalent:
+with four elisions, each individually proven equivalent:
 
 1. **Parked threads** — shared with the threaded kernel.  A thread that
    yields a shut :class:`~repro.kernel.Gate` (a gate owner's idle loop,
@@ -20,7 +20,14 @@ with three elisions, each individually proven equivalent:
    skipped span, for both executors (see
    :meth:`repro.kernel.clock.Clock.on_edge`); a tick that leaves data
    visible opens the channel's wake gates itself.
-3. **No per-cycle rescheduling** — the engine's own.  Pollers stay in a
+3. **Idle edges** — the threaded loop's idle-skip.  With no live thread
+   and no step budget, the clock names its next edge with work
+   (``Clock._next_time``: an un-parked callback, a wakeup bucket) and
+   the edges before it are bulk-advanced (``Clock._advance_idle``);
+   exact because the engine's clock is its simulator's only one and
+   the heap is empty.  A run without horizon whose every thread is
+   parked ends where the threaded loop's does.
+4. **No per-cycle rescheduling** — the engine's own.  Pollers stay in a
    flat list sorted by slot key (key order = threaded resume order); a
    posedge is four integer updates instead of heap traffic, and a
    resumed poller is one ``next()`` with no bucket filing.
@@ -180,8 +187,17 @@ class CompiledEngine:
         Returns ``(True, steps)`` when the run completed under the
         engine, ``(False, steps)`` after a detach — the caller's
         threaded loop then continues the same run with the remaining
-        step budget.
+        step budget.  Provenance is recorded however the run ends: a
+        detach records the fallback, any other exit (an exception
+        raised inside the engine too) records ``"compiled"``.
         """
+        try:
+            return self._dispatch(until, max_steps, stop_clock, stop_cycles)
+        finally:
+            if self.sim._engine is self:
+                record_run("compiled")
+
+    def _dispatch(self, until, max_steps, stop_clock, stop_cycles):
         sim = self.sim
         clock = self.clock
         # A hub may attach between runs; the engine keeps none of its
@@ -213,7 +229,6 @@ class CompiledEngine:
             next_edge = clock.next_edge
             if until is not None and next_edge > until:
                 sim.now = until
-                record_run("compiled")
                 return (True, steps)
             # Detach guards: constructs the engine does not cover.
             if (queue or clock._stopped
@@ -236,12 +251,24 @@ class CompiledEngine:
                 self.detach(capability_reason(key, "compiled",
                                               name=clock.name))
                 return (False, steps)
-            if (until is None and max_steps is None and not active
-                    and not wakeups and not live):
-                # The threaded loop's no-work test: nothing left can
-                # act, so the run ends at the last executed edge.
-                record_run("compiled")
-                return (True, steps)
+            if not live and max_steps is None:
+                # The threaded loop's idle-skip: with no thread polling,
+                # the clock names its next edge with work (None: none,
+                # ever), and the edges before it are bulk-advanced —
+                # exact, as under the threaded loop, because this clock
+                # is the only one and the heap is empty.  A step budget
+                # counts edges, so it executes every one.
+                t = clock._next_time()
+                if t is None or (until is not None and t > until):
+                    # Without a horizon the run ends at the last executed
+                    # edge; with one, the idle clock ticks up to it.
+                    if until is not None:
+                        sim.now = until
+                        clock._advance_idle(until, None)
+                    return (True, steps)
+                if t > next_edge:
+                    clock._advance_idle(t - 1, None)
+                    next_edge = t
 
             # -- phase 1: the clock edge (four updates, no heap traffic)
             sim.now = next_edge
@@ -256,7 +283,8 @@ class CompiledEngine:
             # list (a channel that reports quiescent is parked until a
             # push/set_stall re-arms it at its slot; a tick that leaves
             # data visible opens its wake gates itself).
-            clock._fire_callbacks()
+            if active:
+                clock._fire_callbacks()
 
             # -- phase 3: due sleepers take fresh slots ahead of every
             # poller (chronologically the earliest subscribers in this
@@ -347,8 +375,6 @@ class CompiledEngine:
 
             steps += 1
             if max_steps is not None and steps >= max_steps:
-                record_run("compiled")
                 return (True, steps)
             if stop_clock is not None and stop_clock.cycles >= stop_cycles:
-                record_run("compiled")
                 return (True, steps)

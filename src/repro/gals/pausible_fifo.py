@@ -28,11 +28,33 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator, Optional
 
+from ..connections.channel import FastChannel
 from ..connections.ports import In, Out
 from ..design.hierarchy import component_scope
+from ..kernel import Gate
 from ..matchlib.encoding import binary_to_gray
 
 __all__ = ["PausibleBisyncFIFO", "BruteForceSyncFIFO"]
+
+
+def _watch(port: In, gate: Gate) -> Optional[FastChannel]:
+    """Make ``gate`` the idle-wait point of a thread popping ``port``.
+
+    Ports are bound before the first posedge, so a thread calls this
+    first thing.  When the port pops a stock ``FastChannel`` (a
+    ``GalsLink``'s transmit buffer, say), the channel is returned and
+    ``gate`` is declared one refused pop per skipped poll and opened by
+    every tick that leaves data visible: a thread whose pop was refused
+    on the empty channel yields ``gate`` and parks, since every poll
+    until that tick would be refused alike.  Any other channel: None,
+    and the thread polls.
+    """
+    channel = port.channel
+    if type(channel) is not FastChannel:
+        return None
+    gate.idle_pops(channel)
+    channel.add_wake_gate(gate)
+    return channel
 
 
 class PausibleBisyncFIFO:
@@ -57,6 +79,10 @@ class PausibleBisyncFIFO:
         self.capacity = capacity
         self.settle_ps = settle_ps
         self.pausible = pausible
+        # Idle-wait points of the two domain threads (see _tx_run /
+        # _rx_run): both park under either executor.
+        self._tx_gate = Gate()
+        self._rx_gate = Gate()
         with component_scope(sim, requested, kind="PausibleBisyncFIFO",
                              obj=self, default_name=name is None) as inst:
             self.name = inst.name if inst is not None else requested
@@ -86,6 +112,7 @@ class PausibleBisyncFIFO:
 
     # ------------------------------------------------------------------
     def _tx_run(self) -> Generator:
+        source = _watch(self.in_port, self._tx_gate)
         while True:
             if len(self._queue) < self.capacity:
                 ok, msg = self.in_port.pop_nb()
@@ -97,27 +124,35 @@ class PausibleBisyncFIFO:
                         # Pausible clocking: hold off any receiver edge
                         # that would land inside the settling window.
                         self.rx_clock.pause_until(visible)
+                    self._rx_gate.open()
+                elif source is not None and not source._queue:
+                    yield self._tx_gate  # see _watch
+                    continue
             yield
 
     def _rx_run(self) -> Generator:
         while True:
-            if self._queue:
-                visible, msg = self._queue[0]
-                now = self.sim.now
-                if now >= visible:
-                    if self.out_port.push_nb(msg):
-                        self._queue.popleft()
-                        self._rptr += 1
-                        self.transfers += 1
-                elif not self.pausible:
-                    # An unprotected design would have sampled a pointer
-                    # mid-flight here: record the hazard, then read the
-                    # data anyway (silicon would sometimes corrupt it).
-                    self.metastability_risks += 1
-                    if self.out_port.push_nb(msg):
-                        self._queue.popleft()
-                        self._rptr += 1
-                        self.transfers += 1
+            if not self._queue:
+                # Nothing to deliver until _tx_run appends, which opens
+                # this gate from the transmit domain.
+                yield self._rx_gate
+                continue
+            visible, msg = self._queue[0]
+            now = self.sim.now
+            if now >= visible:
+                if self.out_port.push_nb(msg):
+                    self._queue.popleft()
+                    self._rptr += 1
+                    self.transfers += 1
+            elif not self.pausible:
+                # An unprotected design would have sampled a pointer
+                # mid-flight here: record the hazard, then read the
+                # data anyway (silicon would sometimes corrupt it).
+                self.metastability_risks += 1
+                if self.out_port.push_nb(msg):
+                    self._queue.popleft()
+                    self._rptr += 1
+                    self.transfers += 1
             yield
 
     @property
@@ -142,6 +177,8 @@ class BruteForceSyncFIFO:
         self.rx_clock = rx_clock
         self.capacity = capacity
         self.sync_stages = sync_stages
+        self._tx_gate = Gate()
+        self._rx_gate = Gate()
         with component_scope(sim, requested, kind="BruteForceSyncFIFO",
                              obj=self, default_name=name is None) as inst:
             self.name = inst.name if inst is not None else requested
@@ -156,15 +193,23 @@ class BruteForceSyncFIFO:
         self.transfers = 0
 
     def _tx_run(self) -> Generator:
+        source = _watch(self.in_port, self._tx_gate)
         while True:
             if len(self._queue) < self.capacity:
                 ok, msg = self.in_port.pop_nb()
                 if ok:
                     self._queue.append([0, msg])
+                    self._rx_gate.open()
+                elif source is not None and not source._queue:
+                    yield self._tx_gate  # see _watch
+                    continue
             yield
 
     def _rx_run(self) -> Generator:
         while True:
+            if not self._queue:
+                yield self._rx_gate  # opened by _tx_run's append
+                continue
             for entry in self._queue:
                 entry[0] += 1
             if self._queue and self._queue[0][0] > self.sync_stages:

@@ -181,10 +181,11 @@ def execute(request: JobRequest, *,
 
         # Telemetry forces the threaded kernel (the compiled engine
         # detaches when a hub attaches); running under the requested
-        # backend anyway keeps the fallback accounting honest.
-        with use_backend(request.backend), \
-                observe.capture(
-                    trace_signals=request.trace_signals) as session:
+        # backend anyway keeps the fallback accounting honest.  A trace
+        # alone attaches no hub, so it runs on the requested backend.
+        window = (observe.capture(trace_signals=request.trace_signals)
+                  if request.telemetry else observe.capture_traces())
+        with use_backend(request.backend), window as session:
             payload = runner(params, request.seed)
         records = (observe.to_records(session.report(
             label=telemetry_label or request.experiment))

@@ -319,9 +319,9 @@ class Clock:
         — the simulator bulk-advances the cycle counter as time passes,
         see :meth:`_advance_idle`).  A clock with an un-parked edge
         callback, or a pending pause to resolve, needs every posedge
-        executed.  Parked threads are no wakeup.  The simulator honours
+        executed.  Parked threads are no wakeup.  Both executors honour
         an answer past ``next_edge`` only where skipping is exact (see
-        ``Simulator._run``).
+        ``Simulator._threaded_run``, ``CompiledEngine.run``).
         """
         if self._stopped:
             return None

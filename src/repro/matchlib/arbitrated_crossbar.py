@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, Sequence
 
+from ..connections.channel import FastChannel
 from ..connections.ports import In, Out
 from ..connections.signal_accurate import SignalAccurateIn, SignalAccurateOut
 from ..connections.signal_channel import SignalInterface
 from ..design.hierarchy import component_scope
+from ..kernel import Gate
 from .arbiter import RoundRobinArbiter
 from .fifo import Fifo
 
@@ -73,6 +75,8 @@ class ArbitratedCrossbarKernel:
         messages are popped from their input queues.
         """
         grants = []
+        if all(not q._queue for q in self.queues):
+            return grants  # no requests: every pick() would be a no-op
         for o in range(self.n_out):
             if not output_free[o]:
                 continue
@@ -104,6 +108,9 @@ class ArbitratedCrossbarModule:
             self.name = inst.name if inst is not None else name
             self.ins = [In(name=f"in{i}") for i in range(n_in)]
             self.outs = [Out(name=f"out{o}") for o in range(n_out)]
+            # Idle-wait point: the loop parks here under either executor
+            # and is reopened by arrivals on any input channel.
+            self._gate = Gate()
             sim.add_thread(self._run(), clock, name="ctl")
 
     @property
@@ -112,6 +119,19 @@ class ArbitratedCrossbarModule:
 
     def _run(self) -> Generator:
         kernel = self.kernel
+        queues = kernel.queues
+        # Ports are bound before the first posedge.  With every input a
+        # stock FastChannel the loop is a gate owner: once the kernel
+        # queues and every input channel are empty, the next iteration
+        # is one refused pop per input and nothing else, until an
+        # input's tick leaves data visible and opens the gate.
+        channels = [port.channel for port in self.ins]
+        gate = self._gate if all(type(ch) is FastChannel
+                                 for ch in channels) else None
+        if gate is not None:
+            gate.idle_pops(*channels)
+            for ch in channels:
+                ch.add_wake_gate(gate)
         while True:
             for i, port in enumerate(self.ins):
                 if kernel.can_accept(i):
@@ -122,7 +142,11 @@ class ArbitratedCrossbarModule:
             for o, msg in kernel.arbitrate(free):
                 pushed = self.outs[o].push_nb(msg)
                 assert pushed, "arbitrate() only grants free outputs"
-            yield
+            if (gate is not None and all(not q._queue for q in queues)
+                    and all(not ch._queue for ch in channels)):
+                yield gate
+            else:
+                yield
 
 
 class ArbitratedCrossbarRTL:

@@ -22,6 +22,7 @@ from typing import Generator, Optional
 from ..connections.channel import FastChannel
 from ..connections.ports import In, Out
 from ..design.hierarchy import component_scope
+from ..gals.gals_link import GalsLink
 from ..kernel import Gate
 from ..matchlib.arbiter import RoundRobinArbiter
 from ..matchlib.fifo import Fifo
@@ -101,11 +102,15 @@ class WHVCRouter:
         # boundary ports stay unbound forever, so snapshot the channels
         # and bind their handshake methods once (bound methods resolve
         # any channel-kind override, so this is the port call minus the
-        # per-cycle attribute walk).  The idle-exit reads
-        # FastChannel._queue directly; custom link kinds (GALS links,
-        # RTL signal links) run the full body always.
+        # per-cycle attribute walk).  The idle-exit reads the queue of
+        # the FastChannel each input really pops from: the link itself,
+        # or a GALS link's receive buffer.  Other link kinds (RTL signal
+        # links) run the full body always.
         in_channels = [p._channel for p in self.ins if p._channel is not None]
         fast_links = all(isinstance(ch, FastChannel) for ch in in_channels)
+        sources = [ch._rx_chan if isinstance(ch, GalsLink) else ch
+                   for ch in in_channels]
+        watched = all(isinstance(ch, FastChannel) for ch in sources)
         self._in_ops = [(p._channel.peek, p._channel.do_pop)
                         if p._channel is not None else None
                         for p in self.ins]
@@ -122,8 +127,8 @@ class WHVCRouter:
                for p in self.outs):
             self._fast_out = [p._channel for p in self.outs]
         gate = self._gate
-        if fast_links:
-            for ch in in_channels:
+        if watched:
+            for ch in sources:
                 ch.add_wake_gate(gate)
         while True:
             # Idle-exit: nothing buffered, no wormhole holding an output,
@@ -132,8 +137,8 @@ class WHVCRouter:
             # stall counting without a lock), so skip it.  Any held lock
             # forces the full body: a starved wormhole must keep counting
             # output_stall_cycles.
-            if (fast_links and self._buffered == 0 and self._active_locks == 0
-                    and all(not ch._queue for ch in in_channels)):
+            if (watched and self._buffered == 0 and self._active_locks == 0
+                    and all(not ch._queue for ch in sources)):
                 yield gate
                 continue
             self._accept_flits()

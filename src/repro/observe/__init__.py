@@ -39,6 +39,7 @@ from .core import (
     active_session,
     attach_if_enabled,
     capture,
+    capture_traces,
     is_enabled,
 )
 from .events import EventLog, read_jsonl, write_jsonl
@@ -57,6 +58,7 @@ __all__ = [
     "TelemetryHub",
     "CaptureSession",
     "capture",
+    "capture_traces",
     "is_enabled",
     "active_session",
     "attach_if_enabled",

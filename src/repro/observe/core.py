@@ -10,6 +10,9 @@ counter behind one pointer check.  There are two ways to turn it on:
   simulator *constructed inside the window* and collects their hubs, so
   experiment code that builds its own simulators needs no changes.
 
+:func:`capture_traces` is the same window with signal traces and no
+hubs: a hub forces the threaded executor, a trace does not.
+
 Usage::
 
     from repro import observe
@@ -39,6 +42,7 @@ __all__ = [
     "TelemetryHub",
     "CaptureSession",
     "capture",
+    "capture_traces",
     "is_enabled",
     "active_session",
     "attach_if_enabled",
@@ -199,10 +203,13 @@ class TelemetryHub:
 
 
 class CaptureSession:
-    """Everything telemetry-enabled simulators produced inside one window."""
+    """Everything telemetry-enabled simulators produced inside one window
+    (a :func:`capture_traces` window: their signal traces only)."""
 
-    def __init__(self, *, trace_signals: bool = False) -> None:
+    def __init__(self, *, trace_signals: bool = False,
+                 telemetry: bool = True) -> None:
         self.trace_signals = trace_signals
+        self.telemetry = telemetry
         self.hubs: List[TelemetryHub] = []
         self.traces: List[Any] = []  # (Trace objects, simulator order)
 
@@ -251,18 +258,17 @@ def attach_if_enabled(sim, requested: Optional[bool]) -> Optional[TelemetryHub]:
     ``None`` when telemetry stays off (the zero-overhead path).
     """
     session = active_session()
-    if requested is None:
-        requested = session is not None
-    if not requested:
+    if session is None or requested is False:
+        return TelemetryHub(sim) if requested else None
+    if session.trace_signals and sim.trace is None:
+        from ..kernel.tracing import Trace
+
+        sim.trace = Trace(autowatch=True)
+        session.add_trace(sim.trace)
+    if not (requested or session.telemetry):
         return None
     hub = TelemetryHub(sim)
-    if session is not None:
-        session.add(hub)
-        if session.trace_signals and sim.trace is None:
-            from ..kernel.tracing import Trace
-
-            sim.trace = Trace(autowatch=True)
-            session.add_trace(sim.trace)
+    session.add(hub)
     return hub
 
 
@@ -281,7 +287,22 @@ def capture(*, trace_signals: bool = False) -> Iterator[CaptureSession]:
             run_experiment()
         trace = session.best_trace()
     """
-    session = CaptureSession(trace_signals=trace_signals)
+    yield from _window(CaptureSession(trace_signals=trace_signals))
+
+
+@contextmanager
+def capture_traces() -> Iterator[CaptureSession]:
+    """Trace every simulator built inside the ``with`` body, without
+    telemetry: each gets an auto-watching
+    :class:`~repro.kernel.tracing.Trace` and no hub, so it runs on the
+    executor it asked for (a hub forces the threaded kernel; the
+    compiled engine records signal changes itself).  The session's
+    :meth:`~CaptureSession.best_trace` is what ``--trace-vcd`` exports.
+    """
+    yield from _window(CaptureSession(trace_signals=True, telemetry=False))
+
+
+def _window(session: CaptureSession) -> Iterator[CaptureSession]:
     _SESSIONS.append(session)
     try:
         yield session

@@ -15,11 +15,15 @@ import pytest
 
 from repro import registry
 from repro.connections import Buffer, In, Out
-from repro.faults import campaign
+from repro.faults import HangError, Watchdog, campaign
+from repro.jobs import JobRequest, execute
 from repro.kernel import BusSignal, Simulator, Trace, use_backend, write_vcd
+from repro.kernel.backend import last_run, record_run
 from repro.kernel.capability import reason
 from repro.observe import TelemetryHub
 from repro.trace.adapter import classify
+
+from tests.sweep._never_park import constructed_simulators
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +48,19 @@ def test_campaign_records_equal_across_executors(monkeypatch):
             assert got == ref, (harness, seed)
             # A hang is raised out of the engine: ask the simulator.
             assert (sims[-1].backend == "compiled") == single_clock
+
+
+def test_hang_raised_inside_the_engine_records_compiled():
+    """Provenance is recorded on every exit of the engine, a watchdog
+    ``HangError`` raised from inside it too."""
+    with use_backend("compiled"):
+        sim, clk = campaign.build_deadlock_fixture()
+    Watchdog(sim, clk, window=100, max_cycles=2_000)
+    record_run("threaded", "stale")
+    with pytest.raises(HangError):
+        sim.run(until=1_000_000)
+    assert sim.backend == "compiled"
+    assert last_run() == ("compiled", None)
 
 
 # ----------------------------------------------------------------------
@@ -122,6 +139,39 @@ def test_vcd_text_equal_with_the_engine_engaged():
     assert sim.backend == "compiled"
     assert len(sim.trace.changes) > 2 * 12  # seeds plus every write
     assert _vcd(sim) == _vcd(ref)
+
+
+def _job_vcd(experiment, backend, params=None):
+    """A ``--trace-vcd`` job (no stats): its provenance line, the VCD
+    text of its best trace (None without signal activity), and the
+    backends of the simulators it built."""
+    with constructed_simulators() as sims:
+        result = execute(JobRequest(experiment, params=params or {},
+                                    backend=backend, trace_signals=True))
+    assert result.session.hubs == []  # a trace alone attaches no hub
+    trace = result.session.best_trace()
+    text = None
+    if trace is not None:
+        fh = io.StringIO()
+        write_vcd(trace, fh)
+        text = fh.getvalue()
+    return result.provenance(), text, [sim.backend for sim in sims]
+
+
+def test_vcd_job_runs_on_the_requested_backend():
+    line, text, _ = _job_vcd("li-latency", "compiled")
+    assert line == "simulation backend: compiled"
+    assert text == _job_vcd("li-latency", "threaded")[1]
+
+
+def test_vcd_job_text_equal_with_the_engine_engaged():
+    """fig3's RTL crossbar has signal activity and runs compiled."""
+    params = {"ports": "2", "txns": 4}
+    _, ref, _ = _job_vcd("fig3", "threaded", params)
+    _, got, backends = _job_vcd("fig3", "compiled", params)
+    assert ref is not None and "$var wire" in ref
+    assert got == ref
+    assert backends[0] == "compiled"  # the RTL model, the traced one
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,11 @@ settles the skipped edges later (``Clock.on_edge``,
 same kernel with all three elisions off, which exists only here, as
 three patches: a ``FastChannel._tick`` wrapper that swallows the
 quiescence verdict (so no clock ever parks a channel), a
-``Clock._next_time`` that never looks past ``next_edge`` (so no edge is
-ever skipped), and threads whose every ``Gate`` wait is a bare ``yield``
-(so every poll is the generator's own).  There is no such switch in
-``src/``.
+``Clock._next_time`` that never looks past ``next_edge`` (``every_edge``:
+both executors idle-skip through it, so no edge is ever skipped by the
+threaded loop or the compiled engine), and threads whose every ``Gate``
+wait is a bare ``yield`` (so every poll is the generator's own).  There
+is no such switch in ``src/``.
 
 ``assert_parks_exactly(scenario)`` runs ``scenario()`` under both and
 compares, byte for byte, its result record and a fingerprint of every

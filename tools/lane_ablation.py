@@ -8,12 +8,11 @@ The switches are the test-local reference patches of
   no edge is skipped, gate waits are bare polls);
 * ``never_gate`` — gate waits are bare polls, channels still park;
 * ``every_edge`` — ``Clock._next_time`` never looks past ``next_edge``
-  (no idle-skip), everything else on.
+  (no idle-skip under either executor), everything else on.
 
 Each of seven rounds runs every variant once, in a rotated order, over
 five groups: the six ``soc_threaded`` programs, the same six under the
-compiled engine (``soc_compiled``; the engine never consults
-``Clock._next_time``, so ``every_edge`` leaves it alone), the
+compiled engine (``soc_compiled``), the
 ``rtl_gals`` ops (fig3 crossbars once each, the GALS SoC, the RTL SoC),
 and the ``li_grid`` / ``stall_grid`` sweeps run serially (``jobs=1``).
 Sizes and seed come from ``bench/config.json``.  Every variant must
