@@ -9,21 +9,24 @@ on ``pe_scaling`` roughly 60 thread resumes and 110 channel ticks run
 idle consumers polling empty queues, empty channels updating empty
 bookkeeping.
 
-This package removes that cost without changing a single observable:
+The loop that removes that cost without changing a single observable
+is the kernel's lone-clock lane (:mod:`repro.kernel.lane`), which the
+threaded kernel enters too, whenever a design has one periodic clock,
+an empty heap, no methods and no telemetry.  This package is the
+backend that *requests* it:
 
-1. :mod:`.capability` proves the design shape is one the engine can
+1. :mod:`.capability` proves the design shape is one the lane can
    execute equivalently — one periodic clock and no construct the
    ``compiled`` column of the capability table
    (:mod:`repro.kernel.capability`) refuses; anything else **falls
    back** to the threaded kernel, recording why.
-2. :class:`.engine.CompiledEngine` drives that clock with a flat,
-   allocation-free dispatch loop: parked threads are skipped (idle
-   channels and gate waiters leave the clock under either backend), a
-   posedge costs four integer updates, and any construct outside the
-   proof detaches back to the threaded loop mid-run with exact state
-   restoration.
+2. :class:`.engine.CompiledEngine` is the lane plus provenance: it
+   keeps the clock and its entry counts, records ``compiled`` for
+   every run the lane serves, and detaches for good, recording the
+   capability row, the first time the lane leaves (a telemetry hub, a
+   timed event, a thread or callback registered after attach, …).
 
-Attach builds no graph: the engine walks the clock's own callback list
+Attach builds no graph: the lane walks the clock's own callback list
 and wakeup buckets, so attaching costs the capability check and nothing
 more.
 

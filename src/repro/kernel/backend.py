@@ -4,15 +4,17 @@ Two execution backends share one modelling API (see
 ``docs/COMPILED_BACKEND.md``):
 
 * ``"threaded"`` — the event-driven scheduler in
-  :mod:`repro.kernel.simulator`: generator threads resumed through the
-  delta loop every cycle.  Always available; the semantic reference.
-* ``"compiled"`` — the flat dispatch loop in :mod:`repro.compile`: the
-  design's one periodic clock is driven by a per-edge loop that keeps
-  runnable threads in a sorted slot list instead of wakeup buckets
-  (idle channels and gate waiters are parked under either backend).
-  Attaches only when a capability check proves the design uses
-  supported constructs; otherwise the simulator silently runs threaded
-  and records the reason.
+  :mod:`repro.kernel.simulator`: the general delta loop, and the
+  lone-clock lane at every timestep boundary where the design's shape
+  allows.  Always available; the semantic reference.
+* ``"compiled"`` — :mod:`repro.compile`: a claim on the kernel's
+  lone-clock lane (:mod:`repro.kernel.lane`), the per-edge loop that
+  keeps runnable threads in a sorted slot list instead of wakeup
+  buckets.  The threaded kernel enters the same lane wherever the
+  design's shape allows; the compiled request adds a capability check,
+  refusals and provenance.  Attaches only when the check proves the
+  design uses supported constructs; otherwise the simulator silently
+  runs threaded and records the reason.
 
 Selection is ambient so experiment code does not need to thread a
 ``backend=`` argument through every ``Simulator()`` construction::

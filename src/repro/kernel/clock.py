@@ -12,7 +12,8 @@ methodology (section 3.1):
   bisynchronous FIFO [Keller ASYNC'15].
 
 Scheduling lanes (see ``docs/PERFORMANCE.md``) differ only in where
-the next posedge waits; :meth:`Clock._edge` is the one posedge for both:
+the next posedge waits; :meth:`Clock._edge` is the one posedge for the
+first two:
 
 * **fast lane** — periodic clocks (``generator is None``) keep their
   next-edge time in :attr:`next_edge`, stamped with a heap sequence
@@ -22,18 +23,23 @@ the next posedge waits; :meth:`Clock._edge` is the one posedge for both:
   onto the simulator's timed-event heap exactly as a delayed callback
   would, because every edge needs the generator to compute the next
   period.
+* **lone-clock lane** — a design's only clock, periodic, with an empty
+  heap, no methods and no telemetry, is driven by
+  :class:`~repro.kernel.lane.Lane` (under either backend): its pollers
+  sit on a flat list sorted by slot key instead of being re-filed into
+  a bucket every edge.
 
 Sleeping threads are filed in per-clock *wakeup buckets* keyed by the
 absolute cycle number at which they resume (``cycles + n`` for a thread
-yielding ``n``), so a sleeping thread costs zero work per edge.  Both
-lanes share the buckets.
+yielding ``n``), so a sleeping thread costs zero work per edge.  Every
+lane shares the buckets.
 
-Edge callbacks follow a *park / re-arm / credit* protocol shared by the
-threaded kernel and the compiled engine: a callback that returns true
-reports itself **quiescent** and leaves the list walked each posedge
-until its owner re-arms it (``FastChannel`` does, from ``do_push`` /
-``set_stall`` / ``_restore_state``); the owner's ``_credit(n)`` accounts
-the skipped edges exactly.  A clock whose walked list is empty is idle
+Edge callbacks follow a *park / re-arm / credit* protocol shared by
+every lane: a callback that returns true reports itself **quiescent**
+and leaves the list walked each posedge until its owner re-arms it
+(``FastChannel`` does, from ``do_push`` / ``set_stall`` /
+``_restore_state``); the owner's ``_credit(n)`` accounts the skipped
+edges exactly.  A clock whose walked list is empty is idle
 and can be bulk-advanced.
 
 Idle threads leave the buckets altogether.  A thread that yields a shut
@@ -43,13 +49,13 @@ blocked on a parked channel (the channel's pop gate) — is *parked*
 not keep its clock awake.  ``Gate.open()`` files it back
 (:meth:`Clock._unpark`) at the slot its per-edge poll would have held —
 into this cycle's run while that slot is still ahead of whoever opened
-the gate, else into the next cycle's bucket (the compiled engine's live
-list while one is attached).  Slots are *keys* (``Thread._key``), one
-key space for both executors: pollers keep theirs from cycle to cycle,
+the gate, else into the next cycle's bucket (the lone-clock lane's live
+list while the lane runs).  Slots are *keys* (``Thread._key``), one
+key space for every lane: pollers keep theirs from cycle to cycle,
 due sleepers take fresh keys ahead of all, threads registered between
 runs (or made runnable by an event) behind all, so key order is bucket
-order.  The clock is the only registry of parked threads, so attaching
-or detaching the engine converts none of this state.  The polls a
+order.  The clock is the only registry of parked threads, so entering
+or leaving the lane converts none of this state.  The polls a
 parked thread skipped are credited through its gate at unpark and at
 every run exit.
 """
@@ -98,6 +104,7 @@ class Clock:
         "_woke",
         "_woke_at",
         "_woke_now",
+        "_lane",
     )
 
     def __init__(self, sim, name: str, period: int, *, start: int = 0, generator=None):
@@ -112,7 +119,7 @@ class Clock:
         self._wakeups: dict[int, list] = {}
         self._next_wakeup: Optional[int] = None  # min key of _wakeups
         #: Every registered edge callback, registration order (what
-        #: lowering, the capability table and the engine's guards read).
+        #: lowering, the capability table and the lane's guards read).
         self._callbacks: list[Callable[["Clock"], object]] = []
         #: ``(slot, callback, owner)`` records: ``_active`` is the
         #: slot-ordered subsequence walked each posedge, ``_parked`` maps
@@ -133,7 +140,7 @@ class Clock:
         #: wait, a thread registered mid-run): gates then poll.
         self._parks = True
         #: Due sleepers take keys below ``_key_lo``, threads registered
-        #: between runs (or woken by an event, under the engine) above
+        #: between runs (or woken by an event, on the lane) above
         #: ``_key_hi``.
         self._key_lo = 0
         self._key_hi = 0
@@ -142,6 +149,9 @@ class Clock:
         self._woke = None
         self._woke_at = 0
         self._woke_now = -1
+        #: The :class:`~repro.kernel.lane.Lane` dispatching this clock's
+        #: pollers, else None.
+        self._lane = None
         if generator is None:
             # Fast lane: the simulator polls next_edge, no heap events.
             self.next_edge = sim.now + start
@@ -253,25 +263,28 @@ class Clock:
         counters must read exact whenever the simulation is observable).
         Owners stay parked; so do gate threads, credited the same way —
         except the poll of a slot still ahead of whatever raised the
-        exception that ``cut`` the current cycle short (the attached
-        engine's scan cursor tells, else :meth:`_ahead`): it never ran."""
+        exception that ``cut`` the current cycle short (the lane's scan
+        cursor tells, else :meth:`_ahead`): it never ran.  A lane the
+        exception left attached is left now."""
         cycles = self.cycles
         for _slot, _fn, owner in self._parked.values():
             skipped = cycles - owner._skip_from
             if skipped:
                 owner._skip_from = cycles
                 owner._credit(skipped)
-        engine = self.sim._engine
+        lane = self._lane
         for record in self._gated.values():
             skipped = cycles - record[2]
             if cut and skipped and (self._ahead(record[0]) is not None
-                                    if engine is None
-                                    else engine._ahead(record[0])):
+                                    if lane is None
+                                    else lane._ahead(record[0])):
                 skipped -= 1
             record[2] = cycles
             record[1]._skipped(self.sim, skipped)
         self._cursor = -1  # an exception may have cut a walk short
         self._woke = None  # a run boundary ends every edge's deltas
+        if lane is not None:
+            lane._leave()
 
     def _edge(self) -> None:
         """Posedge, on either lane: fired off the heap (general lane) or
@@ -321,7 +334,7 @@ class Clock:
         callback, or a pending pause to resolve, needs every posedge
         executed.  Parked threads are no wakeup.  Both executors honour
         an answer past ``next_edge`` only where skipping is exact (see
-        ``Simulator._threaded_run``, ``CompiledEngine.run``).
+        ``Simulator._threaded_run``, ``Lane.run``).
         """
         if self._stopped:
             return None
@@ -442,15 +455,15 @@ class Clock:
 
     def _unpark(self, threads) -> None:
         """``Gate.open()`` hook: file parked ``threads`` back at their
-        slots — the attached engine's live list, else this cycle's run or
-        the next cycle's bucket — and credit the polls they skipped."""
+        slots — the lane's live list, else this cycle's run or the next
+        cycle's bucket — and credit the polls they skipped."""
         sim = self.sim
-        engine = sim._engine
+        lane = self._lane
         cycles = self.cycles
         for thread in threads:
             _thread, gate, since = self._gated.pop(id(thread))
-            if engine is not None:
-                resumed = engine._place(thread)
+            if lane is not None:
+                resumed = lane._place(thread)
             else:
                 resumed = self._resume_now(thread)
                 if not resumed:

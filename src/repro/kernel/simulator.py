@@ -41,7 +41,12 @@ Scheduler hot path (see ``docs/PERFORMANCE.md`` for the design):
   files it back at the slot its per-edge poll would have held; the
   polls it skipped are credited at unpark and at every run exit;
 * an **idle-skip** bulk-advances a lone clock whose callbacks are all
-  parked over edges where no thread wakes and no timed event fires.
+  parked over edges where no thread wakes and no timed event fires;
+* a design's only clock (periodic, with an empty heap, no methods and
+  no telemetry) runs on the **lone-clock lane**
+  (:mod:`repro.kernel.lane`), entered at any timestep boundary with
+  that shape under either backend: its pollers stay on a list sorted
+  by slot key, each resumed by one ``next()`` with no bucket filing.
 
 All fast paths are semantics-preserving: firing order is kept identical
 to the heap-scheduled kernel by stamping fast-lane edges with the same
@@ -59,6 +64,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..design.hierarchy import Hierarchy
 from ..observe.core import attach_if_enabled
+from .backend import record_run, resolve_backend
 from .clock import Clock
 
 __all__ = [
@@ -163,9 +169,9 @@ class Gate:
     re-check the condition.  To the executor it says the iteration about
     to repeat is idle until :meth:`open` is called (by a message handler,
     or by a watched channel's tick leaving data visible, see
-    ``FastChannel.add_wake_gate``).  So both executors *park* the thread
-    on its clock (``Clock._park``): it leaves the wakeup buckets (the
-    compiled engine's live list), costs nothing per edge, and
+    ``FastChannel.add_wake_gate``).  So every lane *parks* the thread on
+    its clock (``Clock._park``): it leaves the wakeup buckets (the
+    lone-clock lane's live list), costs nothing per edge, and
     :meth:`open` files it back at exactly the slot its per-edge poll
     would have held (``Clock._unpark``).  A spurious :meth:`open` only
     costs one extra poll iteration, never correctness, because the
@@ -384,9 +390,9 @@ class Simulator:
         #: failure paths.
         self.watchdog = None
         #: Thread being resumed (None between resumes: methods, edges),
-        #: set by both executors, and the threaded delta list it sits
-        #: in.  Watchdog and trace capture attribute port attempts to
-        #: it; without an engine ``Clock._unpark`` places a gate's
+        #: set by every lane, and the general delta list it sits in.
+        #: Watchdog and trace capture attribute port attempts to it;
+        #: off the lone-clock lane ``Clock._unpark`` places a gate's
         #: thread relative to it.
         self._current: Optional[Thread] = None
         self._delta: list = []
@@ -402,11 +408,9 @@ class Simulator:
         self.telemetry = attach_if_enabled(self, telemetry)
         # Execution backend (see repro.kernel.backend / repro.compile).
         # ``backend`` overrides the ambient default; "compiled" requests
-        # the graph-compiled dispatch loop, which attaches lazily at the
-        # first run and falls back to this threaded kernel whenever the
-        # design uses a construct it cannot prove equivalent.
-        from .backend import resolve_backend
-
+        # the compiled engine, which attaches lazily at the first run and
+        # falls back to the threaded kernel, recording why, whenever the
+        # design uses a construct it refuses.
         self._backend_requested = resolve_backend(backend)
         self._engine = None          # CompiledEngine once attached
         self._backend_fallback: Optional[str] = None
@@ -459,17 +463,19 @@ class Simulator:
         thread = Thread(self, gen, clock, name, factory)
         self._threads.append(thread)
         self.design.register_thread(thread, name)
-        if clock is not None:
-            if self._running:
-                # Registered by running code: its place among parked
-                # gate threads' slots is unknown, so they poll again.
-                clock._stop_parking()
-            else:
-                thread._key = clock._append_key()
-            clock._subscribe(thread)
-        else:
+        if clock is None:
             # Unclocked threads start in the first delta of time zero.
             self.schedule(0, lambda t=thread: self._make_runnable(t))
+        elif not self._running:
+            thread._key = clock._append_key()
+            clock._subscribe(thread)
+        else:
+            # Registered by running code: its place among parked gate
+            # threads' slots is unknown, so they poll again.
+            clock._stop_parking()
+            lane = clock._lane
+            if lane is None or not lane._adopt(thread):
+                clock._subscribe(thread)
         return thread
 
     def add_method(
@@ -580,26 +586,17 @@ class Simulator:
         (identical to the fully heap-scheduled kernel), then delta
         cycles run until quiescent.
 
-        With ``backend="compiled"`` the run is first offered to the
-        compiled dispatch engine; if the engine declines (capability
-        check) or detaches mid-run (a dynamic construct appeared), the
-        loop below continues with whatever step budget remains.
+        With ``backend="compiled"`` the compiled engine is first offered
+        the run; it takes it if the capability check passes and the
+        lone-clock lane can start, else it records why not.  Either way
+        the same loop runs; the engine only answers for provenance.
         """
         self._running = True
         self._owed = False
         cut = False
         try:
             if self._backend_requested == "compiled":
-                outcome = self._compiled_run(until, max_steps,
-                                             stop_clock, stop_cycles)
-                if outcome is not None:
-                    done, executed = outcome
-                    if done:
-                        return self.now
-                    if max_steps is not None:
-                        max_steps -= executed
-                        if max_steps <= 0:
-                            return self.now
+                self._compiled_run()
             self._threaded_run(until, max_steps, stop_clock, stop_cycles)
             return self.now
         except BaseException as exc:
@@ -611,14 +608,14 @@ class Simulator:
             # budget, exception): the clocks credit parked edge callbacks
             # and gate threads their skipped edges, so counters read
             # exact between runs.  The raiser of an exception stays
-            # ``_current`` (the engine's scan cursor) until then: slots
+            # ``_current`` (the lane's scan cursor) until then: slots
             # ahead of it never polled.
             self._running = False
             for clk in self._clocks:
                 clk._settle(cut)
-            if self._engine is not None:
-                self._engine._settle()
             self._current = None
+            if self._engine is not None:
+                record_run("compiled")
 
     def _threaded_run(self, until, max_steps, stop_clock, stop_cycles):
         """The threaded scheduler loop (see :meth:`_run`)."""
@@ -645,58 +642,76 @@ class Simulator:
                     ne = clk.next_edge
                     if t is None or ne < t:
                         t = ne
-            if live == 1 and max_steps is None:
-                # Idle-skip: a lone clock may name a later edge than its
-                # next.  Exact because each edge it skips would have
-                # been a timestep of its own (no second skipper to share
-                # a timestamp or a sequence stamp with).  Two live fast
-                # clocks, or a step budget (which counts edges), execute
-                # every edge.
-                t = lone._next_time()
-                if queue and (t is None or queue[0][0] < t):
-                    t = queue[0][0]
-            if t is None:
-                # No executable work left.  An idle periodic clock still
-                # ticks silently up to the requested horizon.
-                if until is not None:
-                    if live:
-                        self.now = until
+            lane = None
+            if (live == 1 and not queue and kstats is None
+                    and not self._method_count):
+                # The lone-clock lane takes the run from here if it can,
+                # until the run ends or the lane leaves.
+                lane = self._lane(lone, until, max_steps, steps, stop_clock,
+                                  stop_cycles)
+            if lane is not None:
+                steps, left, mid = lane
+                if not left:
+                    break
+                if not mid:
+                    continue
+                # Left mid-timestep: finish it below.
+                t = self.now
+                self._delta_loop()
+            else:
+                if live == 1 and max_steps is None:
+                    # Idle-skip: a lone clock may name a later edge than
+                    # its next.  Exact because each edge it skips would
+                    # have been a timestep of its own (no second skipper
+                    # to share a timestamp or a sequence stamp with).
+                    # Two live fast clocks, or a step budget (which
+                    # counts edges), execute every edge.
+                    t = lone._next_time()
+                    if queue and (t is None or queue[0][0] < t):
+                        t = queue[0][0]
+                if t is None:
+                    # No executable work left.  An idle periodic clock
+                    # still ticks silently up to the requested horizon.
+                    if until is not None:
+                        if live:
+                            self.now = until
+                        for clk in fast:
+                            clk._advance_idle(until, kstats)
+                    break
+                if until is not None and t > until:
+                    self.now = until
                     for clk in fast:
                         clk._advance_idle(until, kstats)
-                break
-            if until is not None and t > until:
-                self.now = until
+                    break
+                self.now = t
+                due = None
                 for clk in fast:
-                    clk._advance_idle(until, kstats)
-                break
-            self.now = t
-            due = None
-            for clk in fast:
-                ne = clk.next_edge
-                if ne <= t and not clk._stopped:
-                    if ne < t:
-                        # Idle-skip: edges strictly before this timestep
-                        # had no observable work by construction.
-                        clk._advance_idle(t - 1, kstats)
-                        ne = clk.next_edge
-                    if ne == t:
-                        if due is None:
-                            due = [(clk._seq, clk._edge)]
-                        else:
-                            due.append((clk._seq, clk._edge))
-            if due is not None:
-                while queue and queue[0][0] == t:
-                    item = pop(queue)
-                    due.append((item[1], item[2]))
-                if len(due) > 1:
-                    due.sort()
-                if kstats is not None:
-                    kstats.events_fired += len(due)
-                for _, fn in due:
-                    fn()
-                if kstats is not None and self._owed:
-                    self._owed_delta(kstats)
-                self._delta_loop()
+                    ne = clk.next_edge
+                    if ne <= t and not clk._stopped:
+                        if ne < t:
+                            # Idle-skip: edges strictly before this
+                            # timestep had no observable work by
+                            # construction.
+                            clk._advance_idle(t - 1, kstats)
+                            ne = clk.next_edge
+                        if ne == t:
+                            if due is None:
+                                due = [(clk._seq, clk._edge)]
+                            else:
+                                due.append((clk._seq, clk._edge))
+                if due is not None:
+                    while queue and queue[0][0] == t:
+                        item = pop(queue)
+                        due.append((item[1], item[2]))
+                    if len(due) > 1:
+                        due.sort()
+                    if kstats is not None:
+                        kstats.events_fired += len(due)
+                    for _, fn in due:
+                        fn()
+                    if kstats is not None and self._owed:
+                        self._owed_delta(kstats)
+                    self._delta_loop()
             # Fire every remaining timed event at this timestamp,
             # interleaving delta loops so that zero-delay notifications
             # land in fresh deltas.
@@ -800,36 +815,48 @@ class Simulator:
             if deltas > kstats.max_deltas_per_step:
                 kstats.max_deltas_per_step = deltas
 
-    def _compiled_run(self, until, max_steps, stop_clock, stop_cycles):
-        """Offer this run to the compiled engine.
+    def _lane(self, clock, until, max_steps, steps, stop_clock,
+              stop_cycles):
+        """Run the lone-clock lane (:mod:`repro.kernel.lane`) on ``clock``
+        from a timestep boundary: None if the design has a second clock
+        or a pause to resolve, else ``(steps, left, mid)``: the timesteps
+        executed in this run so far, whether the lane left before the run
+        ended, and whether it left mid-timestep.  An attached compiled
+        engine lends the lane its entry counts, and is detached when the
+        lane leaves."""
+        from .lane import Lane
 
-        Returns ``(done, steps_executed)`` when the engine ran, or
-        ``None`` when the run must be (or continue to be) threaded.
-        Lazy import: :mod:`repro.compile` depends on this module.
-        """
+        if len(self._clocks) != 1 or clock._pause_until > clock.next_edge:
+            return None
+        engine = self._engine
+        if engine is None:
+            counts = (len(clock._callbacks), len(self._threads))
+        else:
+            counts = (engine._cb_count, engine._thread_count)
+        if max_steps is not None:
+            max_steps -= steps
+        executed, left, mid = Lane(self, clock).run(
+            until, max_steps, stop_clock, stop_cycles, *counts)
+        if left and engine is not None:
+            engine.detach(engine.exit_key())
+        return steps + executed, left, mid
+
+    def _compiled_run(self) -> None:
+        """Attach the compiled engine at the first run, then let it check
+        this run's entry (it detaches, recording why, if the lane cannot
+        take the run).  Lazy import: :mod:`repro.compile` depends on this
+        module."""
         engine = self._engine
         if engine is None:
             if self._backend_fallback is not None:
-                return None
+                return
             from ..compile import try_attach
 
             engine = try_attach(self)
             if engine is None:
-                from .backend import record_run
-
                 record_run("threaded", self._backend_fallback)
-                return None
-        if self._runnable:
-            # Threads made runnable between runs (event notified outside
-            # any process) must file into the wakeup bucket *after* the
-            # pollers the engine manages, so let the threaded loop order
-            # this boundary.
-            from .capability import reason
-
-            engine.detach(reason("boundary", "compiled"))
-            return None
-        self._delta_loop()  # commit stray writes before the first edge
-        return engine.run(until, max_steps, stop_clock, stop_cycles)
+                return
+        engine.enter()
 
     # ------------------------------------------------------------------
     # snapshot / restore (see repro.kernel.snapshot)

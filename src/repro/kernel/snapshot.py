@@ -34,12 +34,11 @@ this module is deliberately conservative:
   *before* the snapshot are not replayed and are therefore unsupported
   (the property test pins the supported shapes).
 
-The compiled backend cooperates: :meth:`CompiledEngine.reset()
-<repro.compile.engine.CompiledEngine.reset>` returns an attached engine
-to its just-attached state (an empty live list) without the re-filing
-and fallback recording a mid-run ``detach`` performs, because restore
-rewinds wakeup buckets, parked threads and slot keys through the base
-state instead.
+Restore always runs between runs, where no thread is on the lone-clock
+lane's live list: wakeup buckets, parked threads and slot keys rewind
+through the base state.  The compiled backend only re-reads its thread
+count (:meth:`CompiledEngine.reset()
+<repro.compile.engine.CompiledEngine.reset>`), staying attached.
 """
 
 from __future__ import annotations
@@ -184,9 +183,9 @@ def _clock_state(clk) -> dict:
 
 
 def _restore_base(sim, base: dict) -> None:
-    # The compiled engine (if attached) clears its live list; the rest
-    # is rewound below.  Detached/fallback state is wiped so the next
-    # run re-attempts attach.
+    # The compiled engine (if attached) re-reads its thread count; the
+    # rest is rewound below.  Detached/fallback state is wiped so the
+    # next run re-attempts attach.
     engine = sim._engine
     if engine is not None:
         engine.reset()

@@ -34,7 +34,8 @@ from repro.workloads import (conv2d_workload, dot_product_workload,
 
 from tests.sweep._never_park import (assert_parks_exactly,
                                      constructed_simulators, fingerprint,
-                                     never_gate, observe_run, skipped_polls)
+                                     never_gate, never_lane, observe_run,
+                                     skipped_polls)
 
 TELEMETRY = pytest.mark.parametrize("telemetry", [False, True],
                                     ids=["plain", "telemetry"])
@@ -230,17 +231,23 @@ def _runnable_census() -> dict:
 
 
 def test_parked_gates_leave_the_wakeup_buckets():
-    """The parent commit made 1 114 993 bucket entries runnable per
-    ``soc_threaded`` pass, 88 % of them idle ``yield gate`` polls — which
-    is what the never-gate reference still reads."""
-    parked = _runnable_census()
-    with never_gate():
-        reference = _runnable_census()
+    """On the general loop, the parent commit made 1 114 993 bucket
+    entries runnable per ``soc_threaded`` pass, 88 % of them idle
+    ``yield gate`` polls — which is what the never-gate reference still
+    reads.  The lone-clock lane files none: its pollers never leave its
+    live list."""
+    with never_lane():
+        parked = _runnable_census()
+        with never_gate():
+            reference = _runnable_census()
+    laned = _runnable_census()
     assert reference["runnable"] == 1_114_993
     assert parked["runnable"] <= 140_000
-    assert parked["cycles"] == reference["cycles"] \
+    assert laned["runnable"] == 0
+    assert laned["cycles"] == parked["cycles"] == reference["cycles"] \
         == [1488, 1050, 1547, 1943, 3490, 7469]
-    assert parked["fingerprints"] == reference["fingerprints"]
+    assert laned["fingerprints"] == parked["fingerprints"] \
+        == reference["fingerprints"]
 
 
 # ----------------------------------------------------------------------

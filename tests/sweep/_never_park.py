@@ -15,6 +15,10 @@ threaded loop or the compiled engine), and threads whose every ``Gate``
 wait is a bare ``yield`` (so every poll is the generator's own).  There
 is no such switch in ``src/``.
 
+The lone-clock lane (``repro.kernel.lane``) has its reference here too:
+``never_lane()`` keeps ``Simulator._threaded_run`` on the general loop
+(every poller re-filed into a bucket every edge).
+
 ``assert_parks_exactly(scenario)`` runs ``scenario()`` under both and
 compares, byte for byte, its result record and a fingerprint of every
 simulator it constructed: ``sim.now``, every clock's ``activity()``,
@@ -32,6 +36,7 @@ from repro.connections.channel import ChannelStats, FastChannel
 from repro.design.lower import edge_callbacks
 from repro.kernel import Simulator
 from repro.kernel.clock import Clock
+from repro.kernel.lane import Lane
 from repro.kernel.simulator import Gate
 from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, canonical_json
 
@@ -76,6 +81,34 @@ def never_gate():
 
     with patch.object(Simulator, "add_thread", add_ungated):
         yield
+
+
+@contextmanager
+def never_lane():
+    """The general loop only: ``Simulator._lane`` declines every
+    timestep, so no run (threaded, or compiled with the engine attached)
+    enters the lone-clock lane.  Yields the count of declined entries."""
+    declined = [0]
+
+    def decline(self, *args):
+        declined[0] += 1
+
+    with patch.object(Simulator, "_lane", decline):
+        yield declined
+
+
+@contextmanager
+def lane_entries():
+    """Counts the times a run enters the lone-clock lane."""
+    count = [0]
+    run = Lane.run
+
+    def counted(self, *args):
+        count[0] += 1
+        return run(self, *args)
+
+    with patch.object(Lane, "run", counted):
+        yield count
 
 
 @contextmanager

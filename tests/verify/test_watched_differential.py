@@ -1,9 +1,10 @@
 """Watched differential property: a watchdog does not change the executor.
 
-Both runs of every drawn topology are watched, so the compiled side
-runs on the engine whenever the design allows it (one clock), and must
-still agree with the threaded side on sinks, cycles and channel stats
-with no ``HangError``.
+Every run of every drawn topology is watched, so the compiled side runs
+on the engine whenever the design allows it (one clock), and the
+threaded side on the lone-clock lane; both must agree with the general
+loop alone (``never_lane()``) on sinks, cycles and channel stats with
+no ``HangError``.
 """
 
 from hypothesis import given
@@ -13,6 +14,8 @@ from repro.verify import oracles
 from repro.verify.profiles import property_settings
 from repro.verify.strategies import topologies
 from repro.verify.topology import build_topology
+
+from tests.sweep._never_park import lane_entries, never_lane
 
 
 def _watched(spec, backend):
@@ -36,7 +39,13 @@ def _watched(spec, backend):
 @given(spec=topologies())
 @property_settings()
 def test_watched_runs_agree_across_executors(spec):
-    _, threaded = _watched(spec, "threaded")
+    with never_lane():
+        _, general = _watched(spec, "threaded")
+    with lane_entries() as entries:
+        _, threaded = _watched(spec, "threaded")
     backend, compiled = _watched(spec, "compiled")
+    assert threaded == general
     assert compiled == threaded
-    assert (backend == "compiled") == (len(spec.periods) == 1)
+    one_clock = len(spec.periods) == 1
+    assert (backend == "compiled") == one_clock
+    assert (entries[0] > 0) == one_clock

@@ -8,13 +8,16 @@ The switches are the test-local reference patches of
   no edge is skipped, gate waits are bare polls);
 * ``never_gate`` — gate waits are bare polls, channels still park;
 * ``every_edge`` — ``Clock._next_time`` never looks past ``next_edge``
-  (no idle-skip under either executor), everything else on.
+  (no idle-skip under either executor), everything else on;
+* ``never_lane`` — no run enters the lone-clock lane
+  (``repro.kernel.lane``): every timestep runs on the general loop.
 
 Each of seven rounds runs every variant once, in a rotated order, over
 five groups: the six ``soc_threaded`` programs, the same six under the
 compiled engine (``soc_compiled``), the
 ``rtl_gals`` ops (fig3 crossbars once each, the GALS SoC, the RTL SoC),
-and the ``li_grid`` / ``stall_grid`` sweeps run serially (``jobs=1``).
+and both sweep grids run ``--warm`` (``sweep_warm``) and
+``--incremental`` (``sweep_incremental``), serially (``jobs=1``).
 Sizes and seed come from ``bench/config.json``.  Every variant must
 produce the same simulated cycles, on the same executor, and the same
 sweep results as the unpatched kernel (they are references, not
@@ -46,7 +49,8 @@ from repro.kernel.backend import use_backend  # noqa: E402
 from repro.kernel.clock import Clock  # noqa: E402
 from repro.sweep import run_sweep  # noqa: E402
 from repro.workloads import run_workload  # noqa: E402
-from tests.sweep._never_park import never_gate, never_park  # noqa: E402
+from tests.sweep._never_park import (never_gate, never_lane,  # noqa: E402
+                                     never_park)
 
 
 @contextlib.contextmanager
@@ -59,7 +63,8 @@ def every_edge():
 
 
 VARIANTS = {"none": contextlib.nullcontext, "never_park": never_park,
-            "never_gate": never_gate, "every_edge": every_edge}
+            "never_gate": never_gate, "every_edge": every_edge,
+            "never_lane": never_lane}
 ROUNDS = 7
 
 
@@ -84,12 +89,13 @@ def groups(cfg: dict, seed: int) -> dict:
                        else raw.elapsed_cycles)
         return out
 
-    def sweep(name):
-        return lambda: run_sweep(grids[name], jobs=1).canonical()
+    def sweep(mode):
+        return lambda: [run_sweep(points, jobs=1, **{mode: True}).canonical()
+                        for points in grids.values()]
 
     return {"soc_threaded": soc("threaded"), "soc_compiled": soc("compiled"),
-            "rtl_gals": rtl_gals,
-            "li_grid": sweep("li_grid"), "stall_grid": sweep("stall_grid")}
+            "rtl_gals": rtl_gals, "sweep_warm": sweep("warm"),
+            "sweep_incremental": sweep("incremental")}
 
 
 def main() -> int:
