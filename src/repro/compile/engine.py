@@ -4,7 +4,8 @@ The dispatch loop is :class:`repro.kernel.lane.Lane`, which the threaded
 kernel enters too.  A ``backend="compiled"`` request adds: the
 capability check at the first run (:mod:`.capability`); the callback
 and thread counts from attach, so one registered later, even between
-runs, ends the engine; and provenance — every run the lane serves is
+runs, ends the engine (at run entry, or when the lane returns: the lane
+itself runs it); and provenance — every run the lane serves is
 recorded ``compiled``, and the first construct it leaves on detaches
 the engine for good, recording that capability row.  Detaching
 converts nothing: the lane has already filed its live threads back
@@ -17,6 +18,7 @@ from typing import Optional
 
 from ..kernel.backend import record_run
 from ..kernel.capability import reason as capability_reason
+from ..kernel.lane import exit_key
 
 __all__ = ["CompiledEngine"]
 
@@ -41,34 +43,27 @@ class CompiledEngine:
         made runnable between runs (an event notified outside any
         process) must file after the pollers, so the threaded loop orders
         that boundary."""
-        if self.sim._runnable:
+        sim = self.sim
+        if sim._runnable:
             key = "boundary"
         else:
-            key = self.exit_key()
+            key = exit_key(sim, self.clock) or self._registered()
         if key is not None:
             self.detach(key)
 
-    def exit_key(self) -> Optional[str]:
-        """The capability row of the first construct the lane leaves on
-        (its exit guards, in this order), or None."""
-        sim = self.sim
-        clock = self.clock
+    def leave(self, key: Optional[str]) -> None:
+        """The lane returned, left on guard ``key`` (None: the run ended):
+        detach if it left, or if it ran a newly registered process."""
+        key = self._registered() or key
+        if key is not None:
+            self.detach(key)
+
+    def _registered(self) -> Optional[str]:
+        """The row of a callback or thread registered since attach."""
         key = None
-        if sim.telemetry is not None:
-            key = "telemetry"
-        elif len(sim._clocks) != 1:
-            key = "clocks"
-        elif sim._queue:
-            key = "schedule"
-        elif clock._stopped:
-            key = "midstop"
-        elif clock._pause_until > clock.next_edge:
-            key = "midpause"
-        elif len(clock._callbacks) != self._cb_count:
+        if len(self.clock._callbacks) != self._cb_count:
             key = "midcallback"
-        elif sim._method_count:
-            key = "midmethod"
-        elif len(sim._threads) != self._thread_count:
+        elif len(self.sim._threads) != self._thread_count:
             key = "midthread"
         return key
 

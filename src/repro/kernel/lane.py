@@ -20,15 +20,16 @@ event-woken threads take keys behind all and *append*
 (``Clock._append_key``), and a thread registered by a running thread
 goes just ahead of its registrant (:meth:`Lane._adopt`).
 
-The lane **leaves** at a timestep boundary for a stopped or paused
-clock, a timed event, a telemetry hub, a second clock, or a callback
-or thread registered since entry; and mid-timestep for a timed event
-due now (once its deltas converged) or a method registered this
-timestep (before committing).  Leaving files the live threads into the
-next cycle's wakeup bucket in slot order, behind the sleepers due
-there, and the general loop finishes the run, or the timestep, and
-re-enters the lane at the next boundary that qualifies.  Parked threads
-and channels stay parked: the clock is the one registry both loops use.
+The lane **leaves** on its exit guards (:func:`exit_key`): at a
+timestep boundary for a stopped or paused clock, a timed event, a
+telemetry hub or a second clock; and mid-timestep for a timed event due
+now (once its deltas converged) or a method registered this timestep
+(once that delta's writes are committed).  Leaving files the live
+threads into the next cycle's wakeup bucket in slot order, behind the
+sleepers due there, and the general loop finishes the run, or the
+timestep, and re-enters the lane at the next boundary that qualifies.
+Parked threads and channels stay parked: the clock is the one registry
+both loops use.
 """
 
 from __future__ import annotations
@@ -39,12 +40,31 @@ from operator import attrgetter
 from .simulator import (DeltaOverflow, Gate, TimeBudgetExceeded,
                         _TIME_BUDGET, _monotonic)
 
-__all__ = ["Lane"]
+__all__ = ["Lane", "exit_key"]
 
 #: _scan_idx value outside the live scan: any placed slot resumes next
 #: cycle.
 _NOT_SCANNING = 1 << 60
 _KEY = attrgetter("_key")
+
+
+def exit_key(sim, clock):
+    """The lane's exit guards, in order: the capability row of the first
+    construct that keeps ``clock`` off the lane (the compiled backend's
+    fallback reason), or None while the lane may run it."""
+    if sim.telemetry is not None:
+        return "telemetry"
+    if len(sim._clocks) != 1:
+        return "clocks"
+    if sim._queue:
+        return "schedule"
+    if clock._stopped:
+        return "midstop"
+    if clock._pause_until > clock.next_edge:
+        return "midpause"
+    if sim._method_count:
+        return "midmethod"
+    return None
 
 
 class Lane:
@@ -113,14 +133,22 @@ class Lane:
 
     def _leave(self) -> None:
         """File the live threads into the next cycle's bucket, behind the
-        sleepers due there, and release the clock."""
+        sleepers due there, and release the clock.  After an exception,
+        as the general loop: a raising edge callback's cycle woke no
+        bucket, so the pollers join it; a raising thread is dropped with
+        the slots behind it, the rest of its delta."""
         clock = self.clock
         clock._lane = None
+        scan = self._scan_idx
         self._scan_idx = _NOT_SCANNING
         live = self._live
+        at = clock.cycles + 1
+        if scan < 0:
+            at -= 1
+        elif scan != _NOT_SCANNING:
+            del live[scan:]
         if live:
             self._live = []
-            at = clock.cycles + 1
             bucket = clock._wakeups.get(at)
             if bucket is not None:
                 bucket.extend(live)
@@ -132,28 +160,22 @@ class Lane:
     # ------------------------------------------------------------------
     # the dispatch loop
     # ------------------------------------------------------------------
-    def run(self, until, max_steps, stop_clock, stop_cycles,
-            cb_count, thread_count):
+    def run(self, until, max_steps, stop_clock, stop_cycles):
         """Execute timesteps until a stop condition or an exit guard.
 
-        Returns ``(steps, left, mid)``: the timesteps completed, whether
-        an exit guard (not the run's end) made the lane leave, and
+        Returns ``(steps, key, mid)``: the timesteps completed, the
+        :func:`exit_key` row the lane left on (None: the run ended), and
         whether it left mid-timestep at ``sim.now`` (deltas converged or
-        a method's writes pending, timed events due now still to fire:
-        the caller finishes and counts that timestep).  ``cb_count`` and
-        ``thread_count`` are the callback and thread counts whose change
-        the lane leaves on.  An exception leaves
-        the lane attached: ``Clock._settle`` asks :meth:`_ahead`, then
-        leaves it.
+        a new method to run, timed events due now to fire: the caller
+        finishes that timestep).  An exception leaves the lane attached:
+        ``Clock._settle`` asks :meth:`_ahead`, then leaves it.
         """
         self.clock._lane = self
-        outcome = self._dispatch(until, max_steps, stop_clock, stop_cycles,
-                                 cb_count, thread_count)
+        outcome = self._dispatch(until, max_steps, stop_clock, stop_cycles)
         self._leave()
         return outcome
 
-    def _dispatch(self, until, max_steps, stop_clock, stop_cycles,
-                  cb_count, thread_count):
+    def _dispatch(self, until, max_steps, stop_clock, stop_cycles):
         sim = self.sim
         clock = self.clock
         live = self._live
@@ -161,9 +183,6 @@ class Lane:
         active = clock._active
         queue = sim._queue
         wakeups = clock._wakeups
-        callbacks = clock._callbacks
-        threads = sim._threads
-        clocks = sim._clocks
         dirty = sim._dirty_signals
         budget = _TIME_BUDGET  # stable list identity; usually empty
         steps = 0
@@ -174,21 +193,15 @@ class Lane:
                     f"simulation at t={sim.now} exceeded its wall-clock "
                     f"budget (see repro.kernel.time_budget)"
                 )
-            next_edge = clock.next_edge
             # Exit guards before the horizon: a timed event due before
-            # ``until`` belongs to this run.  (``CompiledEngine.exit_key``
-            # names each guard for the compiled backend's provenance.)
-            if (queue or clock._stopped
-                    or clock._pause_until > next_edge
-                    or len(callbacks) != cb_count
-                    or sim._method_count
-                    or len(threads) != thread_count
-                    or len(clocks) != 1
-                    or sim.telemetry is not None):
-                return (steps, True, False)
+            # ``until`` belongs to this run.
+            key = exit_key(sim, clock)
+            if key is not None:
+                return (steps, key, False)
+            next_edge = clock.next_edge
             if until is not None and next_edge > until:
                 sim.now = until
-                return (steps, False, False)
+                return (steps, None, False)
             if not live and max_steps is None:
                 # Idle-skip: with no thread polling, the clock names its
                 # next edge with work (None: none, ever), and the edges
@@ -201,15 +214,14 @@ class Lane:
                     if until is not None:
                         sim.now = until
                         clock._advance_idle(until, None)
-                    return (steps, False, False)
+                    return (steps, None, False)
                 if t > next_edge:
                     clock._advance_idle(t - 1, None)
                     next_edge = t
 
-            # -- phase 1: the clock edge (four updates, no heap traffic)
+            # -- phase 1: the clock edge (three updates, no heap traffic)
             sim.now = next_edge
             clock.cycles = cycles = clock.cycles + 1
-            clock.next_edge = next_edge + clock.period
             # Until the live scan starts every slot is ahead: a gate
             # opened by a tick resumes this cycle.
             self._scan_idx = -1
@@ -217,6 +229,9 @@ class Lane:
             # -- phase 2: edge callbacks, over the clock's own active list
             if active:
                 clock._fire_callbacks()
+            # Placed where ``Clock._edge`` places it: after the callbacks
+            # (which may change the period).
+            clock.next_edge = next_edge + clock.period
 
             # -- phase 3: due sleepers take fresh slots ahead of every
             # poller (chronologically the earliest subscribers in this
@@ -280,12 +295,9 @@ class Lane:
 
                 if not (sim._runnable or dirty):
                     break
-                if sim._method_count:
-                    # Registered this timestep: the general delta loop
-                    # commits the writes and runs the methods.
-                    return (steps, True, True)
                 if dirty:
-                    # Update phase (no methods exist: commit only).
+                    # Update phase: commit; only a method registered this
+                    # timestep can watch a signal.
                     for sig in dirty:
                         sig._dirty = False
                         nxt = sig._next
@@ -293,7 +305,14 @@ class Lane:
                             sig._value = nxt
                             if trace is not None:
                                 trace.record(sim.now, sig)
+                            for method in sig._watchers or ():
+                                sim._queue_method(method)
                     dirty.clear()
+                if sim._method_count:
+                    # Registered this timestep: the general delta loop
+                    # runs the next delta, methods and threads alike.
+                    self._scan_idx = _NOT_SCANNING
+                    return (steps, exit_key(sim, clock), True)
                 runnable = sim._runnable
                 if runnable:
                     deltas += 1
@@ -311,10 +330,10 @@ class Lane:
             if queue and queue[0][0] == next_edge:
                 # A timed event due now fires in this timestep, after
                 # its deltas: the caller finishes and counts it.
-                return (steps, True, True)
+                return (steps, exit_key(sim, clock), True)
 
             steps += 1
             if max_steps is not None and steps >= max_steps:
-                return (steps, False, False)
+                return (steps, None, False)
             if stop_clock is not None and stop_clock.cycles >= stop_cycles:
-                return (steps, False, False)
+                return (steps, None, False)

@@ -625,6 +625,7 @@ class Simulator:
         fast = self._fast_clocks
         pop = heapq.heappop
         budget = _TIME_BUDGET  # stable list identity; usually empty
+        from .lane import exit_key  # lazy: repro.kernel.lane imports this
         # Flush writes/wakeups performed outside any process before running.
         self._delta_loop()
         while True:
@@ -643,15 +644,14 @@ class Simulator:
                     if t is None or ne < t:
                         t = ne
             lane = None
-            if (live == 1 and not queue and kstats is None
-                    and not self._method_count):
-                # The lone-clock lane takes the run from here if it can,
-                # until the run ends or the lane leaves.
+            if live == 1 and exit_key(self, lone) is None:
+                # The lone-clock lane takes the run from here, until the
+                # run ends or the lane leaves.
                 lane = self._lane(lone, until, max_steps, steps, stop_clock,
                                   stop_cycles)
             if lane is not None:
-                steps, left, mid = lane
-                if not left:
+                steps, key, mid = lane
+                if key is None:
                     break
                 if not mid:
                     continue
@@ -818,28 +818,20 @@ class Simulator:
     def _lane(self, clock, until, max_steps, steps, stop_clock,
               stop_cycles):
         """Run the lone-clock lane (:mod:`repro.kernel.lane`) on ``clock``
-        from a timestep boundary: None if the design has a second clock
-        or a pause to resolve, else ``(steps, left, mid)``: the timesteps
-        executed in this run so far, whether the lane left before the run
-        ended, and whether it left mid-timestep.  An attached compiled
-        engine lends the lane its entry counts, and is detached when the
-        lane leaves."""
+        from a timestep boundary its exit guards pass: ``(steps, key,
+        mid)``, the timesteps executed in this run so far, the guard the
+        lane left on (None: the run ended) and whether it left
+        mid-timestep.  An attached compiled engine is told how the lane
+        left."""
         from .lane import Lane
 
-        if len(self._clocks) != 1 or clock._pause_until > clock.next_edge:
-            return None
-        engine = self._engine
-        if engine is None:
-            counts = (len(clock._callbacks), len(self._threads))
-        else:
-            counts = (engine._cb_count, engine._thread_count)
         if max_steps is not None:
             max_steps -= steps
-        executed, left, mid = Lane(self, clock).run(
-            until, max_steps, stop_clock, stop_cycles, *counts)
-        if left and engine is not None:
-            engine.detach(engine.exit_key())
-        return steps + executed, left, mid
+        executed, key, mid = Lane(self, clock).run(
+            until, max_steps, stop_clock, stop_cycles)
+        if self._engine is not None:
+            self._engine.leave(key)
+        return steps + executed, key, mid
 
     def _compiled_run(self) -> None:
         """Attach the compiled engine at the first run, then let it check

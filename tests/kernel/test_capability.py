@@ -282,6 +282,8 @@ def test_midrun_detach_records_a_table_row():
 _CITE = re.compile(r'reason\(\s*(?:"(\w+)"|(\w+)),\s*"(\w+)"')
 #: Capture's recorder cites replay rows as ``self.reason("key"``.
 _RECORDER = re.compile(r'self\.reason\(\s*"(\w+)"')
+#: ``lane.exit_key`` returns the row of the guard the lane leaves on.
+_GUARD = re.compile(r'return "(\w+)"')
 
 
 def _citations():
@@ -296,6 +298,10 @@ def _citations():
         if path.relative_to(src).as_posix() == "trace/capture.py":
             for key in _RECORDER.findall(text):
                 yield path.name, key, "replay"
+        if path.relative_to(src).as_posix() == "kernel/lane.py":
+            # The lane's exit guards name the compiled engine's detach.
+            for key in _GUARD.findall(text):
+                yield path.name, key, "compiled"
 
 
 def test_every_cited_row_has_a_text_for_its_executor():

@@ -177,14 +177,91 @@ def _capture(sim, clk, log):
 
 
 def _method(sim, clk, log):
+    """The lane leaves once the registering delta's writes are committed:
+    a thread that delta's event wakes reads the new value."""
     sig = BusSignal(sim, width=8, name="sig")
+    event = sim.event("written")
+
+    def waiter():
+        yield event
+        log.append(("waiter", sim.now, sig.read()))
+    sim.add_thread(waiter, clk, name="waiter")
 
     def add():
         sim.add_method(lambda: log.append(("method", sim.now, sig.read())),
                        [sig], name="m")
         sig.write(9)
+        event.notify()
     _at_cycle(sim, clk, 6, add)
     return [sim.run(until=300)]
+
+
+def _set_period(sim, clk, log):
+    def tick(clock):  # the next edge is placed after the callbacks
+        if clock.cycles == 6:
+            clock.set_period(7)
+    clk.on_edge(tick)
+    return [sim.run(until=300)]
+
+
+class _Boom(Exception):
+    pass
+
+
+def _boom():
+    raise _Boom
+
+
+def _rerun(sim, log, runs):
+    """Run to each horizon, catching a raise and running on."""
+    nows = []
+    for until in runs:
+        try:
+            nows.append(sim.run(until=until))
+        except _Boom:
+            log.append(("caught", sim.now))
+    return nows + [sim.pending_threads]
+
+
+def _raise_in_scan(sim, clk, log):
+    """A poller raises mid-scan: it and the pollers behind it are lost."""
+    _at_cycle(sim, clk, 5, _boom, "boom")
+
+    def behind():
+        while True:
+            log.append(("behind", sim.now))
+            yield
+    sim.add_thread(behind, clk, name="behind")
+    return _rerun(sim, log, (100, 200))
+
+
+def _raise_in_delta(sim, clk, log):
+    """A thread an event woke raises in the extra delta: the one woken
+    behind it is lost."""
+    event = sim.event("go")
+
+    def woken(name, fail):
+        def body():
+            yield event
+            if fail:
+                raise _Boom
+            while True:
+                log.append((name, sim.now))
+                yield
+        return body
+    sim.add_thread(woken("first", True), clk, name="first")
+    sim.add_thread(woken("second", False), clk, name="second")
+    _at_cycle(sim, clk, 7, event.notify, "notify")
+    return _rerun(sim, log, (100, 200))
+
+
+def _raise_in_callback(sim, clk, log):
+    """An edge callback raises: that cycle's bucket never wakes."""
+    def tick(clock):
+        if clock.cycles == 9:
+            raise _Boom
+    clk.on_edge(tick)
+    return _rerun(sim, log, (150, 300))
 
 
 def _stop_and_pause(sim, clk, log):
@@ -197,7 +274,10 @@ SCENARIOS = {"schedule": _schedule, "midthread": _midthread,
              "event": _event, "run_cycles": _run_cycles,
              "max_steps": _max_steps, "vcd": _vcd, "watchdog": _watchdog,
              "snapshot": _snapshot, "capture": _capture, "method": _method,
-             "stop_and_pause": _stop_and_pause}
+             "stop_and_pause": _stop_and_pause, "set_period": _set_period,
+             "raise_in_scan": _raise_in_scan,
+             "raise_in_delta": _raise_in_delta,
+             "raise_in_callback": _raise_in_callback}
 
 
 def _observe(case, backend):
@@ -224,12 +304,14 @@ def test_lane_leaves_and_reenters_byte_identically(name):
 
 def test_the_lane_leaves_on_every_exit_guard():
     """Each scenario meant to leave the lane does, and re-enters; a
-    design with a method never re-enters."""
+    design with a method never re-enters, and a thread or callback
+    registered mid-run is run on the lane without leaving it."""
     for name in ("schedule", "midthread", "event", "run_cycles",
                  "max_steps", "snapshot", "method"):
         with lane_entries() as entries:
             _observe(SCENARIOS[name], "threaded")
-        assert (entries[0] == 1) if name == "method" else (entries[0] >= 2)
+        once = name in ("method", "midthread")
+        assert (entries[0] == 1) if once else (entries[0] >= 2)
 
 
 @pytest.mark.parametrize("backend", ["threaded", "compiled"])
