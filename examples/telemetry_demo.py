@@ -13,10 +13,12 @@ signal tracing on, then:
 
 Run:  python examples/telemetry_demo.py
 
-No ``--backend`` flag here: an attached telemetry hub (or VCD trace)
-needs the instrumented per-delta loop, so a ``backend="compiled"``
-request would fall back to the threaded kernel anyway and record
-"telemetry hub attached" as the reason — see docs/COMPILED_BACKEND.md.
+No ``--backend`` flag here: the design's clock comes from an adaptive
+``LocalClockGenerator`` (a per-edge period generator), so a
+``backend="compiled"`` request would fall back to the threaded kernel
+and record why.  The hub and the trace are no reason to: a design with
+one periodic clock runs compiled with either attached — see
+docs/COMPILED_BACKEND.md.
 
 Equivalent CLI (for any built-in experiment):
 

@@ -12,8 +12,8 @@ bookkeeping.
 The loop that removes that cost without changing a single observable
 is the kernel's lone-clock lane (:mod:`repro.kernel.lane`), which the
 threaded kernel enters too, whenever a design has one periodic clock,
-an empty heap, no methods and no telemetry.  This package is the
-backend that *requests* it:
+an empty heap and no methods.  This package is the backend that
+*requests* it:
 
 1. :mod:`.capability` proves the design shape is one the lane can
    execute equivalently — one periodic clock and no construct the
@@ -23,8 +23,8 @@ backend that *requests* it:
 2. :class:`.engine.CompiledEngine` is the lane plus provenance: it
    keeps the clock and its entry counts, records ``compiled`` for
    every run the lane serves, and detaches for good, recording the
-   capability row, the first time the lane leaves (a telemetry hub, a
-   timed event, a thread or callback registered after attach, …).
+   capability row, the first time the lane leaves (a timed event, a
+   thread or callback registered after attach, …).
 
 Attach builds no graph: the lane walks the clock's own callback list
 and wakeup buckets, so attaching costs the capability check and nothing

@@ -179,10 +179,9 @@ def execute(request: JobRequest, *,
     if request.telemetry or request.trace_signals:
         from . import observe
 
-        # Telemetry forces the threaded kernel (the compiled engine
-        # detaches when a hub attaches); running under the requested
-        # backend anyway keeps the fallback accounting honest.  A trace
-        # alone attaches no hub, so it runs on the requested backend.
+        # Under the requested backend: a hub or a trace changes what is
+        # recorded, not the executor (the lone-clock lane keeps both).
+        # A trace alone attaches no hub, so it pays for no counters.
         window = (observe.capture(trace_signals=request.trace_signals)
                   if request.telemetry else observe.capture_traces())
         with use_backend(request.backend), window as session:

@@ -138,7 +138,6 @@ TABLE: Tuple[Row, ...] = (
     Row("telemetry", "telemetry hub (`observe.capture`, `stats`, sweeps "
                      "with telemetry)",
         _attached("telemetry"),
-        compiled="telemetry hub attached (per-delta instrumentation)",
         snapshot="telemetry hub attached (counters are not rewound)"),
     Row("trace", "VCD signal trace", _attached("trace"),
         snapshot="signal trace attached (VCD output is append-only)"),

@@ -24,7 +24,7 @@ first two:
   would, because every edge needs the generator to compute the next
   period.
 * **lone-clock lane** — a design's only clock, periodic, with an empty
-  heap, no methods and no telemetry, is driven by
+  heap and no methods, is driven by
   :class:`~repro.kernel.lane.Lane` (under either backend): its pollers
   sit on a flat list sorted by slot key instead of being re-filed into
   a bucket every edge.

@@ -2,10 +2,12 @@
 
 ``Simulator._threaded_run`` enters the lane at any timestep boundary
 where the design has one clock, periodic and live, an empty timed-event
-heap, no combinational method and no telemetry hub; the compiled
-backend (:mod:`repro.compile`) runs the same lane and adds only its
-refusals and provenance.  It runs each posedge in the general loop's
-phase order (edge, channel ticks, thread resumes) with four elisions:
+heap and no combinational method; the compiled backend
+(:mod:`repro.compile`) runs the same lane and adds only its refusals
+and provenance.  A telemetry hub rides along: the lane keeps its
+kernel counters by the general loop's rules (:meth:`Lane._dispatch`).
+It runs each posedge in the general loop's phase order (edge, channel
+ticks, thread resumes) with four elisions:
 parked gate threads (``Clock._park``, re-inserted at their slot key by
 :meth:`Lane._place`), parked idle channels (``Clock.on_edge``) and
 idle-skip (``Clock._next_time``), all three shared with the general
@@ -17,14 +19,16 @@ Key order is the general loop's resume order (the argument is spelled
 out in ``docs/COMPILED_BACKEND.md``): due sleepers take keys ahead of
 all and *prepend* (``Clock._key_sleepers``), pollers keep theirs,
 event-woken threads take keys behind all and *append*
-(``Clock._append_key``), and a thread registered by a running thread
-goes just ahead of its registrant (:meth:`Lane._adopt`).
+(``Clock._append_key``) — but a thread an edge callback's event woke
+runs first, as in the general loop, so its key goes ahead of the due
+sleepers' — and a thread registered by a running thread goes just
+ahead of its registrant (:meth:`Lane._adopt`).
 
 The lane **leaves** on its exit guards (:func:`exit_key`): at a
-timestep boundary for a stopped or paused clock, a timed event, a
-telemetry hub or a second clock; and mid-timestep for a timed event due
-now (once its deltas converged) or a method registered this timestep
-(once that delta's writes are committed).  Leaving files the live
+timestep boundary for a stopped or paused clock, a timed event or a
+second clock; and mid-timestep for a timed event due now (once its
+deltas converged) or a method registered this timestep (once that
+delta's writes are committed).  Leaving files the live
 threads into the next cycle's wakeup bucket in slot order, behind the
 sleepers due there, and the general loop finishes the run, or the
 timestep, and re-enters the lane at the next boundary that qualifies.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
+from time import perf_counter as _perf_counter
 
 from .simulator import (DeltaOverflow, Gate, TimeBudgetExceeded,
                         _TIME_BUDGET, _monotonic)
@@ -45,6 +50,8 @@ __all__ = ["Lane", "exit_key"]
 #: _scan_idx value outside the live scan: any placed slot resumes next
 #: cycle.
 _NOT_SCANNING = 1 << 60
+#: What the scan takes from a generator that returned.
+_FINISHED = object()
 _KEY = attrgetter("_key")
 
 
@@ -52,8 +59,6 @@ def exit_key(sim, clock):
     """The lane's exit guards, in order: the capability row of the first
     construct that keeps ``clock`` off the lane (the compiled backend's
     fallback reason), or None while the lane may run it."""
-    if sim.telemetry is not None:
-        return "telemetry"
     if len(sim._clocks) != 1:
         return "clocks"
     if sim._queue:
@@ -163,11 +168,13 @@ class Lane:
     def run(self, until, max_steps, stop_clock, stop_cycles):
         """Execute timesteps until a stop condition or an exit guard.
 
-        Returns ``(steps, key, mid)``: the timesteps completed, the
+        Returns ``(steps, key, deltas)``: the timesteps completed, the
         :func:`exit_key` row the lane left on (None: the run ended), and
-        whether it left mid-timestep at ``sim.now`` (deltas converged or
-        a new method to run, timed events due now to fire: the caller
-        finishes that timestep).  An exception leaves the lane attached:
+        None at a timestep boundary, or, when it left mid-timestep at
+        ``sim.now`` (deltas converged or a new method to run, timed
+        events due now to fire), the delta cycles that timestep has run
+        so far: the caller's ``Simulator._delta_loop(deltas)`` finishes
+        it and counts them.  An exception leaves the lane attached:
         ``Clock._settle`` asks :meth:`_ahead`, then leaves it.
         """
         self.clock._lane = self
@@ -180,6 +187,13 @@ class Lane:
         clock = self.clock
         live = self._live
         trace = sim.trace
+        # A telemetry hub's kernel counters, kept as the general loop
+        # keeps them: an edge is an event, a completed timestep adds its
+        # delta cycles, a resume is a wakeup timed from the previous
+        # stamp.  Off, a resume pays one ``kstats is None`` test.
+        hub = sim.telemetry
+        kstats = hub.kernel if hub is not None else None
+        observed = kstats is not None or trace is not None
         active = clock._active
         queue = sim._queue
         wakeups = clock._wakeups
@@ -197,11 +211,11 @@ class Lane:
             # ``until`` belongs to this run.
             key = exit_key(sim, clock)
             if key is not None:
-                return (steps, key, False)
+                return (steps, key, None)
             next_edge = clock.next_edge
             if until is not None and next_edge > until:
                 sim.now = until
-                return (steps, None, False)
+                return (steps, None, None)
             if not live and max_steps is None:
                 # Idle-skip: with no thread polling, the clock names its
                 # next edge with work (None: none, ever), and the edges
@@ -213,15 +227,17 @@ class Lane:
                     # edge; with one, the idle clock ticks up to it.
                     if until is not None:
                         sim.now = until
-                        clock._advance_idle(until, None)
-                    return (steps, None, False)
+                        clock._advance_idle(until, kstats)
+                    return (steps, None, None)
                 if t > next_edge:
-                    clock._advance_idle(t - 1, None)
+                    clock._advance_idle(t - 1, kstats)
                     next_edge = t
 
             # -- phase 1: the clock edge (three updates, no heap traffic)
             sim.now = next_edge
             clock.cycles = cycles = clock.cycles + 1
+            if kstats is not None:
+                kstats.events_fired += 1
             # Until the live scan starts every slot is ahead: a gate
             # opened by a tick resumes this cycle.
             self._scan_idx = -1
@@ -248,6 +264,18 @@ class Lane:
                         clock._key_sleepers(waiters)
                     live[0:0] = [thread for thread in waiters
                                  if not thread.done]
+            woken = sim._runnable
+            if woken:
+                # An edge callback notified an event: the general loop
+                # runs its waiters first, ahead of this cycle's bucket,
+                # so they take slots ahead of the due sleepers'.
+                sim._runnable = []
+                sim._runnable_set.clear()
+                key = clock._key_lo = clock._key_lo - len(woken)
+                for thread in woken:
+                    thread._key = key
+                    key += 1
+                live[0:0] = woken
             # Stamped where ``Clock._edge`` stamps it: after the callbacks.
             clock._seq = next(sim._seq)
 
@@ -259,8 +287,15 @@ class Lane:
             # so the cursor is re-read after every ``next()`` and every
             # removal happens at the re-read index.
             self._scan_idx = 0
-            deltas = 1
+            deltas = 1 if live or dirty else 0
+            if not live and kstats is not None and clock._gated:
+                # Nothing polls: parked gate threads may owe the delta
+                # cycle their polls would have run (the general loop's
+                # rule, counted by the general loop's helper).
+                sim._owed_delta(kstats)
             while True:
+                if kstats is not None:
+                    stamp = _perf_counter()
                 while True:
                     k = self._scan_idx
                     if k >= len(live):
@@ -270,10 +305,16 @@ class Lane:
                     try:
                         request = next(thread.gen)
                     except StopIteration:
-                        thread.done = True
-                        sim._thread_finished(thread)
-                        del live[self._scan_idx]
-                        continue
+                        request = _FINISHED
+                    except BaseException:
+                        if kstats is not None:  # a raiser is woken, untimed
+                            kstats.thread_wakeups += 1
+                        raise
+                    if kstats is not None:
+                        now = _perf_counter()
+                        kstats.thread_wakeups += 1
+                        kstats.add_proc_time(thread.name, now - stamp)
+                        stamp = now
                     if request is None:
                         self._scan_idx += 1
                         continue
@@ -287,6 +328,11 @@ class Lane:
                         continue
                     if isinstance(request, int) and request == 1:
                         self._scan_idx += 1  # a poller keeps its slot
+                        continue
+                    if request is _FINISHED:
+                        thread.done = True
+                        sim._thread_finished(thread)
+                        del live[self._scan_idx]
                         continue
                     # Any other wait (a sleep, an event) leaves the scan;
                     # the thread files itself as under the general loop.
@@ -303,8 +349,11 @@ class Lane:
                         nxt = sig._next
                         if nxt != sig._value:
                             sig._value = nxt
-                            if trace is not None:
-                                trace.record(sim.now, sig)
+                            if observed:
+                                if kstats is not None:
+                                    kstats.signal_commits += 1
+                                if trace is not None:
+                                    trace.record(sim.now, sig)
                             for method in sig._watchers or ():
                                 sim._queue_method(method)
                     dirty.clear()
@@ -312,7 +361,7 @@ class Lane:
                     # Registered this timestep: the general delta loop
                     # runs the next delta, methods and threads alike.
                     self._scan_idx = _NOT_SCANNING
-                    return (steps, exit_key(sim, clock), True)
+                    return (steps, exit_key(sim, clock), deltas)
                 runnable = sim._runnable
                 if runnable:
                     deltas += 1
@@ -330,10 +379,13 @@ class Lane:
             if queue and queue[0][0] == next_edge:
                 # A timed event due now fires in this timestep, after
                 # its deltas: the caller finishes and counts it.
-                return (steps, exit_key(sim, clock), True)
+                return (steps, exit_key(sim, clock), deltas)
 
             steps += 1
+            if kstats is not None:
+                kstats.timesteps += 1
+                kstats.add_deltas(deltas)
             if max_steps is not None and steps >= max_steps:
-                return (steps, None, False)
+                return (steps, None, None)
             if stop_clock is not None and stop_clock.cycles >= stop_cycles:
-                return (steps, None, False)
+                return (steps, None, None)

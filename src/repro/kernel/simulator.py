@@ -42,11 +42,11 @@ Scheduler hot path (see ``docs/PERFORMANCE.md`` for the design):
   polls it skipped are credited at unpark and at every run exit;
 * an **idle-skip** bulk-advances a lone clock whose callbacks are all
   parked over edges where no thread wakes and no timed event fires;
-* a design's only clock (periodic, with an empty heap, no methods and
-  no telemetry) runs on the **lone-clock lane**
-  (:mod:`repro.kernel.lane`), entered at any timestep boundary with
-  that shape under either backend: its pollers stay on a list sorted
-  by slot key, each resumed by one ``next()`` with no bucket filing.
+* a design's only clock (periodic, with an empty heap and no methods)
+  runs on the **lone-clock lane** (:mod:`repro.kernel.lane`), entered
+  at any timestep boundary with that shape under either backend, with
+  or without a telemetry hub: its pollers stay on a list sorted by
+  slot key, each resumed by one ``next()`` with no bucket filing.
 
 All fast paths are semantics-preserving: firing order is kept identical
 to the heap-scheduled kernel by stamping fast-lane edges with the same
@@ -650,14 +650,15 @@ class Simulator:
                 lane = self._lane(lone, until, max_steps, steps, stop_clock,
                                   stop_cycles)
             if lane is not None:
-                steps, key, mid = lane
+                steps, key, deltas = lane
                 if key is None:
                     break
-                if not mid:
+                if deltas is None:
                     continue
-                # Left mid-timestep: finish it below.
+                # Left mid-timestep: finish it below, its delta loop
+                # counting on from the lane's.
                 t = self.now
-                self._delta_loop()
+                self._delta_loop(deltas)
             else:
                 if live == 1 and max_steps is None:
                     # Idle-skip: a lone clock may name a later edge than
@@ -735,27 +736,28 @@ class Simulator:
     def _owed_delta(self, kstats) -> None:
         """Telemetry: the edges just fired left gate threads parked; had
         they polled, their polls would have run a delta cycle of their
-        own if nothing else is runnable now."""
+        own if nothing else is runnable now.  The lone-clock lane calls
+        it too, on an edge of a clock with gate threads parked that
+        leaves nothing polling."""
         self._owed = False
         if not self._runnable and not self._dirty_signals:
-            kstats.delta_cycles += 1
-            if not kstats.max_deltas_per_step:
-                kstats.max_deltas_per_step = 1
+            kstats.add_deltas(1)
 
-    def _delta_loop(self) -> None:
+    def _delta_loop(self, deltas: int = 0) -> None:
         """Evaluate/update until quiescent: run the runnable threads and
         methods, commit the signal writes they made, queue the methods
-        sensitive to a changed signal, repeat.  Telemetry and trace are
-        hoisted: off, a thread resume pays one ``kstats is None`` test, a
-        method one more, and a changed signal one ``observed`` test."""
+        sensitive to a changed signal, repeat.  ``deltas`` is the count
+        of delta cycles this timestep already ran (the lone-clock lane's,
+        when it left mid-timestep).  Telemetry and trace are hoisted:
+        off, a thread resume pays one ``kstats is None`` test, a method
+        one more, and a changed signal one ``observed`` test."""
         dirty = self._dirty_signals
-        if not self._runnable and not dirty:
+        if not self._runnable and not dirty and not deltas:
             return
         kstats = self.telemetry.kernel if self.telemetry is not None else None
         trace = self.trace
         observed = kstats is not None or trace is not None
         now = self.now
-        deltas = 0
         max_deltas = self.MAX_DELTAS_PER_STEP
         while self._runnable or dirty:
             deltas += 1
@@ -811,27 +813,25 @@ class Simulator:
                                     append(method)
                 dirty.clear()
         if kstats is not None:
-            kstats.delta_cycles += deltas
-            if deltas > kstats.max_deltas_per_step:
-                kstats.max_deltas_per_step = deltas
+            kstats.add_deltas(deltas)
 
     def _lane(self, clock, until, max_steps, steps, stop_clock,
               stop_cycles):
         """Run the lone-clock lane (:mod:`repro.kernel.lane`) on ``clock``
         from a timestep boundary its exit guards pass: ``(steps, key,
-        mid)``, the timesteps executed in this run so far, the guard the
-        lane left on (None: the run ended) and whether it left
-        mid-timestep.  An attached compiled engine is told how the lane
-        left."""
+        deltas)``, the timesteps executed in this run so far, the guard
+        the lane left on (None: the run ended) and, if it left
+        mid-timestep, the delta cycles that timestep ran (else None).
+        An attached compiled engine is told how the lane left."""
         from .lane import Lane
 
         if max_steps is not None:
             max_steps -= steps
-        executed, key, mid = Lane(self, clock).run(
+        executed, key, deltas = Lane(self, clock).run(
             until, max_steps, stop_clock, stop_cycles)
         if self._engine is not None:
             self._engine.leave(key)
-        return steps + executed, key, mid
+        return steps + executed, key, deltas
 
     def _compiled_run(self) -> None:
         """Attach the compiled engine at the first run, then let it check

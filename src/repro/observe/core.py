@@ -11,7 +11,10 @@ counter behind one pointer check.  There are two ways to turn it on:
   experiment code that builds its own simulators needs no changes.
 
 :func:`capture_traces` is the same window with signal traces and no
-hubs: a hub forces the threaded executor, a trace does not.
+hubs, for a run that wants waveforms without paying for counters.
+Neither a hub nor a trace changes the executor: the kernel's lone-clock
+lane (and so the compiled backend) keeps a hub's kernel counters and
+records a trace's signal changes itself.
 
 Usage::
 
@@ -89,6 +92,13 @@ class KernelStats:
 
     def add_proc_time(self, name: str, seconds: float) -> None:
         self.proc_seconds[name] = self.proc_seconds.get(name, 0.0) + seconds
+
+    def add_deltas(self, deltas: int) -> None:
+        """One timestep's delta cycles (an evaluate/update loop that
+        returned, or a lone-clock timestep that completed)."""
+        self.delta_cycles += deltas
+        if deltas > self.max_deltas_per_step:
+            self.max_deltas_per_step = deltas
 
     def snapshot(self) -> dict:
         """Return the counters as a plain serializable dict."""
@@ -294,9 +304,8 @@ def capture(*, trace_signals: bool = False) -> Iterator[CaptureSession]:
 def capture_traces() -> Iterator[CaptureSession]:
     """Trace every simulator built inside the ``with`` body, without
     telemetry: each gets an auto-watching
-    :class:`~repro.kernel.tracing.Trace` and no hub, so it runs on the
-    executor it asked for (a hub forces the threaded kernel; the
-    compiled engine records signal changes itself).  The session's
+    :class:`~repro.kernel.tracing.Trace` and no hub, so it pays for no
+    counters it would drop.  The session's
     :meth:`~CaptureSession.best_trace` is what ``--trace-vcd`` exports.
     """
     yield from _window(CaptureSession(trace_signals=True, telemetry=False))

@@ -31,10 +31,12 @@ ever observe complete entries.  A corrupted entry (truncated write,
 schema mismatch, garbage) is dropped the moment a lookup touches it and
 counted — and :meth:`ResultCache.describe` recounts from disk on every
 call, so a dropped entry disappears from the totals immediately, not at
-the next :meth:`~ResultCache.evict`.  Cumulative hit/miss/saved-seconds
-counters persist across processes in ``_stats.json`` (best-effort
-merge; see :meth:`ResultCache.flush_stats`), which is what
-``python -m repro stats`` reports as cache effectiveness.
+the next eviction.  Eviction runs once per sweep, in
+:meth:`ResultCache.flush_stats` (the sweep engine flushes after every
+run), not on every put: a put writes one file and scans nothing.
+Cumulative hit/miss/saved-seconds counters persist across processes in
+``_stats.json`` (best-effort merge; see :meth:`ResultCache.flush_stats`),
+which is what ``python -m repro stats`` reports as cache effectiveness.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ _PERSISTED = ("hits", "misses", "puts", "evictions", "corrupt_dropped",
               "warm_points", "warm_restores")
 
 _REV_CACHE: dict = {}
+
+
+def _unlink(path: str) -> None:
+    """Remove ``path``; already gone is fine (a concurrent evictor)."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 def repo_rev() -> str:
@@ -178,8 +188,10 @@ class ResultCache:
             payload["mode"] = mode
         return canonical_digest(payload)
 
-    def _path(self, key: str) -> pathlib.Path:
-        return pathlib.Path(self.root) / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # A plain string: this runs once per lookup, and a Path costs
+        # several times the join.
+        return os.path.join(self.root, f"{key}.json")
 
     # -- lookup / store ------------------------------------------------
     def get(self, point: SweepPoint, *, mode: str = "exact",
@@ -210,14 +222,14 @@ class ResultCache:
         for mode in modes:
             path = self._path(self.key_for(point, mode=mode))
             try:
-                with open(path) as fh:
-                    entry = json.load(fh)
+                with open(path, "rb") as fh:  # no text-layer decode
+                    entry = json.loads(fh.read())
                 if entry.get("schema") != SCHEMA or "value" not in entry:
                     raise ValueError("cache entry schema mismatch")
             except FileNotFoundError:
                 continue
             except (OSError, ValueError):
-                path.unlink(missing_ok=True)
+                _unlink(path)
                 self.stats.corrupt_dropped += 1
                 continue
             if require is not None and not require(entry["value"]):
@@ -244,20 +256,21 @@ class ResultCache:
 
         ``cost`` is the measured wall-clock seconds it took to produce
         the value — the currency of cost-per-byte eviction and of the
-        ``recompute_seconds_saved`` effectiveness counter.
+        ``recompute_seconds_saved`` effectiveness counter.  The limits
+        are enforced at the next :meth:`flush_stats`, not here.
         """
         key = self.key_for(point, mode=mode)
         path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = os.path.join(self.root, f"{key}.tmp.{os.getpid()}")
         entry = {"schema": SCHEMA, "mode": mode,
                  "cost": max(0.0, float(cost)), "key": {
                      **point.identity(), "version": self.version,
                      "rev": self.rev,
                  }, "value": value}
-        tmp.write_text(json.dumps(entry, sort_keys=True) + "\n")
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
         os.replace(tmp, path)
         self.stats.puts += 1
-        self.evict()
         return key
 
     # -- cross-process exclusion ---------------------------------------
@@ -265,9 +278,10 @@ class ResultCache:
     def _locked(self):
         """Exclusive advisory lock on ``<root>/_lock`` (POSIX flock).
 
-        Serializes the cache's two read-modify-write critical sections
-        — the ``_stats.json`` merge and the eviction scan — across
-        concurrent sweep processes sharing one cache directory.  Entry
+        Serializes the cache's read-modify-write critical section —
+        :meth:`flush_stats`: the eviction scan and the ``_stats.json``
+        merge — across concurrent sweep processes sharing one cache
+        directory.  Entry
         reads and writes stay lock-free (they are already atomic via
         temp-file + ``os.replace``).  Where ``fcntl`` is unavailable
         the sections run unlocked, degrading to the historical
@@ -293,41 +307,45 @@ class ResultCache:
                 fh.close()
 
     # -- maintenance ---------------------------------------------------
-    def _entries(self) -> List[Tuple[float, int, pathlib.Path]]:
-        """(mtime, size, path) for every entry, oldest first."""
+    def _entries(self) -> List[Tuple[float, int, str]]:
+        """(mtime, size, path) for every entry, oldest first.
+
+        One ``scandir`` pass and a stat per entry, no ``Path`` objects:
+        :meth:`describe` lists the directory on every sweep, cached or
+        not.
+        """
         out = []
-        for path in pathlib.Path(self.root).glob("*.json"):
-            if path.name.startswith("_"):  # _stats.json sidecar
-                continue
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            out.append((st.st_mtime_ns, st.st_size, path))
+        try:
+            listing = os.scandir(self.root)
+        except FileNotFoundError:  # root removed under us: no entries
+            return []
+        with listing:
+            for entry in listing:
+                name = entry.name
+                # Skip the _stats.json sidecar, the lock and temp files.
+                if name.startswith("_") or not name.endswith(".json"):
+                    continue
+                try:
+                    st = entry.stat()
+                except OSError:
+                    continue
+                out.append((st.st_mtime_ns, st.st_size, entry.path))
         out.sort()
         return [(m / 1e9, s, p) for m, s, p in out]
 
-    def evict(self) -> int:
-        """Drop entries until ``max_entries`` / ``max_bytes`` hold.
+    def _evict_locked(self) -> int:
+        """Drop entries until ``max_entries`` / ``max_bytes`` hold
+        (called by :meth:`flush_stats`, under the cross-process lock).
 
         Victims are chosen by lowest recompute-cost-per-byte (the
         cheapest results to regenerate relative to the space they
-        occupy), with recency as the tiebreaker.  The stat-only scan
-        runs first: under the limits — the common case, since eviction
-        runs on every put — no entry file is ever opened, and no lock
-        is taken.  An over-limit cache evicts under the cross-process
-        lock so two concurrent writers never race the same scan (each
-        would otherwise delete from a stale listing and over-evict).
+        occupy), with recency as the tiebreaker.  The listing is
+        stat-only: under the limits — the common case — no entry file
+        is ever opened.  The lock keeps two concurrent writers from
+        racing the same scan (each would otherwise delete from a stale
+        listing and over-evict).
         """
         entries = self._entries()
-        total = sum(size for _, size, _ in entries)
-        if len(entries) <= self.max_entries and total <= self.max_bytes:
-            return 0
-        with self._locked():
-            return self._evict_locked()
-
-    def _evict_locked(self) -> int:
-        entries = self._entries()  # re-list under the lock
         total = sum(size for _, size, _ in entries)
         if len(entries) <= self.max_entries and total <= self.max_bytes:
             return 0
@@ -344,7 +362,7 @@ class ResultCache:
         while indexed and (len(indexed) > self.max_entries
                            or total > self.max_bytes):
             _, _, size, path = indexed.pop(0)
-            path.unlink(missing_ok=True)
+            _unlink(path)
             total -= size
             dropped += 1
         self.stats.evictions += dropped
@@ -354,7 +372,7 @@ class ResultCache:
         """Remove every entry; returns how many were dropped."""
         n = 0
         for _, _, path in self._entries():
-            path.unlink(missing_ok=True)
+            _unlink(path)
             n += 1
         return n
 
@@ -366,20 +384,26 @@ class ResultCache:
         return pathlib.Path(self.root) / "_stats.json"
 
     def flush_stats(self) -> dict:
-        """Merge this instance's counters into ``_stats.json``.
+        """Evict, then merge this instance's counters into ``_stats.json``.
 
-        Called by the sweep engine after every run so ``repro stats``
-        can report effectiveness across processes.  The read-modify-
-        write runs under the cross-process lock (:meth:`_locked`), so
-        concurrent sweeps sharing a cache directory merge exactly —
-        no increment is ever lost where ``flock`` is available, and
-        the file is never corrupt regardless (atomic replace).  Only
-        the delta since this instance's previous flush is added, so
-        repeated flushes never double-count — and ``self.stats``
-        itself is left untouched for callers still reporting on this
-        run.
+        Called by the sweep engine once per run so ``repro stats``
+        can report effectiveness across processes; it is also where
+        the limits are enforced: if this instance put anything since
+        its previous flush, the eviction pass runs first, in the same
+        lock, so one directory scan serves a whole
+        sweep's puts and a sweep that put nothing scans nothing.  The
+        read-modify-write runs under the cross-process lock
+        (:meth:`_locked`), so concurrent sweeps sharing a cache
+        directory merge exactly — no increment is ever lost where
+        ``flock`` is available, and the file is never corrupt
+        regardless (atomic replace).  Only the delta since this
+        instance's previous flush is added, so repeated flushes never
+        double-count — and ``self.stats`` itself is left untouched for
+        callers still reporting on this run.
         """
         with self._locked():
+            if self.stats.puts != self._flushed.get("puts", 0):
+                self._evict_locked()
             merged = self.persistent_stats()
             for name in _PERSISTED:
                 current = getattr(self.stats, name)

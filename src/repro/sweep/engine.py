@@ -603,11 +603,13 @@ def _record(points: List[SweepPoint], records: Dict[int, dict], *,
 
     cache_hits = count("cached")
     if cache is not None:
-        # Merged before the snapshot below is taken, so the result's
-        # cache block and the flushed totals agree on this run.
+        # Merged, evicted and flushed before the snapshot below is
+        # taken, so the result's cache block and the flushed totals
+        # agree on this run.
         cache.stats.warm_points += fields.get("warm_points", 0)
         cache.stats.warm_restores += fields.get("restores", 0)
-    result = SweepResult(
+        cache.flush_stats()
+    return SweepResult(
         experiment=points[0].experiment,
         outcomes=outcomes,
         jobs=jobs,
@@ -622,9 +624,6 @@ def _record(points: List[SweepPoint], records: Dict[int, dict], *,
         fallback_reasons=fallback_reasons,
         **fields,
     )
-    if cache is not None:
-        cache.flush_stats()
-    return result
 
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,

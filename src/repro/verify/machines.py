@@ -19,8 +19,9 @@ operations no directed test would write:
 * :class:`CacheMachine` — a :class:`~repro.sweep.cache.ResultCache`
   (plus a second handle on the same directory) against a stored-value
   model: a lookup never returns a *wrong* value, entry counts respect
-  ``max_entries``, corrupt entries are dropped and counted, and the
-  cross-process stats merge is monotone.
+  ``max_entries`` once a handle that stored entries flushes (eviction
+  runs once per sweep, at the flush), corrupt entries are dropped and
+  counted, and the cross-process stats merge is monotone.
 
 Run them via ``<Machine>.TestCase`` (pytest collects these in
 ``tests/verify/test_machines.py``) or ``repro verify``'s stateful
@@ -29,6 +30,7 @@ phase.
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 
@@ -399,6 +401,11 @@ class CacheMachine(RuleBasedStateMachine):
                                  version="v", rev="r")
         self.stored: dict = {}   # key index -> last value written
         self.merged_floor: dict = {}
+        #: Handles that put since their last flush, and whether the
+        #: directory may exceed ``max_entries`` (a put since the last
+        #: evicting flush).
+        self.unflushed: set = set()
+        self.over = False
 
     def _point(self, idx):
         return SweepPoint(experiment="verify_probe",
@@ -410,6 +417,8 @@ class CacheMachine(RuleBasedStateMachine):
         cache = self.cache if handle else self.other
         cache.put(self._point(idx), {"v": value}, cost=0.0)
         self.stored[idx] = value
+        self.unflushed.add(handle)
+        self.over = True
 
     @rule(idx=st.integers(0, 7), handle=st.booleans())
     def get(self, idx, handle):
@@ -432,7 +441,8 @@ class CacheMachine(RuleBasedStateMachine):
         if not entries:
             return
         path = entries[0]
-        path.write_text("{ truncated garbage")
+        with open(path, "w") as fh:
+            fh.write("{ truncated garbage")
         idx = None  # find which stored point this file belongs to
         for candidate in list(self.stored):
             if self.cache._path(self.cache.key_for(
@@ -445,13 +455,18 @@ class CacheMachine(RuleBasedStateMachine):
         if idx is not None:
             assert value is None
             assert self.cache.stats.corrupt_dropped == before + 1
-            assert not path.exists()
+            assert not os.path.exists(path)
             del self.stored[idx]
 
     @rule(handle=st.booleans())
     def flush_stats(self, handle):
         cache = self.cache if handle else self.other
         merged = cache.flush_stats()
+        if handle in self.unflushed:
+            # It stored entries since its last flush: the flush evicted.
+            self.unflushed.discard(handle)
+            self.over = False
+            assert len(cache) <= self.max_entries
         for name, floor in self.merged_floor.items():
             assert merged.get(name, 0) >= floor, (
                 f"persistent counter {name} went backwards")
@@ -461,7 +476,8 @@ class CacheMachine(RuleBasedStateMachine):
     def within_limits(self):
         if not hasattr(self, "cache"):
             return
-        assert len(self.cache) <= self.max_entries
+        if not self.over:
+            assert len(self.cache) <= self.max_entries
         for cache in (self.cache, self.other):
             stats = cache.stats
             assert stats.hits >= 0 and stats.misses >= 0

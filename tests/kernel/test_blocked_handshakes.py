@@ -23,7 +23,6 @@ from repro.experiments import li_latency, stall_verification
 from repro.faults import HangError, Watchdog
 from repro.kernel import Simulator, TimeBudgetExceeded, time_budget
 from repro.kernel.clock import Clock
-from repro.kernel.simulator import Thread
 from repro.sweep import run_sweep
 
 from tests.sweep._never_park import (assert_parks_exactly,
@@ -61,24 +60,44 @@ def test_grid_constants_match_the_benchmark_config():
 
 @contextmanager
 def census():
-    """Executed fast-lane edges and generator resumes; on exit also the
-    simulated cycles of every simulator constructed inside."""
-    counts = {"edges": 0, "resumes": 0}
-    fast_edge, resume = Clock._edge, Thread._resume
+    """Executed clock edges and generator resumes, under either loop
+    (the lone-clock lane resumes a generator with a bare ``next()``, no
+    ``Thread._resume``, and advances its clock without ``Clock._edge``):
+    threads registered inside are counted through a wrapper generator,
+    edges as the cycles ticked minus those idle-skipped.  On exit also
+    the simulated cycles of every simulator constructed inside."""
+    counts = {"resumes": 0}
+    skipped = [0]
+    add_thread, advance_idle = Simulator.add_thread, Clock._advance_idle
 
-    def counted_edge(self):
-        counts["edges"] += 1
-        fast_edge(self)
+    def counted(gen):
+        while True:
+            counts["resumes"] += 1
+            try:
+                request = next(gen)
+            except StopIteration:
+                return
+            yield request
 
-    def counted_resume(self):
-        counts["resumes"] += 1
-        resume(self)
+    def add_counted(self, gen, clock, *, name="thread"):
+        if callable(gen):
+            factory = gen
+            gen = lambda: counted(factory())  # noqa: E731
+        else:
+            gen = counted(gen)
+        return add_thread(self, gen, clock, name=name)
 
-    with patch.object(Clock, "_edge", counted_edge), \
-            patch.object(Thread, "_resume", counted_resume), \
+    def counted_idle(self, last, kstats):
+        before = self.cycles
+        advance_idle(self, last, kstats)
+        skipped[0] += self.cycles - before
+
+    with patch.object(Simulator, "add_thread", add_counted), \
+            patch.object(Clock, "_advance_idle", counted_idle), \
             constructed_simulators() as sims:
         yield counts
     counts["cycles"] = sum(clk.cycles for sim in sims for clk in sim._clocks)
+    counts["edges"] = counts["cycles"] - skipped[0]
 
 
 def _serial(points) -> dict:
@@ -252,11 +271,11 @@ def test_never_gate_reference_still_spins():
 
 
 def test_watched_run_without_horizon_parks_and_raises():
-    sim, clk, chan, got = _starved()
-    Watchdog(sim, clk, window=200)
-    with census() as counts, pytest.raises(HangError) as hang, \
-            time_budget(5.0):
-        sim.run()
+    with census() as counts:
+        sim, clk, chan, got = _starved()
+        Watchdog(sim, clk, window=200)
+        with pytest.raises(HangError) as hang, time_budget(5.0):
+            sim.run()
     diagnosis = hang.value.diagnosis
     assert diagnosis.kind == "deadlock"
     assert sorted(t.thread for t in diagnosis.threads) == ["rx0", "rx1"]

@@ -539,13 +539,12 @@ def test_engine_attaches_and_detaches_around_parked_gates(backend,
         observed = assert_parks_exactly(scenario, telemetry=telemetry)
     assert skipped[0] > 0
     assert len(observed["result"][0]) == 12
-    segment = "threaded" if telemetry else "compiled"
     # The every-poll reference never parks; the parked run's consumer is
-    # in the clock's registry under the engine and after its detach.
-    assert probes == [(segment, False), ("threaded", False),
-                      (segment, True), ("threaded", True)]
-    if not telemetry:
-        assert backends == ["compiled", "threaded"] * 2
+    # in the clock's registry under the engine (a hub attached or not)
+    # and after its detach.
+    assert probes == [("compiled", False), ("threaded", False),
+                      ("compiled", True), ("threaded", True)]
+    assert backends == ["compiled", "threaded"] * 2
 
 
 # ----------------------------------------------------------------------

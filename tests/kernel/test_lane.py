@@ -15,6 +15,7 @@ import io
 
 import pytest
 
+from repro import observe
 from repro.connections import Buffer, In, Out
 from repro.faults import HangError, Watchdog
 from repro.kernel import BusSignal, Simulator, Trace, write_vcd
@@ -112,6 +113,26 @@ def _event(sim, clk, log):
     _at_cycle(sim, clk, 6, event.notify, "notify")
     _at_cycle(sim, clk, 11, lambda: event.notify_at(0), "notify0")
     _at_cycle(sim, clk, 16, lambda: event.notify_at(25), "notify25")
+    return [sim.run(until=400)]
+
+
+def _callback_event(sim, clk, log):
+    """An edge callback notifies: the general loop resumes the waiter
+    ahead of the cycle's bucket, sleepers included, in the same delta."""
+    event = sim.event("tick")
+
+    def waiter():
+        for _ in range(3):
+            yield event
+            log.append(("woke", sim.now))
+            yield
+            log.append(("polled", sim.now))
+    sim.add_thread(waiter, clk, name="waiter")
+
+    def tick(clock):
+        if clock.cycles in (6, 12, 18):  # 6 and 18: "slow" is due too
+            event.notify()
+    clk.on_edge(tick)
     return [sim.run(until=400)]
 
 
@@ -271,7 +292,8 @@ def _stop_and_pause(sim, clk, log):
 
 
 SCENARIOS = {"schedule": _schedule, "midthread": _midthread,
-             "event": _event, "run_cycles": _run_cycles,
+             "event": _event, "callback_event": _callback_event,
+             "run_cycles": _run_cycles,
              "max_steps": _max_steps, "vcd": _vcd, "watchdog": _watchdog,
              "snapshot": _snapshot, "capture": _capture, "method": _method,
              "stop_and_pause": _stop_and_pause, "set_period": _set_period,
@@ -280,26 +302,45 @@ SCENARIOS = {"schedule": _schedule, "midthread": _midthread,
              "raise_in_callback": _raise_in_callback}
 
 
-def _observe(case, backend):
+def _observe(case, backend, hub=False):
+    """The scenario's observation; with ``hub``, run under a telemetry
+    capture, plus the thread names each hub's ``proc_seconds`` charged
+    (wall time, so only the names compare)."""
     def scenario():
         sim, clk, log = _design(backend)
         nows = case(sim, clk, log)
         return {"nows": nows, "log": log, "backend": sim.backend}
-    return observe_run(scenario)
+    if not hub:
+        return observe_run(scenario), None
+    with observe.capture() as session:
+        observed = observe_run(scenario)
+    return observed, [sorted(h.kernel.proc_seconds) for h in session.hubs]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_lane_leaves_and_reenters_byte_identically(name):
+#: Every scenario, and every one again with a telemetry hub but warm
+#: restore (a hub makes a design snapshot-ineligible).
+CASES = [pytest.param(name, False, id=name) for name in sorted(SCENARIOS)] \
+    + [pytest.param(name, True, id=f"{name}-hub")
+       for name in sorted(SCENARIOS) if name != "snapshot"]
+
+
+@pytest.mark.parametrize("name,hub", CASES)
+def test_lane_leaves_and_reenters_byte_identically(name, hub):
+    """With a hub the lane keeps the kernel counters itself and must
+    leave them, with the channel histograms, where the general loop
+    leaves them: through every leave, re-entry and caught exception."""
     case = SCENARIOS[name]
     with never_lane() as declined:
-        reference = _observe(case, "threaded")
+        reference, threads = _observe(case, "threaded", hub)
     with lane_entries() as entries:
-        laned = _observe(case, "threaded")
-    assert laned == reference
+        laned = _observe(case, "threaded", hub)
+    assert laned == (reference, threads)
     assert entries[0] >= 1 and declined[0] >= 1
-    compiled = _observe(case, "compiled")
+    assert not hub or threads[0]
+    compiled, compiled_threads = _observe(case, "compiled", hub)
     # Identical but for provenance: the compiled request may fall back.
     assert compiled.replace('"compiled"', '"threaded"') == reference
+    assert compiled_threads == threads
 
 
 def test_the_lane_leaves_on_every_exit_guard():

@@ -1,9 +1,11 @@
 """Observed runs execute compiled: watchdog, VCD trace and trace capture.
 
-Every observer but telemetry works through what both executors expose —
-the thread being resumed (``sim._current``) and the committed signal
-changes (``sim.trace``) — so a watched, traced or captured design runs
-on the compiled engine and must produce exactly the threaded bytes.
+Every observer works through what both executors expose — the thread
+being resumed (``sim._current``), the committed signal changes
+(``sim.trace``) and a telemetry hub's kernel counters, which the
+lone-clock lane keeps itself — so a watched, traced, captured or
+profiled design runs on the compiled engine and must produce exactly
+the threaded bytes.
 Each test below compares the two executors and checks that the compiled
 side really ran on the engine.
 """
@@ -13,14 +15,14 @@ import io
 
 import pytest
 
-from repro import registry
+from repro import observe, registry
 from repro.connections import Buffer, In, Out
 from repro.faults import HangError, Watchdog, campaign
 from repro.jobs import JobRequest, execute
 from repro.kernel import BusSignal, Simulator, Trace, use_backend, write_vcd
 from repro.kernel.backend import last_run, record_run
-from repro.kernel.capability import reason
 from repro.observe import TelemetryHub
+from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, to_jsonable
 from repro.trace.adapter import classify
 
 from tests.sweep._never_park import constructed_simulators
@@ -177,14 +179,21 @@ def test_vcd_job_text_equal_with_the_engine_engaged():
 # ----------------------------------------------------------------------
 # attaching an observer between two compiled runs
 # ----------------------------------------------------------------------
-def test_telemetry_between_runs_detaches():
-    sim, clk, _ = _counter_pair("compiled")
-    sim.run_cycles(clk, 5)
-    assert sim.backend == "compiled"
-    sim.telemetry = TelemetryHub(sim)
-    sim.run_cycles(clk, 5)
-    assert sim.backend == "threaded"
-    assert sim.backend_fallback_reason == reason("telemetry", "compiled")
+def test_telemetry_between_runs_stays_compiled():
+    """A hub attached between runs rides the lane: the engine stays
+    attached and the kernel counters equal the threaded run's."""
+    records = []
+    for backend in ("threaded", "compiled"):
+        sim, clk, _ = _counter_pair(backend)
+        sim.run_cycles(clk, 5)
+        sim.telemetry = TelemetryHub(sim)
+        sim.run_cycles(clk, 30)
+        assert sim.backend == backend
+        assert sim.backend_fallback_reason is None
+        records.append(to_jsonable(observe.to_records(observe.collect(sim)),
+                                   exclude=NONDETERMINISTIC_FIELDS))
+    assert records[0][1]["signal_commits"] > 0  # the kernel section
+    assert records[1] == records[0]
 
 
 def test_trace_between_runs_stays_compiled():

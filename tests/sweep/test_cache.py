@@ -100,6 +100,7 @@ def test_lru_eviction_at_max_entries(tmp_path):
     # Touch the oldest entry: it becomes most-recently-used.
     assert cache.get(points[0]) is not None
     cache.put(_point(99), {"result": 99})
+    cache.flush_stats()  # eviction runs once per sweep, at the flush
     # points[1] is now the LRU entry and must be the one evicted.
     assert cache.get(points[1]) is None
     assert cache.get(points[0]) is not None
@@ -116,6 +117,7 @@ def test_max_bytes_eviction(tmp_path):
     for age, p in enumerate(points):
         cache.put(p, {"result": blob})
         _age(cache, p, seconds=100 - age)
+    cache.flush_stats()
     assert cache.stats.evictions > 0
     total = sum(f.stat().st_size
                 for f in pathlib.Path(cache.root).glob("*.json"))
@@ -205,6 +207,7 @@ def test_expensive_entry_survives_cheap_fresher_one(tmp_path):
     cache.put(cheap, {"result": "x" * 256}, cost=0.01)
     _age(cache, cheap, seconds=50)
     cache.put(trigger, {"result": 3}, cost=60.0)
+    cache.flush_stats()
     assert cache.get(costly) is not None       # pure LRU would drop this
     assert cache.get(cheap) is None
     assert cache.stats.evictions == 1
@@ -218,6 +221,7 @@ def test_zero_cost_entries_degrade_to_lru(tmp_path):
     cache.put(new, {"result": 2})
     _age(cache, new, seconds=50)
     cache.put(trigger, {"result": 3})
+    cache.flush_stats()
     assert cache.get(old) is None
     assert cache.get(new) is not None
 
@@ -293,3 +297,49 @@ def test_describe_deep_reports_modes_and_cost(tmp_path):
     assert deep["stored_cost_seconds"] == {
         "exact": 1.0, "derived": 0.25, "trace": 5.0}
     assert "persistent" in deep
+
+
+# ----------------------------------------------------------------------
+# one eviction scan per sweep
+# ----------------------------------------------------------------------
+def test_eviction_scans_once_per_fresh_sweep_and_never_when_cached(
+        tmp_path, monkeypatch):
+    """A put scans nothing: the directory is listed for eviction once,
+    at the sweep's flush, and not at all by a run that stored nothing.
+    (``describe()`` recounts the entries for the result's cache block
+    on every run; its listing is not an eviction scan.)"""
+    from repro.experiments import li_latency
+    from repro.sweep import run_sweep
+
+    scans = {"entries": 0, "describe": 0}
+    entries, describe = ResultCache._entries, ResultCache.describe
+
+    def counted_entries(self):
+        scans["entries"] += 1
+        return entries(self)
+
+    def counted_describe(self, **kw):
+        scans["describe"] += 1
+        return describe(self, **kw)
+
+    monkeypatch.setattr(ResultCache, "_entries", counted_entries)
+    monkeypatch.setattr(ResultCache, "describe", counted_describe)
+    points = [p for period in range(5, 10)
+              for p in li_latency.sweep_space(
+                  probabilities=(0.0, 0.2, 0.4), trials=1, period=period)]
+    assert len(points) == 120
+
+    def eviction_scans(cache):
+        scans.update(entries=0, describe=0)
+        result = run_sweep(points, cache=cache)
+        return result, scans["entries"] - scans["describe"]
+
+    fresh, n = eviction_scans(_cache(tmp_path, max_entries=100))
+    assert fresh.executed == 120 and n == 1
+    # The one scan enforced the limit for the whole sweep.
+    assert fresh.cache["entries"] == 100
+    assert fresh.cache["evictions"] == 20
+    cached, n = eviction_scans(_cache(tmp_path))
+    assert cached.cache_hits == 100 and cached.executed == 20 and n == 1
+    rerun, n = eviction_scans(_cache(tmp_path))
+    assert rerun.cache_hits == 120 and n == 0

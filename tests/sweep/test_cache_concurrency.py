@@ -107,7 +107,8 @@ def test_concurrent_eviction_never_races_the_scan(tmp_path):
     # to nothing, and every survivor still parses.
     assert 0 < len(cache) <= 20
     for _, _, path in cache._entries():
-        entry = json.loads(path.read_text())
+        with open(path) as fh:
+            entry = json.load(fh)
         assert "value" in entry
     assert cache.persistent_stats()["puts"] == N_PROCS * PUTS_PER_PROC
 

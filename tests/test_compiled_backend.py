@@ -6,9 +6,9 @@ reference kernel: every cycle count, every statistic, every telemetry
 counter — only wall-clock time may differ.  These tests enforce that
 contract across all nine registered experiment verbs (each also run
 threaded on the general loop alone, ``never_lane()``, which the lane
-both backends share must equal byte for byte), plus the
-fallback paths (capability rejection, instrumentation attach) and the
-sweep-cache identity rules.
+both backends share must equal byte for byte), every experiment with a
+design again with telemetry on, plus the fallback path (capability
+rejection) and the sweep-cache identity rules.
 
 Experiments here run at reduced sizes so the whole file stays in
 tier-1 time budgets; the byte-identity argument does not depend on
@@ -18,12 +18,19 @@ per-cycle, not per-workload).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro import registry
+from repro.experiments import li_latency
+from repro.jobs import JobRequest, execute
 from repro.kernel.backend import last_run, use_backend
-from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, to_jsonable
+from repro.sweep.serialize import (NONDETERMINISTIC_FIELDS, canonical_json,
+                                   to_jsonable)
+from repro.verify.profiles import active_profile
 
-from tests.sweep._never_park import never_lane
+from tests.sweep._never_park import lane_entries, never_lane
 
 
 def _run_both(fn, general=True):
@@ -156,7 +163,7 @@ def test_productivity_identical():
 
 
 # ----------------------------------------------------------------------
-# fallback paths: ineligible designs and instrumentation
+# the fallback path (ineligible designs) and telemetry on the engine
 # ----------------------------------------------------------------------
 def test_capability_rejection_falls_back_with_reason():
     """A design outside the capability proof runs threaded, recorded."""
@@ -173,9 +180,9 @@ def test_capability_rejection_falls_back_with_reason():
             == to_jsonable(reference, exclude=NONDETERMINISTIC_FIELDS))
 
 
-def test_telemetry_attach_falls_back_and_matches():
-    """A telemetry hub needs the instrumented delta loop: compiled
-    detaches, results (including telemetry counters) stay identical."""
+def test_telemetry_runs_compiled_and_matches():
+    """The lane keeps a telemetry hub's kernel counters: compiled stays
+    attached, results (including telemetry counters) stay identical."""
     from repro import observe
     from repro.experiments.fig6_soc import run_pe_scaling_point
 
@@ -189,12 +196,69 @@ def test_telemetry_attach_falls_back_and_matches():
         result = run_pe_scaling_point(dict(params), 0)
     records = observe.to_records(session.report(label="pt"))
 
-    backend, reason = last_run()
-    assert backend == "threaded"
-    assert reason is not None and "telemetry" in reason
+    assert last_run() == ("compiled", None)
     assert result == reference
     assert (to_jsonable(records, exclude=NONDETERMINISTIC_FIELDS)
             == to_jsonable(ref_records, exclude=NONDETERMINISTIC_FIELDS))
+
+
+#: Every catalog experiment with a design, at the shrunken sizes the
+#: CLI parity test uses (fig6: one tiny workload, patched below; its RTL
+#: half never enters the lane and still takes ~8 s for the pair, so it
+#: runs under the ci profile, as the full-size figures do).
+_DESIGNS = [
+    pytest.param(name, marks=pytest.mark.skipif(
+        name == "fig6" and active_profile() == "dev",
+        reason="RTL half: ~8 s; runs under REPRO_HYPOTHESIS_PROFILE=ci"))
+    for name in sorted(registry.names(runnable=True))
+    if registry.get(name).has_design]
+#: Designs whose clocks have period generators: never on the lane.
+_GALS = ("adaptive-clocking", "gals")
+_FAST_PARAMS = {"fig3": {"ports": "2", "txns": 5}}
+
+
+def _telemetry_job(name, backend):
+    result = execute(JobRequest(name, params=_FAST_PARAMS.get(name, {}),
+                                backend=backend, telemetry=True))
+    kernel = next(rec for rec in result.telemetry
+                  if rec.get("section") == "kernel")
+    return (canonical_json({"payload": result.payload,
+                            "telemetry": result.telemetry},
+                           exclude=NONDETERMINISTIC_FIELDS),
+            sorted(kernel["proc_seconds"]))
+
+
+@pytest.mark.parametrize("name", _DESIGNS)
+def test_telemetry_records_equal_the_general_loop(name, monkeypatch):
+    """A telemetry-on job under the compiled request (so on the lane
+    wherever the design has one periodic clock, the engine attached
+    where the capability check admits it) equals the general loop
+    alone: payload, every counter of every record, and the thread names
+    of ``proc_seconds`` (its values are wall time)."""
+    from repro.workloads.soc_workloads import vector_scale_workload
+
+    monkeypatch.setattr(
+        "repro.experiments.fig6_soc.fig6_workloads_small",
+        lambda: [vector_scale_workload(n_pes=2, n_per_pe=4)])
+    with never_lane():
+        reference, ref_threads = _telemetry_job(name, "threaded")
+    with lane_entries() as entries:
+        records, threads = _telemetry_job(name, "compiled")
+    assert records == reference
+    assert threads == ref_threads
+    assert (entries[0] > 0) == (name not in _GALS)
+
+
+def test_telemetry_li_latency_point_enters_the_lane():
+    """The sweep's telemetry-on point jobs run on the lane, and a
+    compiled request stays compiled."""
+    point = li_latency.sweep_space(trials=1)[0]
+    for backend in ("threaded", "compiled"):
+        with lane_entries() as entries:
+            result = execute(JobRequest.from_point(
+                replace(point, backend=backend), telemetry=True))
+        assert entries[0] >= 1
+        assert result.telemetry and result.backend == backend
 
 
 def test_attach_builds_no_design_graph(monkeypatch):

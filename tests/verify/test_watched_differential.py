@@ -4,12 +4,17 @@ Every run of every drawn topology is watched, so the compiled side runs
 on the engine whenever the design allows it (one clock), and the
 threaded side on the lone-clock lane; both must agree with the general
 loop alone (``never_lane()``) on sinks, cycles and channel stats with
-no ``HangError``.
+no ``HangError``.  A drawn ``hub`` attaches a telemetry hub too, which
+changes no executor either: the telemetry records (kernel counters,
+channel histograms) must agree as well.
 """
 
 from hypothesis import given
+from hypothesis import strategies as st
 
+from repro import observe
 from repro.faults.watchdog import HangError
+from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, canonical_json
 from repro.verify import oracles
 from repro.verify.profiles import property_settings
 from repro.verify.strategies import topologies
@@ -36,14 +41,25 @@ def _watched(spec, backend):
     }
 
 
-@given(spec=topologies())
+def _observed(spec, backend, hub):
+    if not hub:
+        return _watched(spec, backend)
+    with observe.capture() as session:
+        backend, observed = _watched(spec, backend)
+    observed["telemetry"] = canonical_json(
+        observe.to_records(session.report(label="watched")),
+        exclude=NONDETERMINISTIC_FIELDS)
+    return backend, observed
+
+
+@given(spec=topologies(), hub=st.booleans())
 @property_settings()
-def test_watched_runs_agree_across_executors(spec):
+def test_watched_runs_agree_across_executors(spec, hub):
     with never_lane():
-        _, general = _watched(spec, "threaded")
+        _, general = _observed(spec, "threaded", hub)
     with lane_entries() as entries:
-        _, threaded = _watched(spec, "threaded")
-    backend, compiled = _watched(spec, "compiled")
+        _, threaded = _observed(spec, "threaded", hub)
+    backend, compiled = _observed(spec, "compiled", hub)
     assert threaded == general
     assert compiled == threaded
     one_clock = len(spec.periods) == 1

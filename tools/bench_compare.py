@@ -27,10 +27,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: each gate was added, so the gate catches a lost mechanism, not a
 #: noisy run.
 GATES = (
-    ("soc_threaded", "soc_compiled", 1.0, 0.65),
-    ("sweep_fresh", "sweep_warm", 2.9, 0.95),
-    ("sweep_fresh", "sweep_incremental", 4.0, 1.25),
-    ("sweep_fresh", "sweep_cached", 23.0, 13.0),
+    ("soc_threaded", "soc_compiled", 0.96, 0.65),
+    ("sweep_fresh", "sweep_warm", 1.67, 0.95),
+    ("sweep_fresh", "sweep_incremental", 2.32, 1.25),
+    ("sweep_fresh", "sweep_cached", 17.1, 13.0),
 )
 
 
