@@ -39,9 +39,10 @@ Every experiment verb (and ``run``) also accepts:
   through the same canonical serializer the sweep cache and merge layer
   use (:mod:`repro.sweep.serialize`).
 * ``--backend {threaded,compiled}`` — pick the simulation backend (see
-  ``docs/COMPILED_BACKEND.md``).  The compiled backend is byte-identical
-  by construction and falls back to the threaded kernel — recording the
-  reason — whenever a design uses constructs it cannot prove out.
+  ``docs/COMPILED_BACKEND.md``).  Both run the same kernel loop; a
+  compiled request takes the capability check's verdict at each
+  simulator's first run and falls back to threaded — recording the
+  reason — when the design uses a construct the check refuses.
 
 Parameter sweeps (see ``docs/PERFORMANCE.md``):
 
@@ -106,7 +107,7 @@ _JSON_HELP = ("dump the result dataclasses as JSON via the canonical "
               "sweep serializer")
 _BACKEND_HELP = ("simulation backend (compiled is differentially "
                  "verified byte-identical; falls back to threaded "
-                 "when unsupported constructs appear)")
+                 "when the design uses an unsupported construct)")
 _TRACE_HELP = "record signal waveforms and write a VCD file"
 
 
@@ -632,9 +633,9 @@ def _build_parser() -> argparse.ArgumentParser:
         stats,
         seed="re-seed the experiment's random source",
         json="also write the telemetry report as JSONL",
-        backend="requested simulation backend (telemetry forces a "
-                "threaded fallback; the report's provenance line "
-                "records what actually ran)",
+        backend="requested simulation backend (the report's "
+                "provenance line records the compiled verdict and any "
+                "fallback reason)",
         trace_vcd="also write signal waveforms as a VCD file")
     return parser
 

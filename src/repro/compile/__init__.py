@@ -13,22 +13,19 @@ The loop that removes that cost without changing a single observable
 is the kernel's lone-clock lane (:mod:`repro.kernel.lane`), which the
 threaded kernel enters too, whenever a design has one periodic clock,
 an empty heap and no methods.  This package is the backend that
-*requests* it:
+*requests* it, and the request is one verdict.
 
-1. :mod:`.capability` proves the design shape is one the lane can
-   execute equivalently — one periodic clock and no construct the
-   ``compiled`` column of the capability table
-   (:mod:`repro.kernel.capability`) refuses; anything else **falls
-   back** to the threaded kernel, recording why.
-2. :class:`.engine.CompiledEngine` is the lane plus provenance: it
-   keeps the clock and its entry counts, records ``compiled`` for
-   every run the lane serves, and detaches for good, recording the
-   capability row, the first time the lane leaves (a timed event, a
-   thread or callback registered after attach, …).
-
-Attach builds no graph: the lane walks the clock's own callback list
-and wakeup buckets, so attaching costs the capability check and nothing
-more.
+The check (:mod:`.capability`) runs once, at the first run of a
+``backend="compiled"`` request: the design shape is one the lane can
+execute equivalently — one periodic clock and no construct the
+``compiled`` column of the capability table
+(:mod:`repro.kernel.capability`) refuses — or the request **falls
+back** to the threaded kernel, recording the first finding's text.
+That verdict is kept for the simulator's lifetime, snapshot restores
+included, and is what ``sim.backend`` and
+:func:`repro.kernel.backend.last_run` report.  It names the request's
+answer, not the loop that ran each timestep: the kernel enters and
+leaves the lane on its own exit guards under either backend.
 
 Select it per simulator (``Simulator(backend="compiled")``), ambiently
 (:func:`repro.kernel.use_backend`), or from the command line
@@ -44,28 +41,22 @@ from __future__ import annotations
 from typing import Optional
 
 from .capability import check as check_capability
-from .engine import CompiledEngine
 
-__all__ = ["CompiledEngine", "check_capability", "try_attach",
-           "compile_cache_stats"]
+__all__ = ["check_capability", "try_attach", "compile_cache_stats"]
 
 
-def try_attach(sim) -> Optional[CompiledEngine]:
-    """Attach a compiled engine to ``sim`` if the design is eligible.
+def try_attach(sim) -> Optional[str]:
+    """Take ``sim``'s compiled verdict: ``"compiled"`` if the design is
+    eligible, else None with the first finding's text recorded
+    (``sim.backend_fallback_reason``).
 
-    Called lazily by the simulator at the first run of a
-    ``backend="compiled"`` request.  On ineligibility the reason is
-    recorded (``sim.backend_fallback_reason``) and ``None`` is
-    returned; the caller proceeds with the threaded kernel.
+    Called by the simulator at the first run of a ``backend="compiled"``
+    request; the verdict holds for the simulator's lifetime.
     """
     reason = check_capability(sim)
-    if reason is not None:
-        sim._backend_fallback = reason
-        return None
-    # The check admits exactly one clock, without a period generator.
-    engine = CompiledEngine(sim, sim._clocks[0])
-    sim._engine = engine
-    return engine
+    sim._backend_fallback = reason
+    sim._verdict = "threaded" if reason is not None else "compiled"
+    return None if reason is not None else "compiled"
 
 
 def compile_cache_stats() -> dict:

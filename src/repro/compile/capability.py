@@ -1,9 +1,9 @@
 """Capability check: can this design run under the compiled backend?
 
-The compiled engine (:mod:`repro.compile.engine`) proves its
-equivalence to the threaded kernel cycle by cycle, and that proof only
-holds for a specific — but very common — design shape.  Which
-constructs fall outside it, and the reason recorded for each, is the
+The compiled backend claims the kernel's lone-clock lane
+(:mod:`repro.kernel.lane`), whose equivalence to the general loop is
+argued cycle by cycle for a specific — but very common — design
+shape.  Which constructs fall outside it, and the reason recorded for each, is the
 ``compiled`` column of the capability table
 (:mod:`repro.kernel.capability`); such designs **fall back** to the
 threaded kernel rather than risk divergence.
@@ -24,7 +24,8 @@ __all__ = ["check"]
 
 
 def check(sim) -> Optional[str]:
-    """Return ``None`` if ``sim`` can attach the compiled engine, else why not."""
+    """Return ``None`` if ``sim`` is eligible for the compiled backend,
+    else why not."""
     for _key, text in findings(sim, "compiled"):
         return text
     return None

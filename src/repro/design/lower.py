@@ -13,8 +13,8 @@ a per-edge executor walks, in the order the threaded kernel walks it:
   wakeup) order.
 
 Trace capture (:mod:`repro.trace.capture`) indexes its op scripts by
-these nodes.  The compiled backend needs none of it: its engine walks
-the clock's own callback list and wakeup buckets.
+these nodes.  The compiled backend needs none of it: the lone-clock
+lane walks the clock's own callback list and wakeup buckets.
 """
 
 from __future__ import annotations

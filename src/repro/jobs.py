@@ -171,8 +171,8 @@ def execute(request: JobRequest, *,
 
     runner, formatter, schema, version = _resolve(request)
     params = dict(request.params)
-    # Provenance is per job: only a compiled attach (or its fallback)
-    # records itself, so without this reset a threaded or analytic job
+    # Provenance is per job: only a compiled request's run records its
+    # verdict, so without this reset a threaded or analytic job
     # would report whatever an earlier job in this process ran on.
     record_run("threaded")
     t0 = time.perf_counter()

@@ -11,10 +11,11 @@ Two execution backends share one modelling API (see
   lone-clock lane (:mod:`repro.kernel.lane`), the per-edge loop that
   keeps runnable threads in a sorted slot list instead of wakeup
   buckets.  The threaded kernel enters the same lane wherever the
-  design's shape allows; the compiled request adds a capability check,
-  refusals and provenance.  Attaches only when the check proves the
-  design uses supported constructs; otherwise the simulator silently
-  runs threaded and records the reason.
+  design's shape allows; the compiled request adds only a capability
+  check at the simulator's first run.  Its verdict — ``compiled``, or
+  ``threaded`` with the reason when the design uses a refused
+  construct — holds for the simulator's lifetime and is its
+  provenance.
 
 Selection is ambient so experiment code does not need to thread a
 ``backend=`` argument through every ``Simulator()`` construction::
@@ -24,8 +25,9 @@ Selection is ambient so experiment code does not need to thread a
     with use_backend("compiled"):
         result = run_pe_scaling_point(n_pes=4, n_per_pe=64, mode="fast")
 
-The module also keeps a process-local record of the most recent run's
-backend, which ``python -m repro stats`` surfaces as a provenance line.
+The module also keeps a process-local record of the most recent
+compiled-requested run's verdict, which ``python -m repro stats``
+surfaces as a provenance line.
 """
 
 from __future__ import annotations

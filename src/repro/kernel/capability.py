@@ -3,7 +3,8 @@
 Three executors run a design faster than the threaded reference kernel,
 each only for designs it can prove it reproduces byte for byte:
 
-* ``compiled`` — the flat dispatch loop (:mod:`repro.compile`),
+* ``compiled`` — the lone-clock lane, requested for the simulator's
+  lifetime and checked once, at its first run (:mod:`repro.compile`),
 * ``snapshot`` — construct once, restore per point
   (:mod:`repro.kernel.snapshot`, warm sweeps),
 * ``replay`` — derive a point from a captured trace (:mod:`repro.trace`).
@@ -14,9 +15,9 @@ which executor: one :class:`Row` per construct, and per executor either
 found.  Rows with a detector are answered from the elaborated
 :class:`~repro.kernel.simulator.Simulator` by :func:`findings`; rows
 without one describe constructs only the running executor can see (a
-non-blocking port op, a thread registered mid-run) — their detection
-sites stay in that executor and take the text from here through
-:func:`reason`.  ``tools/check_docs.py`` renders the table into
+non-blocking port op, a thread registered during capture) — their
+detection sites stay in that executor and take the text from here
+through :func:`reason`.  ``tools/check_docs.py`` renders the table into
 ``docs/COMPILED_BACKEND.md``, ``docs/REGISTRY.md`` and
 ``docs/INCREMENTAL_SIM.md``.
 """
@@ -169,22 +170,9 @@ TABLE: Tuple[Row, ...] = (
     # -- seen only by the running executor -----------------------------
     Row("lower", "design that does not lower to a node schedule",
         replay="design does not lower to a node schedule: {exc}"),
-    Row("boundary", "process made runnable between runs",
-        compiled="runnable processes at a run boundary"),
     Row("schedule", "timed event scheduled mid-run",
-        compiled="timed event scheduled in the heap",
         replay="a timed event was scheduled during capture (delayed "
                "notification or unclocked work)"),
-    Row("midstop", "clock stopped mid-run",
-        compiled="clock {name!r} stopped"),
-    Row("midpause", "clock paused mid-run",
-        compiled="clock {name!r} paused"),
-    Row("midcallback", "per-edge callback registered mid-run",
-        compiled="per-edge callback registered mid-run"),
-    Row("midmethod", "combinational method registered mid-run",
-        compiled="combinational method registered mid-run"),
-    Row("midthread", "thread registered mid-run",
-        compiled="thread registered mid-run"),
     Row("nb", "non-blocking port op (`push_nb`, `pop_nb`, `peek_nb`, "
               "`can_push`, `can_pop`)",
         replay="thread {path!r} used non-blocking {op} (behaviour is "

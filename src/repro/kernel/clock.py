@@ -581,11 +581,6 @@ class Clock:
         """Nominal frequency assuming 1 tick = 1 ps."""
         return 1000.0 / self.period
 
-    @property
-    def pending_wakeups(self) -> int:
-        """Threads currently filed in this clock's wakeup buckets."""
-        return sum(len(b) for b in self._wakeups.values())
-
     def activity(self) -> dict:
         """Per-domain activity counters as a serializable dict
         (cycles ticked, pausible-clocking pauses and blackout time)."""

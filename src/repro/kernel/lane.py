@@ -2,10 +2,10 @@
 
 ``Simulator._threaded_run`` enters the lane at any timestep boundary
 where the design has one clock, periodic and live, an empty timed-event
-heap and no combinational method; the compiled backend
-(:mod:`repro.compile`) runs the same lane and adds only its refusals
-and provenance.  A telemetry hub rides along: the lane keeps its
-kernel counters by the general loop's rules (:meth:`Lane._dispatch`).
+heap and no combinational method, under either backend: a compiled
+request (:mod:`repro.compile`) adds only its first-run verdict.  A
+telemetry hub rides along: the lane keeps its kernel counters by the
+general loop's rules (:meth:`Lane._dispatch`).
 It runs each posedge in the general loop's phase order (edge, channel
 ticks, thread resumes) with four elisions:
 parked gate threads (``Clock._park``, re-inserted at their slot key by
@@ -56,9 +56,9 @@ _KEY = attrgetter("_key")
 
 
 def exit_key(sim, clock):
-    """The lane's exit guards, in order: the capability row of the first
-    construct that keeps ``clock`` off the lane (the compiled backend's
-    fallback reason), or None while the lane may run it."""
+    """The lane's exit guards, in order: the name of the first construct
+    that keeps ``clock`` off the lane, or None while the lane may run
+    it."""
     if len(sim._clocks) != 1:
         return "clocks"
     if sim._queue:
@@ -169,7 +169,7 @@ class Lane:
         """Execute timesteps until a stop condition or an exit guard.
 
         Returns ``(steps, key, deltas)``: the timesteps completed, the
-        :func:`exit_key` row the lane left on (None: the run ended), and
+        :func:`exit_key` guard the lane left on (None: the run ended), and
         None at a timestep boundary, or, when it left mid-timestep at
         ``sim.now`` (deltas converged or a new method to run, timed
         events due now to fire), the delta cycles that timestep has run

@@ -407,12 +407,13 @@ class Simulator:
         # TelemetryHub or None; None keeps every hook at zero overhead.
         self.telemetry = attach_if_enabled(self, telemetry)
         # Execution backend (see repro.kernel.backend / repro.compile).
-        # ``backend`` overrides the ambient default; "compiled" requests
-        # the compiled engine, which attaches lazily at the first run and
-        # falls back to the threaded kernel, recording why, whenever the
-        # design uses a construct it refuses.
+        # ``backend`` overrides the ambient default.  A "compiled"
+        # request takes the capability check's verdict at its first run
+        # ("compiled", or "threaded" with the first finding's text) and
+        # keeps it for the simulator's lifetime; either way the same
+        # loop runs.
         self._backend_requested = resolve_backend(backend)
-        self._engine = None          # CompiledEngine once attached
+        self._verdict: Optional[str] = None
         self._backend_fallback: Optional[str] = None
         self._method_count = 0
         # Snapshot/restore support (see repro.kernel.snapshot).  The
@@ -586,17 +587,20 @@ class Simulator:
         (identical to the fully heap-scheduled kernel), then delta
         cycles run until quiescent.
 
-        With ``backend="compiled"`` the compiled engine is first offered
-        the run; it takes it if the capability check passes and the
-        lone-clock lane can start, else it records why not.  Either way
-        the same loop runs; the engine only answers for provenance.
+        With ``backend="compiled"`` the first run takes the capability
+        check's verdict (:func:`repro.compile.try_attach`), and every run
+        records it as its provenance at exit.  Either way the same loop
+        runs.
         """
+        compiled = self._backend_requested == "compiled"
+        if compiled and self._verdict is None:
+            from ..compile import try_attach  # lazy: it imports this module
+
+            try_attach(self)
         self._running = True
         self._owed = False
         cut = False
         try:
-            if self._backend_requested == "compiled":
-                self._compiled_run()
             self._threaded_run(until, max_steps, stop_clock, stop_cycles)
             return self.now
         except BaseException as exc:
@@ -614,8 +618,8 @@ class Simulator:
             for clk in self._clocks:
                 clk._settle(cut)
             self._current = None
-            if self._engine is not None:
-                record_run("compiled")
+            if compiled:
+                record_run(self._verdict, self._backend_fallback)
 
     def _threaded_run(self, until, max_steps, stop_clock, stop_cycles):
         """The threaded scheduler loop (see :meth:`_run`)."""
@@ -821,34 +825,14 @@ class Simulator:
         from a timestep boundary its exit guards pass: ``(steps, key,
         deltas)``, the timesteps executed in this run so far, the guard
         the lane left on (None: the run ended) and, if it left
-        mid-timestep, the delta cycles that timestep ran (else None).
-        An attached compiled engine is told how the lane left."""
+        mid-timestep, the delta cycles that timestep ran (else None)."""
         from .lane import Lane
 
         if max_steps is not None:
             max_steps -= steps
         executed, key, deltas = Lane(self, clock).run(
             until, max_steps, stop_clock, stop_cycles)
-        if self._engine is not None:
-            self._engine.leave(key)
         return steps + executed, key, deltas
-
-    def _compiled_run(self) -> None:
-        """Attach the compiled engine at the first run, then let it check
-        this run's entry (it detaches, recording why, if the lane cannot
-        take the run).  Lazy import: :mod:`repro.compile` depends on this
-        module."""
-        engine = self._engine
-        if engine is None:
-            if self._backend_fallback is not None:
-                return
-            from ..compile import try_attach
-
-            engine = try_attach(self)
-            if engine is None:
-                record_run("threaded", self._backend_fallback)
-                return
-        engine.enter()
 
     # ------------------------------------------------------------------
     # snapshot / restore (see repro.kernel.snapshot)
@@ -900,8 +884,8 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
-        """Backend currently executing this simulator's runs."""
-        return "compiled" if self._engine is not None else "threaded"
+        """A compiled request's first-run verdict, else ``"threaded"``."""
+        return self._verdict or "threaded"
 
     @property
     def backend_requested(self) -> str:

@@ -36,9 +36,8 @@ this module is deliberately conservative:
 
 Restore always runs between runs, where no thread is on the lone-clock
 lane's live list: wakeup buckets, parked threads and slot keys rewind
-through the base state.  The compiled backend only re-reads its thread
-count (:meth:`CompiledEngine.reset()
-<repro.compile.engine.CompiledEngine.reset>`), staying attached.
+through the base state.  A compiled request's verdict, taken at the
+first run, depends only on the constructed design: restore keeps it.
 """
 
 from __future__ import annotations
@@ -152,7 +151,6 @@ def _base_state(sim) -> dict:
         "runnable_set": set(sim._runnable_set),
         "dirty": list(sim._dirty_signals),
         "finished": sim._finished_threads,
-        "fallback": sim._backend_fallback,
         "clocks": [(clk, _clock_state(clk)) for clk in sim._clocks],
         "signals": [(sig, sig._value, sig._next, sig._dirty)
                     for sig in signals],
@@ -183,12 +181,6 @@ def _clock_state(clk) -> dict:
 
 
 def _restore_base(sim, base: dict) -> None:
-    # The compiled engine (if attached) re-reads its thread count; the
-    # rest is rewound below.  Detached/fallback state is wiped so the
-    # next run re-attempts attach.
-    engine = sim._engine
-    if engine is not None:
-        engine.reset()
     sim.now = 0
     sim._seq = itertools.count(base["seq_start"])
     sim._queue[:] = base["queue"]
@@ -204,7 +196,6 @@ def _restore_base(sim, base: dict) -> None:
     sim._dirty_signals.clear()
     sim._dirty_signals.extend(base["dirty"])
     sim._finished_threads = base["finished"]
-    sim._backend_fallback = base["fallback"]
     sim._current = None
     sim._history = []
     for clk, state in base["clocks"]:

@@ -425,8 +425,15 @@ class ResultCache:
         except (OSError, ValueError):
             return {}
 
+    def summary(self) -> dict:
+        """Configuration + this instance's counters as a plain
+        serializable dict, without touching the disk: a sweep result's
+        per-run cache block."""
+        return {"root": str(self.root), "version": self.version,
+                "rev": self.rev, **vars(self.stats)}
+
     def describe(self, *, deep: bool = False) -> dict:
-        """Stats + configuration as a plain serializable dict.
+        """:meth:`summary` + on-disk entry totals.
 
         Entry totals are recounted from disk on every call, so entries
         dropped by :meth:`get` (corruption) disappear immediately.
@@ -434,24 +441,9 @@ class ResultCache:
         included (opens every entry; used by ``repro stats``).
         """
         entries = self._entries()
-        out = {
-            "root": str(self.root),
-            "entries": len(entries),
-            "bytes": sum(size for _, size, _ in entries),
-            "version": self.version,
-            "rev": self.rev,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "puts": self.stats.puts,
-            "evictions": self.stats.evictions,
-            "corrupt_dropped": self.stats.corrupt_dropped,
-            "hits_exact": self.stats.hits_exact,
-            "hits_derived": self.stats.hits_derived,
-            "hits_trace": self.stats.hits_trace,
-            "recompute_seconds_saved": self.stats.recompute_seconds_saved,
-            "warm_points": self.stats.warm_points,
-            "warm_restores": self.stats.warm_restores,
-        }
+        out = {"entries": len(entries),
+               "bytes": sum(size for _, size, _ in entries),
+               **self.summary()}
         if deep:
             by_mode = {mode: 0 for mode in MODES}
             cost_by_mode = {mode: 0.0 for mode in MODES}

@@ -173,7 +173,7 @@ class SweepResult:
     executed: int = 0
     errors: int = 0
     retried: int = 0
-    cache: Optional[dict] = None  # ResultCache.describe() snapshot
+    cache: Optional[dict] = None  # ResultCache.summary() snapshot
     incremental: bool = False
     #: Points served by trace replay or analytic evaluation this run.
     derived: int = 0
@@ -619,7 +619,7 @@ def _record(points: List[SweepPoint], records: Dict[int, dict], *,
         executed=count("ok", "exact"),
         errors=count("error"),
         retried=sum(max(0, o.attempts - 1) for o in outcomes),
-        cache=cache.describe() if cache is not None else None,
+        cache=cache.summary() if cache is not None else None,
         derived=count("ok", "derived"),
         fallback_reasons=fallback_reasons,
         **fields,

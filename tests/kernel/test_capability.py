@@ -19,7 +19,7 @@ from repro.compile import try_attach
 from repro.connections import Buffer, In, Out
 from repro.design import component_scope
 from repro.faults import FaultPlan, Watchdog
-from repro.kernel import Signal, Simulator, SnapshotError, Trace
+from repro.kernel import Signal, Simulator, SnapshotError, Trace, last_run
 from repro.kernel.capability import EXECUTORS, ROWS, TABLE, findings, reason
 from repro.trace import capture
 
@@ -229,11 +229,18 @@ def test_bundled_design_verdicts(name):
 # wiring: the consumers record the table's texts
 # ----------------------------------------------------------------------
 def test_try_attach_records_the_first_compiled_finding():
+    """A refusal records the first finding's text; an eligible design
+    records the ``compiled`` verdict and no reason."""
     sim, _ = _method()
     assert try_attach(sim) is None
     first = next(findings(sim, "compiled"))
     assert first[0] == "timed"
     assert sim.backend_fallback_reason == first[1]
+    assert sim.backend == "threaded"
+    sim, _, _ = _pipe()
+    assert try_attach(sim) == "compiled"
+    assert sim.backend == "compiled"
+    assert sim.backend_fallback_reason is None
 
 
 def test_snapshot_error_lists_every_snapshot_finding():
@@ -264,15 +271,33 @@ def test_capture_records_the_watchdog_row():
     assert not session.trace["eligible"]
 
 
-def test_midrun_detach_records_a_table_row():
+def test_midrun_detach_records_a_table_row(monkeypatch):
+    """A timed event scheduled mid-run takes the run off the lone-clock
+    lane; the compiled verdict, taken at the first run, stands."""
+    left = []
+    lane = Simulator._lane
+
+    def spy(self, *args):
+        out = lane(self, *args)
+        left.append(out[1])
+        return out
+
+    monkeypatch.setattr(Simulator, "_lane", spy)
     sim, clk, _ = _pipe()
     sim._backend_requested = "compiled"
+
+    def spoiler():
+        yield 3
+        sim.schedule(5, lambda: None)
+
+    sim.add_thread(spoiler, clk, name="spoiler")
     sim.run_cycles(clk, 2)
+    assert sim.backend == "compiled" and left == [None]
+    sim.run_cycles(clk, 4)
+    assert "schedule" in left
     assert sim.backend == "compiled"
-    sim.schedule(5, lambda: None)
-    sim.run_cycles(clk, 2)
-    assert sim.backend == "threaded"
-    assert sim.backend_fallback_reason == reason("schedule", "compiled")
+    assert sim.backend_fallback_reason is None
+    assert last_run() == ("compiled", None)
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +308,6 @@ def test_midrun_detach_records_a_table_row():
 _CITE = re.compile(r'reason\(\s*(?:"(\w+)"|(\w+)),\s*"(\w+)"')
 #: Capture's recorder cites replay rows as ``self.reason("key"``.
 _RECORDER = re.compile(r'self\.reason\(\s*"(\w+)"')
-#: ``lane.exit_key`` returns the row of the guard the lane leaves on.
-_GUARD = re.compile(r'return "(\w+)"')
 
 
 def _citations():
@@ -299,10 +322,6 @@ def _citations():
         if path.relative_to(src).as_posix() == "trace/capture.py":
             for key in _RECORDER.findall(text):
                 yield path.name, key, "replay"
-        if path.relative_to(src).as_posix() == "kernel/lane.py":
-            # The lane's exit guards name the compiled engine's detach.
-            for key in _GUARD.findall(text):
-                yield path.name, key, "compiled"
 
 
 def test_every_cited_row_has_a_text_for_its_executor():
@@ -312,7 +331,11 @@ def test_every_cited_row_has_a_text_for_its_executor():
         assert key in ROWS, f"{file} cites missing row {key!r}"
         assert getattr(ROWS[key], executor) is not None, (
             f"{file} cites row {key!r}, which has no {executor} text")
-    # The scan sees literal, variable-bound and recorder citations.
+    # The scan sees the recorder's citations.
     pairs = {(key, executor) for _file, key, executor in cited}
-    assert {("boundary", "compiled"), ("midthread", "compiled"),
-            ("midstop", "compiled"), ("nb", "replay")} <= pairs
+    assert {("nb", "replay"), ("schedule", "replay")} <= pairs
+    # The compiled verdict is taken once, from the elaborated design:
+    # every compiled text belongs to a row with a detector, and the
+    # lane's exit guards (``lane.exit_key``) cite no row.
+    assert all(row.detect is not None for row in TABLE if row.compiled)
+    assert not {key for key, executor in pairs if executor == "compiled"}

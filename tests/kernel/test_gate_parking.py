@@ -502,11 +502,12 @@ def test_snapshot_restore_rerun_with_parked_gates_matches(backend):
     ids=["plain", "telemetry", "compiled-plain", "compiled-telemetry"])
 def test_engine_attaches_and_detaches_around_parked_gates(backend,
                                                           telemetry):
-    """Parked threads stay on their clock across engine hand-over.  An
-    engine attached late (over threads the threaded loop parked) or from
-    construction parks the consumer in the clock's registry, and a
-    mid-run detach hands the run back with the consumer still parked
-    there, filed into no wakeup bucket — nothing is converted."""
+    """Parked threads stay on their clock across lane exits.  A
+    compiled verdict taken late (over threads the threaded loop parked)
+    or at the first run keeps the consumer in the clock's registry, and
+    a mid-run timed event takes the run off the lane with the consumer
+    still parked there, filed into no wakeup bucket — nothing is
+    converted, and the verdict stays ``compiled``."""
     backends, probes = [], []
 
     def scenario():
@@ -524,7 +525,7 @@ def test_engine_attaches_and_detaches_around_parked_gates(backend,
             yield 35
             probe()                        # inside the compiled segment
             yield 85
-            sim.schedule(5, probe)  # a timed event: the engine detaches
+            sim.schedule(5, probe)  # a timed event: the run leaves the lane
 
         sim.add_thread(spoiler, clk, name="spoiler")
         sim.run_cycles(clk, 30)            # threaded: the consumer parks
@@ -540,11 +541,11 @@ def test_engine_attaches_and_detaches_around_parked_gates(backend,
     assert skipped[0] > 0
     assert len(observed["result"][0]) == 12
     # The every-poll reference never parks; the parked run's consumer is
-    # in the clock's registry under the engine (a hub attached or not)
-    # and after its detach.
-    assert probes == [("compiled", False), ("threaded", False),
-                      ("compiled", True), ("threaded", True)]
-    assert backends == ["compiled", "threaded"] * 2
+    # in the clock's registry on the lane (a hub attached or not) and
+    # after the timed event took the run off it.
+    assert probes == [("compiled", False), ("compiled", False),
+                      ("compiled", True), ("compiled", True)]
+    assert backends == ["compiled", "compiled"] * 2
 
 
 # ----------------------------------------------------------------------

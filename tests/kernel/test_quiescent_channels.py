@@ -424,9 +424,10 @@ def test_push_from_an_edge_callback_ticks_ahead_not_behind():
 
 
 def test_engine_attaching_late_walks_the_clocks_list():
-    """Trap 5: an engine attached after the threaded loop parked (and
-    settled) channels, then detached mid-run, leaves one consistent
-    list: nothing double-ticked, nothing lost."""
+    """Trap 5: a compiled verdict taken after the threaded loop parked
+    (and settled) channels, then a mid-run timed event that takes the
+    run off the lane, leave one consistent list: nothing double-ticked,
+    nothing lost.  The verdict stays ``compiled``."""
     still_parked = []
 
     def scenario():
@@ -439,7 +440,7 @@ def test_engine_attaching_late_walks_the_clocks_list():
 
         def spoiler():
             yield 60
-            sim.schedule(5, lambda: None)  # a timed event: engine detaches
+            sim.schedule(5, lambda: None)  # a timed event: leaves the lane
 
         sim.add_thread(spoiler, clk, name="spoiler")
         sim.run_cycles(clk, 20)
@@ -453,7 +454,7 @@ def test_engine_attaching_late_walks_the_clocks_list():
 
     observed = assert_parks_exactly(scenario)
     assert [entry for entry in observed["result"] if entry in
-            ("compiled", "threaded")] == ["compiled", "threaded"]
+            ("compiled", "threaded")] == ["compiled", "compiled"]
     assert still_parked == [False, True]  # reference run, parked run
 
 
@@ -834,8 +835,9 @@ def test_snapshot_restore_rerun_with_blocked_threads_matches(backend):
 
 
 def test_engine_attaches_and_detaches_around_blocked_threads():
-    """Consumers the threaded loop parked on the pop gate flow into a
-    late-attaching engine; a mid-run detach files them back."""
+    """Consumers the threaded loop parked on the pop gate flow onto the
+    lane under a compiled verdict taken late; a mid-run timed event
+    files them back, and the verdict stays ``compiled``."""
     backends = []
 
     def scenario():
@@ -844,7 +846,7 @@ def test_engine_attaches_and_detaches_around_blocked_threads():
 
         def spoiler():
             yield 120
-            sim.schedule(5, lambda: None)  # a timed event: engine detaches
+            sim.schedule(5, lambda: None)  # a timed event: leaves the lane
 
         sim.add_thread(spoiler, clk, name="spoiler")
         sim.run_cycles(clk, 50)            # threaded: the consumers park
@@ -856,7 +858,7 @@ def test_engine_attaches_and_detaches_around_blocked_threads():
         return log, chan.stats.pop_attempts
 
     assert_parks_exactly(scenario)
-    assert backends == ["compiled", "threaded"] * 2
+    assert backends == ["compiled", "compiled"] * 2
 
 
 @pytest.mark.parametrize("stages, capacity", [(2, 1), (3, 2)])

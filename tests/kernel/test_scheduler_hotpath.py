@@ -146,7 +146,7 @@ def test_stopped_clock_never_wakes_subscribed_threads():
     sim.run(until=300)
     # The thread stays filed in its wakeup bucket forever.
     assert len(ticks) == seen
-    assert clk.pending_wakeups == 1
+    assert sum(len(b) for b in clk._wakeups.values()) == 1
 
 
 def test_thread_alternates_event_and_multi_cycle_waits():

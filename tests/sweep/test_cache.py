@@ -304,40 +304,35 @@ def test_describe_deep_reports_modes_and_cost(tmp_path):
 # ----------------------------------------------------------------------
 def test_eviction_scans_once_per_fresh_sweep_and_never_when_cached(
         tmp_path, monkeypatch):
-    """A put scans nothing: the directory is listed for eviction once,
-    at the sweep's flush, and not at all by a run that stored nothing.
-    (``describe()`` recounts the entries for the result's cache block
-    on every run; its listing is not an eviction scan.)"""
+    """A put scans nothing: the directory is listed once, for eviction
+    at the sweep's flush, and not at all by a run that stored nothing
+    (the result's cache block is built from counters, not a listing)."""
     from repro.experiments import li_latency
     from repro.sweep import run_sweep
 
-    scans = {"entries": 0, "describe": 0}
-    entries, describe = ResultCache._entries, ResultCache.describe
+    scans = [0]
+    entries = ResultCache._entries
 
     def counted_entries(self):
-        scans["entries"] += 1
+        scans[0] += 1
         return entries(self)
 
-    def counted_describe(self, **kw):
-        scans["describe"] += 1
-        return describe(self, **kw)
-
     monkeypatch.setattr(ResultCache, "_entries", counted_entries)
-    monkeypatch.setattr(ResultCache, "describe", counted_describe)
     points = [p for period in range(5, 10)
               for p in li_latency.sweep_space(
                   probabilities=(0.0, 0.2, 0.4), trials=1, period=period)]
     assert len(points) == 120
 
     def eviction_scans(cache):
-        scans.update(entries=0, describe=0)
+        scans[0] = 0
         result = run_sweep(points, cache=cache)
-        return result, scans["entries"] - scans["describe"]
+        return result, scans[0]
 
-    fresh, n = eviction_scans(_cache(tmp_path, max_entries=100))
+    cache = _cache(tmp_path, max_entries=100)
+    fresh, n = eviction_scans(cache)
     assert fresh.executed == 120 and n == 1
     # The one scan enforced the limit for the whole sweep.
-    assert fresh.cache["entries"] == 100
+    assert len(cache) == 100
     assert fresh.cache["evictions"] == 20
     cached, n = eviction_scans(_cache(tmp_path))
     assert cached.cache_hits == 100 and cached.executed == 20 and n == 1

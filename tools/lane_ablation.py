@@ -13,14 +13,14 @@ The switches are the test-local reference patches of
   (``repro.kernel.lane``): every timestep runs on the general loop.
 
 Each of seven rounds runs every variant once, in a rotated order, over
-five groups: the six ``soc_threaded`` programs, the same six under the
-compiled engine (``soc_compiled``), the
+five groups: the six ``soc_threaded`` programs, the same six under a
+compiled request (``soc_compiled``), the
 ``rtl_gals`` ops (fig3 crossbars once each, the GALS SoC, the RTL SoC),
 and both sweep grids run ``--warm`` (``sweep_warm``) and
 ``--incremental`` (``sweep_incremental``), serially (``jobs=1``).
 Sizes and seed come from ``bench/config.json``.  Every variant must
-produce the same simulated cycles, on the same executor, and the same
-sweep results as the unpatched kernel (they are references, not
+produce the same simulated cycles, with the same backend verdict, and
+the same sweep results as the unpatched kernel (they are references, not
 approximations); the script prints per-group medians of wall seconds,
 the quartiles of ``none`` and each switch's change against it.
 
