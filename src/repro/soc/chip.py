@@ -180,9 +180,12 @@ class PrototypeSoC:
 
     def run(self, *, max_ticks: int = 50_000_000) -> int:
         """Run until the controller firmware halts; returns elapsed ticks."""
-        while not self.controller.halted and self.sim.now < max_ticks:
+        # The core halts inside its last step; the controller thread
+        # stamps halt_time at its next resume, one cycle later, which
+        # may be in the next chunk.
+        while self.controller.halt_time is None and self.sim.now < max_ticks:
             self.sim.run(max_steps=500)
-        if not self.controller.halted:
+        if self.controller.halt_time is None:
             raise RuntimeError(
                 f"SoC did not finish within {max_ticks} ticks "
                 f"(done tokens: {self.controller.done_count})"

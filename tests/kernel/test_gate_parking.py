@@ -9,8 +9,9 @@ at unpark and at every run exit.  The every-poll reference is
 ``never_park()``, so the oracle tests of ``test_quiescent_channels.py``
 cover gates too).  Here: the SoC programs (fast, GALS) and the AXI
 fabric against it, the executors against each other on every channel's
-statistics, the shapes a gate can open in (two waiters on one gate
-too), snapshot restore and engine hand-over with threads parked, the
+statistics (and the routers' stage loop against their ops loop,
+``generic_router()``), the shapes a gate can open in (two waiters on
+one gate too), snapshot restore and engine hand-over with threads parked, the
 saving as an exact count, and the horizon-less run both executors now
 end alike.
 """
@@ -21,12 +22,14 @@ from unittest.mock import patch
 
 import pytest
 
+from repro import observe
 from repro.axi import (AddressRange, AxiInterconnect, AxiMaster,
                        AxiMemorySlave, AxiRegisterSlave)
 from repro.connections import Buffer
 from repro.kernel import Gate, Simulator, time_budget
 from repro.kernel.backend import use_backend
 from repro.matchlib import MemArray
+from repro.noc.whvc_router import WHVCRouter
 from repro.workloads import (conv2d_workload, dot_product_workload,
                              gemm_workload, memcpy_workload,
                              reduction_workload, run_workload,
@@ -34,8 +37,8 @@ from repro.workloads import (conv2d_workload, dot_product_workload,
 
 from tests.sweep._never_park import (assert_parks_exactly,
                                      constructed_simulators, fingerprint,
-                                     never_gate, never_lane, observe_run,
-                                     skipped_polls)
+                                     generic_router, never_gate, never_lane,
+                                     observe_run, skipped_polls)
 
 TELEMETRY = pytest.mark.parametrize("telemetry", [False, True],
                                     ids=["plain", "telemetry"])
@@ -64,7 +67,8 @@ def _program(name, backend, backends):
         with use_backend(backend):
             soc = run_workload(small_programs()[name])
         backends.append(soc.sim.backend)
-        return soc.elapsed_cycles
+        return [soc.elapsed_cycles,
+                observe.to_records(soc.telemetry_report())]
 
     return scenario
 
@@ -83,17 +87,45 @@ def test_soc_program_matches_the_every_poll_reference(name, backend,
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_soc_program_statistics_identical_across_executors(name):
-    """Every simulator's fingerprint (``now``, clock activity and all
-    eight ``ChannelStats`` counters of every channel), not only the
-    payload ``tests/test_compiled_backend.py`` compares: the engine used
-    to park the network interfaces without counting their idle eject
-    pops, so the ``chip.mesh.ej*`` channels differed."""
+    """Every simulator's fingerprint (``now``, clock activity, all eight
+    ``ChannelStats`` counters of every channel and every router's
+    counters, arbiters and VC FIFOs) and the chip's telemetry report,
+    not only the payload ``tests/test_compiled_backend.py`` compares:
+    the engine used to park the network interfaces without counting
+    their idle eject pops, so the ``chip.mesh.ej*`` channels differed.
+    The routers' generic ops loop is the stage loop's reference."""
     observed = {}
     for backend in ("threaded", "compiled"):
         backends = []
         observed[backend] = observe_run(_program(name, backend, backends))
         assert backends == [backend]
+    with generic_router():
+        observed["generic"] = observe_run(_program(name, "threaded", []))
     assert observed["compiled"] == observed["threaded"]
+    assert observed["generic"] == observed["threaded"]
+
+
+def test_fast_mesh_routers_run_the_stage_loop():
+    """The generic arm above is not vacuous: on the fast SoC every
+    router runs the stage loop, under ``generic_router()`` none does,
+    and the GALS SoC's routers (GALS links) always run the ops loop."""
+    def ops_cycles(**kwargs):
+        count = [0]
+        accept = WHVCRouter._accept_flits
+
+        def counted(self):
+            count[0] += 1
+            accept(self)
+
+        with patch.object(WHVCRouter, "_accept_flits", counted):
+            run_workload(vector_scale_workload(seed=100, n_pes=2,
+                                               n_per_pe=8), **kwargs)
+        return count[0]
+
+    assert ops_cycles() == 0
+    with generic_router():
+        assert ops_cycles() > 100
+    assert ops_cycles(gals=True) > 100
 
 
 @TELEMETRY

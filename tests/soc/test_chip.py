@@ -117,3 +117,21 @@ def test_soc_custom_geometry():
     assert soc.controller_node == 4
     soc.run()
     assert soc.controller.done_tokens == [9]
+
+
+def test_run_returns_the_halt_time_when_the_halting_step_ends_a_chunk():
+    """The core halts inside its last step; the controller thread stamps
+    ``halt_time`` at its next resume, one cycle later.  A run whose
+    halting step was the last one executed must still run on to it."""
+    from repro.workloads import vector_scale_workload
+
+    workload = vector_scale_workload(seed=100, n_pes=2, n_per_pe=8)
+    soc = PrototypeSoC(commands=workload.commands)
+    soc.gmem_left.load(workload.preload_left)
+    while not soc.controller.halted:
+        soc.sim.run(max_steps=1)
+    assert soc.controller.halt_time is None
+    finish = soc.run()
+    assert finish is not None and finish == soc.controller.halt_time
+    assert soc.elapsed_cycles == finish // PrototypeSoC.CLOCK_PERIOD
+    assert workload.check(soc)

@@ -17,13 +17,17 @@ is no such switch in ``src/``.
 
 The lone-clock lane (``repro.kernel.lane``) has its reference here too:
 ``never_lane()`` keeps ``Simulator._threaded_run`` on the general loop
-(every poller re-filed into a bucket every edge).
+(every poller re-filed into a bucket every edge).  So has the WHVC
+router's stage loop: ``generic_router()`` sends every router down its
+generic ops path.
 
 ``assert_parks_exactly(scenario)`` runs ``scenario()`` under both and
 compares, byte for byte, its result record and a fingerprint of every
 simulator it constructed: ``sim.now``, every clock's ``activity()``,
 every fast channel's eight ``ChannelStats`` counters with ``_stalled``
-and the stall RNG state, and the telemetry records (kernel counters and
+and the stall RNG state, every WHVC router's flit, packet and stall
+counters with its arbiters' grants and pointers and its VC FIFOs'
+push and peak counts, and the telemetry records (kernel counters and
 channel histograms; ``proc_seconds`` is wall time and excluded).
 """
 
@@ -33,11 +37,13 @@ from unittest.mock import patch
 
 from repro import observe
 from repro.connections.channel import ChannelStats, FastChannel
+from repro.design.hierarchy import design_path
 from repro.design.lower import edge_callbacks
 from repro.kernel import Simulator
 from repro.kernel.clock import Clock
 from repro.kernel.lane import Lane
 from repro.kernel.simulator import Gate
+from repro.noc.whvc_router import WHVCRouter
 from repro.sweep.serialize import NONDETERMINISTIC_FIELDS, canonical_json
 
 
@@ -98,6 +104,15 @@ def never_lane():
 
 
 @contextmanager
+def generic_router():
+    """Every ``WHVCRouter`` whose thread starts inside the block (build
+    and run the design in it) runs the generic ops loop: the reference
+    of the stage loop its all-FastChannel routers would run."""
+    with patch.object(WHVCRouter, "_stage_links", lambda self: None):
+        yield
+
+
+@contextmanager
 def lane_entries():
     """Counts the times a run enters the lone-clock lane."""
     count = [0]
@@ -146,6 +161,12 @@ def fast_channels(sim):
             for _cb, chan, _name in edge_callbacks(clock) if chan is not None]
 
 
+def routers(sim):
+    """Every ``WHVCRouter`` in ``sim``'s design hierarchy, in walk order."""
+    return [inst.obj for inst in sim.design.root.walk()
+            if isinstance(inst.obj, WHVCRouter)]
+
+
 def fingerprint(sim) -> dict:
     return {
         "now": sim.now,
@@ -155,6 +176,13 @@ def fingerprint(sim) -> dict:
              chan._stalled,
              chan._stall_rng.getstate() if chan._stall_rng else None]
             for chan in fast_channels(sim)],
+        "routers": [
+            [design_path(router), router.flits_forwarded,
+             router.packets_forwarded, router.output_stall_cycles,
+             [[arb.grants, arb._next] for arb in router._arbiters],
+             [[fifo.total_pushed, fifo.peak_occupancy]
+              for vcs in router._queues for fifo in vcs]]
+            for router in routers(sim)],
         "telemetry": observe.to_records(observe.collect(sim)),
     }
 

@@ -10,7 +10,9 @@ The switches are the test-local reference patches of
 * ``every_edge`` — ``Clock._next_time`` never looks past ``next_edge``
   (no idle-skip under either executor), everything else on;
 * ``never_lane`` — no run enters the lone-clock lane
-  (``repro.kernel.lane``): every timestep runs on the general loop.
+  (``repro.kernel.lane``): every timestep runs on the general loop;
+* ``generic_router`` — every WHVC router runs its generic ops loop, not
+  the stage loop its all-FastChannel routers take.
 
 Each of seven rounds runs every variant once, in a rotated order, over
 five groups: the six ``soc_threaded`` programs, the same six under a
@@ -49,8 +51,8 @@ from repro.kernel.backend import use_backend  # noqa: E402
 from repro.kernel.clock import Clock  # noqa: E402
 from repro.sweep import run_sweep  # noqa: E402
 from repro.workloads import run_workload  # noqa: E402
-from tests.sweep._never_park import (never_gate, never_lane,  # noqa: E402
-                                     never_park)
+from tests.sweep._never_park import (generic_router,  # noqa: E402
+                                     never_gate, never_lane, never_park)
 
 
 @contextlib.contextmanager
@@ -64,7 +66,7 @@ def every_edge():
 
 VARIANTS = {"none": contextlib.nullcontext, "never_park": never_park,
             "never_gate": never_gate, "every_edge": every_edge,
-            "never_lane": never_lane}
+            "never_lane": never_lane, "generic_router": generic_router}
 ROUNDS = 7
 
 
